@@ -60,7 +60,13 @@ from .skein_eval import (
     kauffman,
     skein_relation_probe,
 )
-from .verify import VERIFY_CONFIG, eigen_consistency, verify_main, verify_rudolph
+from .verify import (
+    MAIN_CHECK_LABELS,
+    VERIFY_CONFIG,
+    eigen_consistency,
+    verify_main,
+    verify_rudolph,
+)
 
 
 # ----------------------------------------------------------------------
@@ -332,23 +338,13 @@ def _crit_rudolph_corpus(extended: bool) -> tuple[bool, str]:
     return True, f"{len(corpus_names())} diagrams, crossing budget 24"
 
 
-_MAIN_REQUIRED_LABELS = tuple(
-    [f"row r={r}: adjoint equals doubled unoriented value" for r in range(4)]
-    + [
-        "assembled: adjoint decoration equals doubled unoriented decoration",
-        "solved empty-shape value equals deleted-component value",
-        "row r=3 predicted exactly",
-    ]
-)
-
-
 def _verify_main_case(d: LinkDiagram, assignments: list[Partition]) -> Optional[str]:
     report = verify_main(d, assignments)
     if not report.passed:
         first = next(c for c in report.checks if not c.passed)
         return f"check failed: {first.label}"
     labels = {c.label for c in report.checks}
-    missing = [label for label in _MAIN_REQUIRED_LABELS if label not in labels]
+    missing = [label for label in MAIN_CHECK_LABELS if label not in labels]
     if missing:
         return "missing checks: " + "; ".join(missing)
     return None

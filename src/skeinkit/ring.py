@@ -6,10 +6,10 @@ exact integer arithmetic on sparse exponent dictionaries.  No floats,
 no truncation, no symbolic dependencies.
 
 Rendering contract (stable, relied on by golden tests and the CLI):
-terms are sorted by (v-exponent, s-exponent) descending; the first term
-carries a leading "-" when negative and later terms are joined with
-" + " or " - " by sign; a coefficient of magnitude 1 is omitted unless
-the term is constant; exponent 1 renders bare ("v", not "v^1"); other
+terms are sorted by (v-exponent, s-exponent) ascending and joined with
+" + "; each term carries its own sign, so a negative term reads "-v^2"
+even after a " + "; a coefficient of magnitude 1 is omitted unless the
+term is constant; exponent 1 renders bare ("v", not "v^1"); other
 exponents render as "v^3" or "s^-2"; factors are joined with "*"; the
 zero polynomial renders as "0"; a fraction renders as "(num)/(den)"
 only when the reduced denominator is not 1.
@@ -503,11 +503,16 @@ class RingElem:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        # Hash must respect cross-multiplied equality, so hash the reduced
-        # pair; reduction is canonical for every representative this package
-        # builds, and equal-but-differently-reduced pairs only risk a hash
-        # miss for exotic denominators, never a wrong equality.
-        return hash((self.char, self.num, self.den))
+        # Equal values must hash equally whatever representative they hold.
+        # A value equal to a Laurent polynomial always reduces to denominator
+        # 1; any other value hashes by its residue at a fixed point, which
+        # every representative whose denominator is nonzero there shares.
+        if self.den.is_one():
+            return hash((self.char, self.num))
+        den = _residue(self.den) if self.char == 0 else 0
+        if not den:
+            return hash(self.char)
+        return hash(_residue(self.num) * pow(den, -1, _HASH_PRIME) % _HASH_PRIME)
 
     # ------------------------------------------------------------------
 
@@ -560,6 +565,19 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"RingElem({self.render()!r}, char={self.char})"
+
+
+_HASH_PRIME = (1 << 61) - 1
+_HASH_POINT = (1_000_003, 998_244_353)  # (v, s)
+
+
+def _residue(poly: LaurentPoly) -> int:
+    """The characteristic-0 polynomial's value at _HASH_POINT mod _HASH_PRIME."""
+    v, s = _HASH_POINT
+    return sum(
+        c * pow(v, dv, _HASH_PRIME) * pow(s, ds, _HASH_PRIME)
+        for (dv, ds), c in poly.terms().items()
+    ) % _HASH_PRIME
 
 
 def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -91,9 +91,6 @@ class _ZFrac:
     def times_z(self) -> "_ZFrac":
         return _ZFrac(self.num * _Z, self.zpow)
 
-    def times_v(self, k: int) -> "_ZFrac":
-        return _ZFrac(self.num.shift(k, 0), self.zpow)
-
     def times_circles(self, k: int, flavor: str) -> "_ZFrac":
         if k == 0:
             return self
@@ -501,43 +498,56 @@ def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFra
             first_bad = clasp
     if first_bad is None:
         result = _ZFrac(vpow(-writhe), 0).times_circles(n_circles, flavor)
-    elif flavor == ORIENTED:
-        c = first_bad
-        u, o = cross[c]
-        sign = _sign_oriented(cross[c])
-        sw_cross = dict(cross)
-        sw_cross[c] = (o, u)
-        sw_val = _evaluate(sw_cross, dict(partner), flavor, memo)
-        sm_cross = dict(cross)
-        sm_partner = dict(partner)
-        freed = _excise(sm_cross, sm_partner, {c}, _smooth_oriented_through(c, (u, o)))
-        sm_val = _evaluate(sm_cross, sm_partner, flavor, memo).times_circles(freed, flavor).times_z()
-        result = sw_val + sm_val if sign > 0 else sw_val - sm_val
     else:
-        c = first_bad
-        parity = cross[c]
-        sw_cross = dict(cross)
-        sw_cross[c] = parity ^ 1
-        sw_val = _evaluate(sw_cross, dict(partner), flavor, memo)
-        plus_cross = dict(cross)
-        plus_partner = dict(partner)
-        freed = _excise(plus_cross, plus_partner, {c}, _smooth_unoriented_through(c, parity, True))
-        plus_val = _evaluate(plus_cross, plus_partner, flavor, memo).times_circles(freed, flavor)
-        minus_cross = dict(cross)
-        minus_partner = dict(partner)
-        freed = _excise(minus_cross, minus_partner, {c}, _smooth_unoriented_through(c, parity, False))
-        minus_val = _evaluate(minus_cross, minus_partner, flavor, memo).times_circles(freed, flavor)
-        result = sw_val + (plus_val - minus_val).times_z()
+        switched, _, z_term = _resolve(cross, partner, flavor, first_bad, memo)
+        result = switched + z_term
     if use_memo:
         _MEMO[key] = result
     return result
+
+
+def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
+    """Apply the flavor's skein relation at crossing c, leaving the state intact.
+
+    Returns (switched value, smoothing values, z-term); the state's value
+    is the switched value plus the z-term.  Oriented: one smoothing and
+    z-term +-z*smoothing by the crossing sign.  Unoriented: the two planar
+    smoothings and z-term z*(plus - minus).
+    """
+    sw_cross = dict(cross)
+    if flavor == ORIENTED:
+        u, o = cross[c]
+        sw_cross[c] = (o, u)
+        throughs = (_smooth_oriented_through(c, (u, o)),)
+    else:
+        parity = cross[c]
+        sw_cross[c] = parity ^ 1
+        throughs = (
+            _smooth_unoriented_through(c, parity, True),
+            _smooth_unoriented_through(c, parity, False),
+        )
+    switched = _evaluate(sw_cross, dict(partner), flavor, memo)
+    smoothings = []
+    for through in throughs:
+        sm_cross = dict(cross)
+        sm_partner = dict(partner)
+        freed = _excise(sm_cross, sm_partner, {c}, through)
+        smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo).times_circles(freed, flavor))
+    if flavor == ORIENTED:
+        z_term = smoothings[0].times_z()
+        if _sign_oriented(cross[c]) < 0:
+            z_term = z_term.negate()
+    else:
+        z_term = (smoothings[0] - smoothings[1]).times_z()
+    return switched, smoothings, z_term
 
 
 # ----------------------------------------------------------------------
 # public entry points
 
 
-def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
+def _prepare(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]):
+    """Entry checks shared by every evaluation; returns (cross, partner, memo)."""
     cfg = config or DEFAULT_CONFIG
     if len(d.crossings) > cfg.max_crossings:
         raise SkeinBudgetError(
@@ -545,8 +555,14 @@ def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
         )
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     cross, partner = _build_state(d, flavor)
-    value = _evaluate(cross, partner, flavor, cfg.memo)
+    return cross, partner, cfg.memo
+
+
+def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
+    cross, partner, memo = _prepare(d, flavor, config)
+    value = _evaluate(cross, partner, flavor, memo)
     return value.times_circles(len(d.free_loops), flavor)
+
 
 def homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
     """Framed oriented polynomial; empty diagram 1, crossingless circle delta."""
@@ -590,53 +606,21 @@ def skein_relation_probe(
     config: Optional[EvalConfig] = None,
 ) -> dict:
     """Resolve one crossing both ways and check the defining relation."""
-    cfg = config or DEFAULT_CONFIG
     if not 0 <= crossing < len(d.crossings):
         raise ValueError(f"crossing index {crossing} out of range")
-    if len(d.crossings) > cfg.max_crossings:
-        raise SkeinBudgetError(
-            f"{d.name}: {len(d.crossings)} crossings exceed the budget of {cfg.max_crossings}"
-        )
+    if flavor != ORIENTED:
+        flavor = UNORIENTED
+    cross, partner, memo = _prepare(d, flavor, config)
+    here = _evaluate(dict(cross), dict(partner), flavor, memo)
+    switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
     loops = len(d.free_loops)
+    out = {"flavor": flavor}
     if flavor == ORIENTED:
-        cross, partner = _build_state(d, ORIENTED)
-        here = _evaluate(dict(cross), dict(partner), ORIENTED, cfg.memo)
-        sign = _sign_oriented(cross[crossing])
-        sw_cross = dict(cross)
-        u, o = sw_cross[crossing]
-        sw_cross[crossing] = (o, u)
-        switched = _evaluate(sw_cross, dict(partner), ORIENTED, cfg.memo)
-        sm_cross = dict(cross)
-        sm_partner = dict(partner)
-        freed = _excise(sm_cross, sm_partner, {crossing}, _smooth_oriented_through(crossing, (u, o)))
-        smoothed = _evaluate(sm_cross, sm_partner, ORIENTED, cfg.memo).times_circles(freed, ORIENTED)
-        residual = here - switched - (smoothed.times_z() if sign > 0 else smoothed.times_z().negate())
-        return {
-            "flavor": ORIENTED,
-            "sign": sign,
-            "value": here.times_circles(loops, ORIENTED).to_ring_elem(),
-            "switched": switched.times_circles(loops, ORIENTED).to_ring_elem(),
-            "smoothed": smoothed.times_circles(loops, ORIENTED).to_ring_elem(),
-            "holds": residual.to_ring_elem().is_zero(),
-        }
-    cross, partner = _build_state(d, UNORIENTED)
-    here = _evaluate(dict(cross), dict(partner), UNORIENTED, cfg.memo)
-    parity = cross[crossing]
-    sw_cross = dict(cross)
-    sw_cross[crossing] = parity ^ 1
-    switched = _evaluate(sw_cross, dict(partner), UNORIENTED, cfg.memo)
-    plus_cross, plus_partner = dict(cross), dict(partner)
-    freed = _excise(plus_cross, plus_partner, {crossing}, _smooth_unoriented_through(crossing, parity, True))
-    plus_val = _evaluate(plus_cross, plus_partner, UNORIENTED, cfg.memo).times_circles(freed, UNORIENTED)
-    minus_cross, minus_partner = dict(cross), dict(partner)
-    freed = _excise(minus_cross, minus_partner, {crossing}, _smooth_unoriented_through(crossing, parity, False))
-    minus_val = _evaluate(minus_cross, minus_partner, UNORIENTED, cfg.memo).times_circles(freed, UNORIENTED)
-    residual = here - switched - (plus_val - minus_val).times_z()
-    return {
-        "flavor": UNORIENTED,
-        "value": here.times_circles(loops, UNORIENTED).to_ring_elem(),
-        "switched": switched.times_circles(loops, UNORIENTED).to_ring_elem(),
-        "smoothed_plus": plus_val.times_circles(loops, UNORIENTED).to_ring_elem(),
-        "smoothed_minus": minus_val.times_circles(loops, UNORIENTED).to_ring_elem(),
-        "holds": residual.to_ring_elem().is_zero(),
-    }
+        out["sign"] = _sign_oriented(cross[crossing])
+        names = ("value", "switched", "smoothed")
+    else:
+        names = ("value", "switched", "smoothed_plus", "smoothed_minus")
+    for name, part in zip(names, [here, switched] + smoothings):
+        out[name] = part.times_circles(loops, flavor).to_ring_elem()
+    out["holds"] = (here - switched - z_term).to_ring_elem().is_zero()
+    return out

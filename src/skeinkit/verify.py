@@ -18,13 +18,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .annulus import expand_ylambda
 from .corpus import unknot
 from .diagram import LinkDiagram
 from .eigen import (
     delta_homfly,
     delta_kauffman,
     homfly_meridian_eigenvalue,
-    isolating_polynomial,
     kauffman_meridian_eigenvalue,
 )
 from .partition import Partition
@@ -35,7 +35,26 @@ from .skein_eval import EvalConfig, adjoint_homfly, homfly, kauffman
 # 4-crossing base with 3 meridians lands on 64 crossings
 VERIFY_CONFIG = EvalConfig(max_crossings=64)
 
-_WIDTH_TWO_TRIO = (Partition((2,)), Partition((1, 1)), Partition(()))
+_ROW_LABEL = "row r={r}: adjoint equals doubled unoriented value"
+_ASSEMBLED_LABEL = "assembled: adjoint decoration equals doubled unoriented decoration"
+_SOLVED_LABELS = (
+    "solved empty-shape value equals deleted-component value",
+    "solved target value reproduces the assembled value",
+    "row r={r} predicted exactly",
+)
+_ADJOINT_PREFIX = "adjoint side: "
+
+# every check a width-two verify_main report promises, in report order; a
+# width-two target has three sibling shapes, so its rows are r = 0..3
+MAIN_CHECK_LABELS = (
+    tuple(_ROW_LABEL.format(r=r) for r in range(4))
+    + (_ASSEMBLED_LABEL,)
+    + tuple(
+        prefix + label.format(r=3)
+        for prefix in ("", _ADJOINT_PREFIX)
+        for label in _SOLVED_LABELS
+    )
+)
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +187,41 @@ def _solve3(rows, rhs):
     return out
 
 
+def _assemble_and_solve(plan, values, coeff_map, deleted_value, prefix, details):
+    """Assemble one side's decorated value; return it with the side's three checks.
+
+    `values` are the side's row values r = 0..len(plan.terms), and
+    `coeff_map` carries characteristic-zero weights and eigenvalues into
+    the side's ring.  The checks solve the first rows for the anchor's
+    branched shapes and compare against the deleted-component value, the
+    assembled value and the last row; `prefix` and `details` label them.
+    """
+    n = len(plan.terms)
+    assembled = coeff_map(RingElem.zero())
+    for weight, r in plan.terms:
+        assembled = assembled + coeff_map(weight) * values[r]
+    assembled = assembled / coeff_map(plan.scale)
+
+    shapes = plan.anchor.cells_addable() + plan.anchor.cells_removable()
+    eig = [coeff_map(kauffman_meridian_eigenvalue(shape)) for shape in shapes]
+    matrix = [[e ** r for e in eig] for r in range(n)]
+    solved = dict(zip(shapes, _solve3(matrix, values[:n])))
+    prediction = coeff_map(RingElem.zero())
+    for e, shape in zip(eig, shapes):
+        prediction = prediction + solved[shape] * e ** n
+
+    outcomes = (
+        solved[Partition(())] == deleted_value,
+        solved[plan.target] == assembled,
+        prediction == values[n],
+    )
+    checks = [
+        CheckRecord(prefix + label.format(r=n), ok, detail)
+        for label, ok, detail in zip(_SOLVED_LABELS, outcomes, details)
+    ]
+    return assembled, checks
+
+
 def verify_main(
     d: LinkDiagram,
     assignments: Sequence[Partition],
@@ -177,11 +231,12 @@ def verify_main(
 
     Exactly one component carries a two-cell shape, the rest width-one.
     Builds the meridian rows r = 0..3, checks the base relation on each,
-    assembles the decorated values on both sides through the isolating
-    coefficients, and cross-checks by solving the width-two linear
-    system: the empty-shape solution must equal the deleted-component
-    value, the target solution must reproduce the assembled value, and
-    row r = 3 must be predicted exactly.
+    assembles the decorated values on both sides with the row weights and
+    separation scale of the expansion plan ``expand_ylambda(target)``,
+    and cross-checks each side by solving the width-two linear system:
+    the empty-shape solution must equal the deleted-component value, the
+    target solution must reproduce the assembled value, and row r = 3
+    must be predicted exactly.
     """
     started = time.perf_counter()
     config = config or VERIFY_CONFIG
@@ -209,95 +264,39 @@ def verify_main(
 
     comp = wide[0]
     target = assignments[comp]
-    iso = isolating_polynomial(target, Partition((1,)))
-    scale = iso.separation_value()
+    plan = expand_ylambda(target)
 
-    rows = [build_satellite_row(d, comp, r) for r in range(4)]
+    rows = [build_satellite_row(d, comp, r) for r in range(len(plan.terms) + 1)]
     unoriented = [kauffman(row, config) for row in rows]
     adjoint = [adjoint_homfly(row, config).to_mod2() for row in rows]
+    deleted = d.delete_component(comp)
 
-    checks = []
-    for r in range(4):
-        checks.append(
-            CheckRecord(
-                f"row r={r}: adjoint equals doubled unoriented value",
-                adjoint[r] == _doubled(unoriented[r]),
-                f"{len(rows[r].crossings)} crossings",
-            )
+    checks = [
+        CheckRecord(
+            _ROW_LABEL.format(r=r),
+            adjoint[r] == _doubled(unoriented[r]),
+            f"{len(row.crossings)} crossings",
         )
-
-    # assembled decorated values: weighted row sums divided by the
-    # separation scale, characteristic zero on the unoriented side and
-    # mod 2 throughout on the adjoint side
-    assembled_unoriented = RingElem.zero()
-    assembled_adjoint = _doubled(RingElem.zero())
-    for coeff, r in zip(iso.coefficients, range(3)):
-        assembled_unoriented = assembled_unoriented + coeff * unoriented[r]
-        assembled_adjoint = assembled_adjoint + _doubled(coeff) * adjoint[r]
-    assembled_unoriented = assembled_unoriented / scale
-    assembled_adjoint = assembled_adjoint / _doubled(scale)
+        for r, row in enumerate(rows)
+    ]
+    # characteristic zero on the unoriented side, mod 2 throughout on the
+    # adjoint side
+    assembled_unoriented, unoriented_checks = _assemble_and_solve(
+        plan, unoriented, lambda x: x, kauffman(deleted, config),
+        "", (f"deleted diagram {deleted.name}", "division residual zero", ""),
+    )
+    assembled_adjoint, adjoint_checks = _assemble_and_solve(
+        plan, adjoint, _doubled, adjoint_homfly(deleted, config).to_mod2(),
+        _ADJOINT_PREFIX, ("", "", ""),
+    )
     checks.append(
         CheckRecord(
-            "assembled: adjoint decoration equals doubled unoriented decoration",
+            _ASSEMBLED_LABEL,
             assembled_adjoint == _doubled(assembled_unoriented),
             f"decoration {target} on component {comp}",
         )
     )
-
-    # width-two linear system, unoriented side in characteristic zero
-    eig = [kauffman_meridian_eigenvalue(s) for s in _WIDTH_TWO_TRIO]
-    matrix = [[e ** r for e in eig] for r in range(3)]
-    solved = _solve3(matrix, unoriented[:3])
-    by_shape = dict(zip(_WIDTH_TWO_TRIO, solved))
-    deleted = d.delete_component(comp)
-    checks.append(
-        CheckRecord(
-            "solved empty-shape value equals deleted-component value",
-            by_shape[Partition(())] == kauffman(deleted, config),
-            f"deleted diagram {deleted.name}",
-        )
-    )
-    checks.append(
-        CheckRecord(
-            "solved target value reproduces the assembled value",
-            by_shape[target] == assembled_unoriented,
-            "division residual zero",
-        )
-    )
-    prediction = RingElem.zero()
-    for shape, value in by_shape.items():
-        prediction = prediction + value * kauffman_meridian_eigenvalue(shape) ** 3
-    checks.append(
-        CheckRecord("row r=3 predicted exactly", prediction == unoriented[3], "")
-    )
-
-    # same system mod 2 on the adjoint side, eigenvalues doubled
-    eig2 = [_doubled(e) for e in eig]
-    matrix2 = [[e ** r for e in eig2] for r in range(3)]
-    solved2 = _solve3(matrix2, adjoint[:3])
-    by_shape2 = dict(zip(_WIDTH_TWO_TRIO, solved2))
-    checks.append(
-        CheckRecord(
-            "adjoint side: solved empty-shape value equals deleted-component value",
-            by_shape2[Partition(())] == adjoint_homfly(deleted, config).to_mod2(),
-            "",
-        )
-    )
-    checks.append(
-        CheckRecord(
-            "adjoint side: solved target value reproduces the assembled value",
-            by_shape2[target] == assembled_adjoint,
-            "",
-        )
-    )
-    prediction2 = _doubled(RingElem.zero())
-    for shape, value in by_shape2.items():
-        prediction2 = prediction2 + value * _doubled(kauffman_meridian_eigenvalue(shape)) ** 3
-    checks.append(
-        CheckRecord(
-            "adjoint side: row r=3 predicted exactly", prediction2 == adjoint[3], ""
-        )
-    )
+    checks += unoriented_checks + adjoint_checks
     return _finish("main", d.name, labels, checks, started)
 
 

@@ -114,8 +114,25 @@ class TestVerifyCommand:
             ["verify", "main", "corpus:unknot", "--component", "1", "--partition", "2"]
         )
         assert code == 0
-        assert "row r=3 predicted exactly" in text
-        assert text.splitlines()[-1] == "result: PASS"
+        assert text == "\n".join([
+            "main: unknot",
+            "assignments: 2",
+            "  PASS  row r=0: adjoint equals doubled unoriented value  [0 crossings]",
+            "  PASS  row r=1: adjoint equals doubled unoriented value  [4 crossings]",
+            "  PASS  row r=2: adjoint equals doubled unoriented value  [8 crossings]",
+            "  PASS  row r=3: adjoint equals doubled unoriented value  [12 crossings]",
+            "  PASS  assembled: adjoint decoration equals doubled unoriented decoration"
+            "  [decoration 2 on component 0]",
+            "  PASS  solved empty-shape value equals deleted-component value"
+            "  [deleted diagram unknot.drop(0)]",
+            "  PASS  solved target value reproduces the assembled value"
+            "  [division residual zero]",
+            "  PASS  row r=3 predicted exactly",
+            "  PASS  adjoint side: solved empty-shape value equals deleted-component value",
+            "  PASS  adjoint side: solved target value reproduces the assembled value",
+            "  PASS  adjoint side: row r=3 predicted exactly",
+            "result: PASS",
+        ])
 
     def test_main_component_index_is_one_based(self):
         code, text = run(

@@ -131,6 +131,18 @@ class TestRingElem:
     @settings(max_examples=60)
     def test_common_factor_invisible(self, num, den, extra):
         assert RingElem(num * extra, den * extra) == RingElem(num, den)
+        assert hash(RingElem(num * extra, den * extra)) == hash(RingElem(num, den))
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_equal_values_hash_equally(self, char):
+        # the shared factor v - 1 survives reduction in one representative
+        one = LaurentPoly.one(char)
+        v, s2 = vpow(1, char), spow(2, char)
+        a = RingElem((v - one) * (s2 + one), (v - one) * (s2 - one))
+        b = RingElem(s2 + one, s2 - one)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
     @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
     @settings(max_examples=60)

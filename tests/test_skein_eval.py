@@ -126,6 +126,8 @@ class TestStructure:
         clear_caches()
         assert homfly(figure_eight(), cfg) == homfly(figure_eight())
         assert kauffman(trefoil(), cfg) == kauffman(trefoil())
+        assert homfly(trefoil(), cfg) == dH * (vi + vi - v + vi * z * z)
+        assert kauffman(figure_eight(), cfg) == kauffman(figure_eight())
 
     def test_budget_enforced(self):
         with pytest.raises(SkeinBudgetError):

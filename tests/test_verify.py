@@ -1,7 +1,10 @@
 """Verification reports: base relation, satellite rows, eigen consistency."""
 
+from dataclasses import replace
+
 import pytest
 
+from skeinkit import cli
 from skeinkit.corpus import (
     corpus_names,
     empty_link,
@@ -14,6 +17,7 @@ from skeinkit.eigen import delta_kauffman
 from skeinkit.partition import Partition
 from skeinkit.skein_eval import EvalConfig, SkeinBudgetError, adjoint_homfly
 from skeinkit.verify import (
+    MAIN_CHECK_LABELS,
     VERIFY_CONFIG,
     CheckRecord,
     VerificationReport,
@@ -100,6 +104,24 @@ class TestSatelliteRows:
             build_satellite_row(unknot(), 0, -1)
 
 
+# the full report text of a width-two decoration on the unknot; both
+# shapes share the rows and differ only in the assignment label
+MAIN_UNKNOT_TEXT = """main: unknot
+assignments: {shape}
+  PASS  row r=0: adjoint equals doubled unoriented value  [0 crossings]
+  PASS  row r=1: adjoint equals doubled unoriented value  [4 crossings]
+  PASS  row r=2: adjoint equals doubled unoriented value  [8 crossings]
+  PASS  row r=3: adjoint equals doubled unoriented value  [12 crossings]
+  PASS  assembled: adjoint decoration equals doubled unoriented decoration  [decoration {shape} on component 0]
+  PASS  solved empty-shape value equals deleted-component value  [deleted diagram unknot.drop(0)]
+  PASS  solved target value reproduces the assembled value  [division residual zero]
+  PASS  row r=3 predicted exactly
+  PASS  adjoint side: solved empty-shape value equals deleted-component value
+  PASS  adjoint side: solved target value reproduces the assembled value
+  PASS  adjoint side: row r=3 predicted exactly
+result: PASS"""
+
+
 @pytest.fixture(scope="module")
 def unknot_row_two_report():
     return verify_main(unknot(), [P(2)])
@@ -113,14 +135,18 @@ class TestMainUnknot:
         assert report.assignments == ("2",)
 
     def test_row_two_check_inventory(self, unknot_row_two_report):
-        labels = [c.label for c in unknot_row_two_report.checks]
-        for r in range(4):
-            assert f"row r={r}: adjoint equals doubled unoriented value" in labels
-        assert "assembled: adjoint decoration equals doubled unoriented decoration" in labels
-        assert "solved empty-shape value equals deleted-component value" in labels
-        assert "solved target value reproduces the assembled value" in labels
-        assert "row r=3 predicted exactly" in labels
-        assert sum(1 for label in labels if label.startswith("adjoint side")) == 3
+        assert unknot_row_two_report.to_text() == MAIN_UNKNOT_TEXT.format(shape="2")
+
+    def test_acceptance_flags_every_dropped_check(self, unknot_row_two_report, monkeypatch):
+        # criterion 7 must notice a report that silently loses a promised check
+        checks = unknot_row_two_report.checks
+        assert tuple(c.label for c in checks) == MAIN_CHECK_LABELS
+        for i, label in enumerate(MAIN_CHECK_LABELS):
+            short = replace(unknot_row_two_report, checks=checks[:i] + checks[i + 1:])
+            monkeypatch.setattr(cli, "verify_main", lambda d, assignments: short)
+            passed, detail = cli._crit_main_width_two(False)
+            assert not passed
+            assert f"unknot with shape 2: missing checks: {label}" in detail
 
     def test_per_row_checks_agree_with_direct_calls(self, unknot_row_two_report):
         # each row check must match running the base relation on that row
@@ -136,6 +162,7 @@ class TestMainUnknot:
         report = verify_main(unknot(), [P(1, 1)])
         assert report.passed, report.to_text()
         assert report.assignments == ("1,1",)
+        assert report.to_text() == MAIN_UNKNOT_TEXT.format(shape="1,1")
 
     def test_width_one_degenerates_to_base_relation(self):
         report = verify_main(unknot(), [P(1)])
