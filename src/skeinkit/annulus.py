@@ -228,16 +228,10 @@ def expand_ylambda(target: Partition, rho_choice: Optional[Partition] = None) ->
         if rho_choice is not None:
             raise ValueError("width-one target takes no anchor choice")
         return ExpansionPlan(target, None, (), RingElem.one(), None)
-    if rho_choice is None:
-        anchor = target.last_row_shrunk()
-    else:
-        anchor = rho_choice
-        if anchor not in target.cells_removable():
-            raise ValueError(f"anchor {anchor} is not one cell below target {target}")
-    iso = isolating_polynomial(target, anchor)
+    iso = isolating_polynomial(target, rho_choice)
     terms = tuple((coeff, r) for r, coeff in enumerate(iso.coefficients))
-    inner = expand_ylambda(anchor) if anchor.size() > 1 else None
-    return ExpansionPlan(target, anchor, terms, iso.separation_value(), inner)
+    inner = expand_ylambda(iso.anchor) if iso.anchor.size() > 1 else None
+    return ExpansionPlan(target, iso.anchor, terms, iso.separation_value(), inner)
 
 
 def realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:

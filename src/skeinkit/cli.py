@@ -122,12 +122,12 @@ def _load_link(ref: str) -> LinkDiagram:
         except KeyError as exc:
             raise _CommandError(2, str(exc.args[0]))
     try:
-        text = Path(ref).read_text()
-    except OSError as exc:
+        text = Path(ref).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CommandError(2, f"cannot read {ref}: {exc}")
     try:
         return LinkDiagram.from_json(text)
-    except (DiagramError, ValueError, KeyError, TypeError) as exc:
+    except (DiagramError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise _CommandError(2, f"bad link description in {ref}: {exc}")
 
 

@@ -191,11 +191,6 @@ class LinkDiagram:
                 entry[quad[slot]] = (ci, slot)
         return entry
 
-    def next_edge(self, edge: int) -> int:
-        """The edge that follows `edge` along its component's orientation."""
-        ci, slot = self._entry_of_edge()[edge]
-        return self.crossings[ci][(slot + 2) % 4]
-
     def _component_cycles(self) -> dict[int, list[int]]:
         """Ordered edge cycle per crossed component."""
         entry = self._entry_of_edge()
@@ -220,9 +215,6 @@ class LinkDiagram:
                 raise DiagramError(f"component {comp} splits into several circles")
             cycles[comp] = cycle
         return cycles
-
-    def component_edges(self, comp: int) -> list[int]:
-        return self._component_cycles().get(comp, [])
 
     # ------------------------------------------------------------------
     # numeric summaries
@@ -255,23 +247,6 @@ class LinkDiagram:
             raise DiagramError("odd mutual crossing sum; diagram is inconsistent")
         return twice // 2
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "components": self.n_components,
-            "crossings": len(self.crossings),
-            "writhe": self.writhe(),
-            "self_writhes": [self.self_writhe(c) for c in range(self.n_components)],
-            "linking_matrix": [
-                [
-                    0 if a == b else self.linking_number(a, b)
-                    for b in range(self.n_components)
-                ]
-                for a in range(self.n_components)
-            ],
-            "free_loops": list(self.free_loops),
-        }
-
     # ------------------------------------------------------------------
     # serialization
 
@@ -290,11 +265,16 @@ class LinkDiagram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkDiagram":
+        if not isinstance(data, dict):
+            raise DiagramError("a link description must be a JSON object")
+        edges = data["component_of_edge"]
+        if not isinstance(edges, dict):
+            raise DiagramError("component_of_edge must map edge labels to components")
         return cls(
             data.get("name", "unnamed"),
             data["components"],
             data["crossings"],
-            {int(e): c for e, c in data["component_of_edge"].items()},
+            {int(e): c for e, c in edges.items()},
             data.get("free_loops", ()),
             signs=data.get("signs"),
         )
@@ -476,27 +456,6 @@ class Mesh:
     def _attach(self, aid: int, end: str, port: tuple[int, str]):
         self.arcs[aid][0 if end == "tail" else 1] = port
         self.crossings[port[0]][port[1]] = aid
-
-    # -- consistency ---------------------------------------------------
-
-    def check(self):
-        for cid, cross in self.crossings.items():
-            for role in (ROLE_UI, ROLE_UO, ROLE_OI, ROLE_OO):
-                aid = cross.get(role)
-                assert aid in self.arcs, f"crossing {cid} role {role} dangling"
-                tail, head, _ = self.arcs[aid]
-                port = (cid, role)
-                if role in IN_ROLES:
-                    assert head == port, f"arc {aid} head mismatch at {port}"
-                else:
-                    assert tail == port, f"arc {aid} tail mismatch at {port}"
-        for aid, (tail, head, comp) in self.arcs.items():
-            assert comp in self.comp_order, f"arc {aid} orphan component"
-            assert self.crossings[tail[0]][tail[1]] == aid
-            assert self.crossings[head[0]][head[1]] == aid
-        for comp in self.loops:
-            assert comp in self.comp_order
-            assert all(arc[2] != comp for arc in self.arcs.values())
 
     # -- export ----------------------------------------------------------
 

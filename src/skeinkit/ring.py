@@ -98,9 +98,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._terms == {(0, 0): 1}
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def min_exponents(self) -> Exponents:
         if not self._terms:
             raise ValueError("zero polynomial has no exponent range")
@@ -306,9 +303,6 @@ class LaurentPoly:
         if quotient is None:
             raise ValueError("not exactly divisible")
         return quotient
-
-    def divides(self, multiple: "LaurentPoly") -> bool:
-        return multiple.try_div(self) is not None
 
     # ------------------------------------------------------------------
     # rendering

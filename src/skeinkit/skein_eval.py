@@ -13,8 +13,12 @@ delta, and the empty diagram counts 1.
 
 The engine holds crossings as ports (crossing id, slot 0..3) with a perfect
 matching `partner` describing the arcs.  Slot numbering is inherited from
-the input diagram and never relabeled: a switch only updates the per
-crossing orientation datum.  Before branching, states are simplified
+the input diagram and never relabeled.  Each crossing carries one datum
+`(u, o)`, its under-in and over-in slots, in both flavors: the over strand
+occupies the slots of `o`'s parity, `u` and `o` always have opposite
+parity, and a switch is `(u, o) -> (o, u)`.  The unoriented flavor reads
+only that parity; the oriented one also reads the sign, positive when
+`o = u + 3 (mod 4)`.  Before branching, states are simplified
 (kink removal, parallel bigon cancellation, split into connected clusters,
 free circle harvesting) and looked up in a cache keyed by a relabeling
 invariant serialization.  Diagrams whose every crossing is first reached
@@ -67,10 +71,6 @@ class _ZFrac:
         self.num = num
         self.zpow = zpow
 
-    @classmethod
-    def one(cls) -> "_ZFrac":
-        return cls(LaurentPoly.one(), 0)
-
     def __add__(self, other: "_ZFrac") -> "_ZFrac":
         k = max(self.zpow, other.zpow)
         return _ZFrac(
@@ -111,11 +111,13 @@ ORIENTED = "oriented"
 UNORIENTED = "unoriented"
 
 
-def _build_state(d: LinkDiagram, flavor: str):
+def _build_state(d: LinkDiagram):
     partner = {}
     ends: dict[int, dict] = {}
+    cross = {}
     for ci, quad in enumerate(d.crossings):
         over_in = 3 if d.signs[ci] > 0 else 1
+        cross[ci] = (0, over_in)
         for slot, edge in enumerate(quad):
             key = "in" if slot in (0, over_in) else "out"
             ends.setdefault(edge, {})[key] = (ci, slot)
@@ -123,22 +125,17 @@ def _build_state(d: LinkDiagram, flavor: str):
         a, b = ends[edge]["out"], ends[edge]["in"]
         partner[a] = b
         partner[b] = a
-    if flavor == ORIENTED:
-        cross = {ci: (0, 3 if d.signs[ci] > 0 else 1) for ci in range(len(d.crossings))}
-    else:
-        cross = {ci: 1 for ci in range(len(d.crossings))}  # over strand on odd slots
     return cross, partner
 
 
-def _sign_oriented(datum) -> int:
+def _sign(datum) -> int:
     u, o = datum
     return 1 if (o - u) % 4 == 3 else -1
 
 
-def _is_over(flavor, datum, slot) -> bool:
+def _is_over(datum, slot) -> bool:
     # over strand occupies the two slots of the over-entry's parity
-    over_parity = datum[1] if flavor == ORIENTED else datum
-    return slot % 2 == over_parity % 2
+    return slot % 2 == datum[1] % 2
 
 
 # ----------------------------------------------------------------------
@@ -200,15 +197,13 @@ def _sym(*pairs) -> dict:
     return out
 
 
-def _smooth_oriented_through(c, datum) -> dict:
-    u, o = datum
-    return _sym(((c, u), (c, (o + 2) % 4)), ((c, o), (c, (u + 2) % 4)))
+def _smooth_through(c, datum, positive: bool) -> dict:
+    """Planar smoothing of c; the plus one joins each under slot to the next.
 
-
-def _smooth_unoriented_through(c, parity, positive: bool) -> dict:
-    k = (parity + 1) % 2
-    if not positive:
-        k += 1
+    The orientation-respecting smoothing is the plus smoothing of a
+    positive crossing and the minus smoothing of a negative one.
+    """
+    k = datum[0] % 2 + (0 if positive else 1)
     return _sym(
         ((c, k % 4), (c, (k + 1) % 4)),
         ((c, (k + 2) % 4), (c, (k + 3) % 4)),
@@ -229,43 +224,49 @@ def _neighbors(partner: dict, dead: set) -> set:
     return out
 
 
-def _kink_move(cross: dict, partner: dict, flavor: str, c):
-    """Return (v shift, through map) for a curl at c, or None."""
-    if flavor == ORIENTED:
-        u, o = cross[c]
-        if partner.get((c, (u + 2) % 4)) == (c, o):
-            return -_sign_oriented(cross[c]), _sym(((c, u), (c, (o + 2) % 4)))
-        if partner.get((c, (o + 2) % 4)) == (c, u):
-            return -_sign_oriented(cross[c]), _sym(((c, o), (c, (u + 2) % 4)))
-        return None
-    parity = cross[c]
+def _kink_move(cross: dict, partner: dict, c):
+    """Return (v shift, through map) for a curl at c, or None.
+
+    The curl is an arc joining adjacent slots i, i+1; it is positive (shift
+    -1) when i is an under slot.  In an oriented state such an arc can only
+    run from an out slot to an in slot, and the shift is minus the
+    crossing sign.
+    """
     for i in range(4):
         if partner.get((c, i)) == (c, (i + 1) % 4):
-            positive = i % 2 == (parity + 1) % 2
+            positive = not _is_over(cross[c], i)
             through = _sym(((c, (i + 2) % 4), (c, (i + 3) % 4)))
             return (-1 if positive else 1), through
     return None
 
 
-def _bigon_move(cross: dict, partner: dict, flavor: str, c):
-    """Return (other crossing, through map) for a cancelling bigon at c, or None."""
+def _parallel_arcs(cross: dict, partner: dict, c, same_levels: bool):
+    """First (i, c2, j) with slots i, i+1 of c running to slots j, j-1 of
+    another crossing c2, where both arcs keep their levels (a bigon,
+    `same_levels`) or swap them (a clasp); else None."""
     for i in range(4):
         c2, j = partner[(c, i)]
-        if c2 == c:
+        if c2 == c or partner.get((c, (i + 1) % 4)) != (c2, (j - 1) % 4):
             continue
-        if partner.get((c, (i + 1) % 4)) != (c2, (j - 1) % 4):
-            continue
-        if _is_over(flavor, cross[c], i) != _is_over(flavor, cross[c2], j):
-            continue
-        through = _sym(
-            ((c, (i + 2) % 4), (c2, (j + 2) % 4)),
-            ((c, (i + 3) % 4), (c2, (j + 1) % 4)),
-        )
-        return c2, through
+        if (_is_over(cross[c], i) == _is_over(cross[c2], j)) == same_levels:
+            return i, c2, j
     return None
 
 
-def _simplify(cross: dict, partner: dict, flavor: str) -> tuple[int, int]:
+def _bigon_move(cross: dict, partner: dict, c):
+    """Return (other crossing, through map) for a cancelling bigon at c, or None."""
+    hit = _parallel_arcs(cross, partner, c, True)
+    if hit is None:
+        return None
+    i, c2, j = hit
+    through = _sym(
+        ((c, (i + 2) % 4), (c2, (j + 2) % 4)),
+        ((c, (i + 3) % 4), (c2, (j + 1) % 4)),
+    )
+    return c2, through
+
+
+def _simplify(cross: dict, partner: dict) -> tuple[int, int]:
     """Harvest kinks and parallel bigons in place; returns (v shift, circles).
 
     Worklist-driven: a pattern involving some crossing can only become true
@@ -283,13 +284,13 @@ def _simplify(cross: dict, partner: dict, flavor: str) -> tuple[int, int]:
         pending.discard(c)
         if c not in cross:
             continue
-        kink = _kink_move(cross, partner, flavor, c)
+        kink = _kink_move(cross, partner, c)
         if kink is not None:
             shift, through = kink
             vshift += shift
             dead = {c}
         else:
-            bigon = _bigon_move(cross, partner, flavor, c)
+            bigon = _bigon_move(cross, partner, c)
             if bigon is None:
                 continue
             c2, through = bigon
@@ -307,20 +308,14 @@ def _simplify(cross: dict, partner: dict, flavor: str) -> tuple[int, int]:
 # traversal: descending detection and branch point selection
 
 
-def _find_clasp(cross: dict, partner: dict, flavor: str):
+def _find_clasp(cross: dict, partner: dict):
     """Find a crossing pair joined by two parallel arcs with opposite levels.
 
     Switching either crossing of such a clasp turns it into a bigon that
     cancels, so branching there shrinks every child diagram.
     """
-    for p in sorted(partner):
-        c, i = p
-        c2, j = partner[p]
-        if c == c2:
-            continue
-        if partner.get((c, (i + 1) % 4)) != (c2, (j - 1) % 4):
-            continue
-        if _is_over(flavor, cross[c], i) != _is_over(flavor, cross[c2], j):
+    for c in sorted(cross):
+        if _parallel_arcs(cross, partner, c, False) is not None:
             return c
     return None
 
@@ -351,7 +346,7 @@ def _scan(cross: dict, partner: dict, flavor: str):
             visited.add(p)
             if flavor != ORIENTED:
                 visited.add((c, (s + 2) % 4))
-            over = _is_over(flavor, cross[c], s)
+            over = _is_over(cross[c], s)
             if c not in seen:
                 if not over:
                     return c, -1, -1
@@ -400,18 +395,18 @@ def _local_sig(cross: dict, partner: dict, flavor: str, c):
     """Relabeling-invariant radius-1 fingerprint used to shortlist BFS seeds."""
     if flavor == ORIENTED:
         u = cross[c][0]
-        row = [_sign_oriented(cross[c])]
+        row = [_sign(cross[c])]
         for r in range(4):
             c2, s2 = partner[(c, (u + r) % 4)]
-            row.append((_sign_oriented(cross[c2]), (s2 - cross[c2][0]) % 4, c2 == c))
+            row.append((_sign(cross[c2]), (s2 - cross[c2][0]) % 4, c2 == c))
         return tuple(row)
     best = None
-    b0 = (cross[c] + 1) % 2
+    b0 = cross[c][0] % 2
     for base in (b0, b0 + 2):
         row = []
         for r in range(4):
             c2, s2 = partner[(c, (base + r) % 4)]
-            rel = (s2 - (cross[c2] + 1) % 2) % 4
+            rel = (s2 - cross[c2][0] % 2) % 4
             row.append((min(rel, (rel + 2) % 4), c2 == c))
         t = tuple(row)
         if best is None or t < best:
@@ -428,7 +423,7 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
     else:
         seeds = []
         for c in cids:
-            base = (cross[c] + 1) % 2
+            base = cross[c][0] % 2
             seeds.append((c, base))
             seeds.append((c, base + 2))
     best = None
@@ -443,7 +438,7 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
             c = queue[qi]
             qi += 1
             b = rots[c]
-            row = [_sign_oriented(cross[c])] if flavor == ORIENTED else []
+            row = [_sign(cross[c])] if flavor == ORIENTED else []
             for r in range(4):
                 c2, s2 = partner[(c, (b + r) % 4)]
                 if c2 not in ids:
@@ -451,7 +446,7 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
                     if flavor == ORIENTED:
                         rots[c2] = cross[c2][0]
                     else:
-                        b2 = (cross[c2] + 1) % 2
+                        b2 = cross[c2][0] % 2
                         rots[c2] = b2 if (s2 - b2) % 4 in (0, 1) else b2 + 2
                     queue.append(c2)
                 row.append((ids[c2], (s2 - rots[c2]) % 4))
@@ -470,7 +465,7 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
 
 
 def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFrac:
-    vshift, circles = _simplify(cross, partner, flavor)
+    vshift, circles = _simplify(cross, partner)
     value = _ZFrac(vpow(vshift), 0).times_circles(circles, flavor)
     if not cross:
         return value
@@ -493,7 +488,7 @@ def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFra
         return _MEMO[key]
     first_bad, n_circles, writhe = _scan(cross, partner, flavor)
     if first_bad is not None:
-        clasp = _find_clasp(cross, partner, flavor)
+        clasp = _find_clasp(cross, partner)
         if clasp is not None:
             first_bad = clasp
     if first_bad is None:
@@ -514,18 +509,14 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
     z-term +-z*smoothing by the crossing sign.  Unoriented: the two planar
     smoothings and z-term z*(plus - minus).
     """
+    u, o = cross[c]
+    sign = _sign(cross[c])
     sw_cross = dict(cross)
+    sw_cross[c] = (o, u)
     if flavor == ORIENTED:
-        u, o = cross[c]
-        sw_cross[c] = (o, u)
-        throughs = (_smooth_oriented_through(c, (u, o)),)
+        throughs = (_smooth_through(c, cross[c], sign > 0),)
     else:
-        parity = cross[c]
-        sw_cross[c] = parity ^ 1
-        throughs = (
-            _smooth_unoriented_through(c, parity, True),
-            _smooth_unoriented_through(c, parity, False),
-        )
+        throughs = (_smooth_through(c, cross[c], True), _smooth_through(c, cross[c], False))
     switched = _evaluate(sw_cross, dict(partner), flavor, memo)
     smoothings = []
     for through in throughs:
@@ -535,7 +526,7 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
         smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo).times_circles(freed, flavor))
     if flavor == ORIENTED:
         z_term = smoothings[0].times_z()
-        if _sign_oriented(cross[c]) < 0:
+        if sign < 0:
             z_term = z_term.negate()
     else:
         z_term = (smoothings[0] - smoothings[1]).times_z()
@@ -546,7 +537,7 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
 # public entry points
 
 
-def _prepare(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]):
+def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
     """Entry checks shared by every evaluation; returns (cross, partner, memo)."""
     cfg = config or DEFAULT_CONFIG
     if len(d.crossings) > cfg.max_crossings:
@@ -554,12 +545,12 @@ def _prepare(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]):
             f"{d.name}: {len(d.crossings)} crossings exceed the budget of {cfg.max_crossings}"
         )
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    cross, partner = _build_state(d, flavor)
+    cross, partner = _build_state(d)
     return cross, partner, cfg.memo
 
 
 def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
-    cross, partner, memo = _prepare(d, flavor, config)
+    cross, partner, memo = _prepare(d, config)
     value = _evaluate(cross, partner, flavor, memo)
     return value.times_circles(len(d.free_loops), flavor)
 
@@ -608,15 +599,15 @@ def skein_relation_probe(
     """Resolve one crossing both ways and check the defining relation."""
     if not 0 <= crossing < len(d.crossings):
         raise ValueError(f"crossing index {crossing} out of range")
-    if flavor != ORIENTED:
-        flavor = UNORIENTED
-    cross, partner, memo = _prepare(d, flavor, config)
+    if flavor not in (ORIENTED, UNORIENTED):
+        raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
+    cross, partner, memo = _prepare(d, config)
     here = _evaluate(dict(cross), dict(partner), flavor, memo)
     switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
     loops = len(d.free_loops)
     out = {"flavor": flavor}
     if flavor == ORIENTED:
-        out["sign"] = _sign_oriented(cross[crossing])
+        out["sign"] = _sign(cross[crossing])
         names = ("value", "switched", "smoothed")
     else:
         names = ("value", "switched", "smoothed_plus", "smoothed_minus")

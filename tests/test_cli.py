@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from skeinkit.cli import main as cli_main
 from skeinkit.cli import run
 from skeinkit.corpus import corpus_names, load_corpus, trefoil
@@ -41,6 +43,25 @@ class TestSkeinCommand:
         code, text = run(["skein", "adjoint", "/no/such/file.json"])
         assert code == 2
         assert text.startswith("error: cannot read")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1, 2]",
+            b'"trefoil"',
+            b'{"components": 1, "crossings": [], "component_of_edge": [[1, 0]]}',
+            b"\xff\xfe{}",
+            b"[" * 100000 + b"]" * 100000,
+            b'{"components": 1e400, "crossings": [], "component_of_edge": {}}',
+        ],
+        ids=["json-list", "json-string", "edge-map-list", "not-utf8", "deep-nesting", "huge-number"],
+    )
+    def test_bad_link_file_is_usage_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, text = run(["skein", "homfly", str(path)])
+        assert code == 2
+        assert text.startswith("error:")
 
 
 class TestEigenCommand:

@@ -144,6 +144,10 @@ class TestStructure:
         with pytest.raises(ValueError):
             skein_relation_probe(trefoil(), 5)
 
+    def test_probe_rejects_unknown_flavor(self):
+        with pytest.raises(ValueError):
+            skein_relation_probe(trefoil(), 0, "Oriented")
+
 
 class TestAdjoint:
     def test_unknot_golden(self):
@@ -209,3 +213,67 @@ class TestBraidProperties:
         d = braid_closure(3, word, "w")
         r = d.reverse_component(0)
         assert kauffman(r) == kauffman(d)
+
+
+def _letters(n_strands):
+    return st.sampled_from([s * i for i in range(1, n_strands) for s in (1, -1)])
+
+
+def _long_word(n_strands):
+    return st.lists(_letters(n_strands), min_size=8, max_size=14)
+
+
+def _both(word, n_strands, config=None):
+    d = braid_closure(n_strands, word, "w")
+    return homfly(d, config), kauffman(d, config)
+
+
+def _splice(word, at, middle):
+    cut = at % (len(word) + 1)
+    return word[:cut] + middle + word[cut:]
+
+
+class TestBraidRelations:
+    """Moves the engine never performs must leave both values unchanged.
+
+    Words of 8-14 letters reach past the memo's 4-crossing keying threshold,
+    so these also exercise the canonical keys.
+    """
+
+    @given(word=_long_word(4), at=st.integers(0, 14), a=st.sampled_from([1, -1]),
+           b=st.sampled_from([3, -3]))
+    @settings(max_examples=30, deadline=None)
+    def test_far_commutation(self, word, at, a, b):
+        assert _both(_splice(word, at, [a, b]), 4) == _both(_splice(word, at, [b, a]), 4)
+
+    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_braid_relation_r3(self, n, data):
+        word = data.draw(_long_word(n))
+        at = data.draw(st.integers(0, 14))
+        i = data.draw(st.integers(1, n - 2))
+        e = data.draw(st.sampled_from([1, -1]))
+        left = _splice(word, at, [e * i, e * (i + 1), e * i])
+        right = _splice(word, at, [e * (i + 1), e * i, e * (i + 1)])
+        assert _both(left, n) == _both(right, n)
+
+    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_conjugation(self, n, data):
+        word = data.draw(_long_word(n))
+        h = data.draw(st.lists(_letters(n), min_size=1, max_size=2))
+        conjugated = h + word + [-g for g in reversed(h)]
+        assert _both(conjugated, n) == _both(word, n)
+
+    @given(word=_long_word(3), e=st.sampled_from([1, -1]))
+    @settings(max_examples=30, deadline=None)
+    def test_markov_stabilisation(self, word, e):
+        hom, kau = _both(word, 3)
+        factor = vi if e > 0 else v
+        assert _both(word + [3 * e], 4) == (hom * factor, kau * factor)
+
+    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_memo_off_agrees(self, n, data):
+        word = data.draw(_long_word(n))
+        assert _both(word, n, EvalConfig(memo=False)) == _both(word, n)
