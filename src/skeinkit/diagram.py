@@ -125,6 +125,12 @@ def _derive_over_slots(crossings, edges, signs=None) -> list[int]:
     return over_slots
 
 
+def _require_ints(what: str, values):
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DiagramError(f"{what}: expected an integer, got {value!r}")
+
+
 class LinkDiagram:
     """Immutable planar diagram of an oriented framed link."""
 
@@ -270,6 +276,13 @@ class LinkDiagram:
         edges = data["component_of_edge"]
         if not isinstance(edges, dict):
             raise DiagramError("component_of_edge must map edge labels to components")
+        # __init__ coerces with int(), which would truncate 1.5 and accept true
+        _require_ints("components", [data["components"]])
+        for quad in data["crossings"]:
+            _require_ints("crossing labels", quad)
+        _require_ints("component_of_edge values", edges.values())
+        _require_ints("free_loops", data.get("free_loops", ()))
+        _require_ints("signs", data.get("signs") or ())
         return cls(
             data.get("name", "unnamed"),
             data["components"],

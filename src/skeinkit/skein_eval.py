@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import heapq
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, Mesh
 from .ring import LaurentPoly, RingElem, vpow, z_poly
 
 
@@ -544,14 +545,25 @@ def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
         raise SkeinBudgetError(
             f"{d.name}: {len(d.crossings)} crossings exceed the budget of {cfg.max_crossings}"
         )
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     cross, partner = _build_state(d)
     return cross, partner, cfg.memo
 
 
+@contextmanager
+def _recursion_room():
+    """Raise the recursion limit for one evaluation and restore it after."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 20000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
     cross, partner, memo = _prepare(d, config)
-    value = _evaluate(cross, partner, flavor, memo)
+    with _recursion_room():
+        value = _evaluate(cross, partner, flavor, memo)
     return value.times_circles(len(d.free_loops), flavor)
 
 
@@ -571,23 +583,31 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
     Every component is either deleted or replaced by a reversed parallel
     pair (2 copies, second reversed), with sign (-1)^(deleted count).
     The crossing budget applies to each term separately.
+
+    Each term is built in one mesh pass and named as the chain of surgery
+    wrappers would name it, e.g. `hopf_plus.drop(1).cable(0,2).rev(1)`.
+    The terms are summed exactly as num / z^k fractions and the total is
+    normalised once.
     """
     n = d.n_components
-    total = RingElem.zero()
+    total = _ZFrac(LaurentPoly.zero())
     for mask in range(1 << n):
-        kept = [i for i in range(n) if mask & (1 << i)]
-        sub = d
-        for i in sorted(set(range(n)) - set(kept), reverse=True):
-            sub = sub.delete_component(i)
-        for pos in range(len(kept) - 1, -1, -1):
-            sub = sub.cable(pos, 2)
-            sub = sub.reverse_component(pos + 1)
-        term = homfly(sub, config)
-        if (n - len(kept)) % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
+        mesh = Mesh.from_diagram(d)
+        name = d.name
+        kept = 0
+        for i in reversed(range(n)):
+            if mask & (1 << i):
+                kept += 1
+            else:
+                mesh.delete_component(i)
+                name += f".drop({i})"
+        for pos in reversed(range(kept)):
+            mesh.cable(pos, 2)
+            mesh.reverse_component(pos + 1)
+            name += f".cable({pos},2).rev({pos + 1})"
+        term = _run(mesh.to_diagram(name), ORIENTED, config)
+        total = total - term if (n - kept) % 2 else total + term
+    return total.to_ring_elem()
 
 
 def skein_relation_probe(
@@ -602,8 +622,9 @@ def skein_relation_probe(
     if flavor not in (ORIENTED, UNORIENTED):
         raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
     cross, partner, memo = _prepare(d, config)
-    here = _evaluate(dict(cross), dict(partner), flavor, memo)
-    switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
+    with _recursion_room():
+        here = _evaluate(dict(cross), dict(partner), flavor, memo)
+        switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
     loops = len(d.free_loops)
     out = {"flavor": flavor}
     if flavor == ORIENTED:

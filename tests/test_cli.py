@@ -17,6 +17,13 @@ from skeinkit.partition import Partition
 from skeinkit.skein_eval import homfly
 
 
+def _trefoil_bytes(**changes) -> bytes:
+    """The trefoil's link file with some fields replaced."""
+    data = trefoil().to_dict()
+    data.update(changes)
+    return json.dumps(data).encode()
+
+
 class TestSkeinCommand:
     def test_kauffman_of_unknot_is_circle_value(self):
         # documented example: the unknot evaluates to the free circle value
@@ -53,8 +60,13 @@ class TestSkeinCommand:
             b"\xff\xfe{}",
             b"[" * 100000 + b"]" * 100000,
             b'{"components": 1e400, "crossings": [], "component_of_edge": {}}',
+            _trefoil_bytes(crossings=[[1.5, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]]),
+            _trefoil_bytes(components=True),
         ],
-        ids=["json-list", "json-string", "edge-map-list", "not-utf8", "deep-nesting", "huge-number"],
+        ids=[
+            "json-list", "json-string", "edge-map-list", "not-utf8", "deep-nesting", "huge-number",
+            "float-label", "bool-components",
+        ],
     )
     def test_bad_link_file_is_usage_error(self, tmp_path, content):
         path = tmp_path / "bad.json"
@@ -129,6 +141,14 @@ class TestVerifyCommand:
         assert payload["kind"] == "rudolph"
         assert payload["passed"] is True
         assert "elapsed_seconds" not in payload
+
+    def test_rudolph_budget_error_names_the_term(self):
+        code, text = run(["verify", "rudolph", "corpus:hopf_plus", "--max-crossings", "6"])
+        assert code == 1
+        assert text == (
+            "budget exceeded: hopf_plus.cable(1,2).rev(2).cable(0,2).rev(1): "
+            "8 crossings exceed the budget of 6"
+        )
 
     def test_main_width_two_on_unknot(self):
         code, text = run(

@@ -1,15 +1,19 @@
 """Framed polynomial evaluators against hand-resolved and structural oracles."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinkit.corpus import (
     braid_closure,
+    corpus_names,
     empty_link,
     figure_eight,
     hopf_minus,
     hopf_plus,
+    load_corpus,
     trefoil,
     unknot,
     unlink,
@@ -31,6 +35,7 @@ from skeinkit.skein_eval import (
     kauffman,
     skein_relation_probe,
 )
+from skeinkit.verify import build_satellite_row
 
 dH = delta_homfly()
 dK = delta_kauffman()
@@ -144,6 +149,18 @@ class TestStructure:
         with pytest.raises(ValueError):
             skein_relation_probe(trefoil(), 5)
 
+    def test_recursion_limit_restored(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(3000)
+        try:
+            homfly(trefoil())
+            kauffman(trefoil())
+            adjoint_homfly(hopf_plus())
+            skein_relation_probe(figure_eight(), 0, "unoriented")
+            assert sys.getrecursionlimit() == 3000
+        finally:
+            sys.setrecursionlimit(old)
+
     def test_probe_rejects_unknown_flavor(self):
         with pytest.raises(ValueError):
             skein_relation_probe(trefoil(), 0, "Oriented")
@@ -173,6 +190,51 @@ class TestAdjoint:
         adj = adjoint_homfly(d, cfg).to_mod2()
         dbl = kauffman(d, cfg).to_mod2().doubling_map()
         assert adj == dbl
+
+
+def _wrapper_route_adjoint(d, config):
+    """adjoint_homfly the long way: every term built by the public surgery
+    wrappers and evaluated by homfly, the terms summed as RingElems."""
+    n = d.n_components
+    total = RingElem.zero()
+    for mask in range(1 << n):
+        kept = [i for i in range(n) if mask & (1 << i)]
+        term = d
+        for i in reversed(range(n)):
+            if i not in kept:
+                term = term.delete_component(i)
+        for pos in reversed(range(len(kept))):
+            term = term.cable(pos, 2).reverse_component(pos + 1)
+        value = homfly(term, config)
+        total = total - value if (n - len(kept)) % 2 else total + value
+    return total
+
+
+def _oracle_links():
+    """Every corpus link and every satellite row of 1 to 4 crossings."""
+    links = []
+    for name in corpus_names():
+        d = load_corpus(name)
+        links.append(d)
+        for comp in range(d.n_components):
+            for r in range(4):
+                row = build_satellite_row(d, comp, r)
+                if 0 < len(row.crossings) <= 4:
+                    links.append(row)
+    return links
+
+
+class TestAdjointOracle:
+    """adjoint_homfly against an independent route to the same sum."""
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo-on", "memo-off"])
+    @pytest.mark.parametrize("d", _oracle_links(), ids=lambda d: d.name)
+    def test_matches_wrapper_route(self, d, memo):
+        cfg = EvalConfig(max_crossings=64, memo=memo)
+        got = adjoint_homfly(d, cfg)
+        want = _wrapper_route_adjoint(d, cfg)
+        assert got == want
+        assert got.render() == want.render()
 
 
 word_strategy = st.lists(
