@@ -131,6 +131,22 @@ def _require_ints(what: str, values):
             raise DiagramError(f"{what}: expected an integer, got {value!r}")
 
 
+def _edge_label(key) -> int:
+    """A component_of_edge key read as an edge label.
+
+    Only the form str(n) is accepted: int() alone would also take "01",
+    " 1", "+1" and "0_1", so two keys could name one edge and one of them
+    would be dropped without a word.
+    """
+    try:
+        label = int(key)
+    except ValueError:
+        label = None
+    if label is None or str(label) != key:
+        raise DiagramError(f"component_of_edge keys: expected an integer label, got {key!r}")
+    return label
+
+
 class LinkDiagram:
     """Immutable planar diagram of an oriented framed link."""
 
@@ -287,7 +303,7 @@ class LinkDiagram:
             data.get("name", "unnamed"),
             data["components"],
             data["crossings"],
-            {int(e): c for e, c in edges.items()},
+            {_edge_label(e): c for e, c in edges.items()},
             data.get("free_loops", ()),
             signs=data.get("signs"),
         )

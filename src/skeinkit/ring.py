@@ -18,6 +18,7 @@ only when the reduced denominator is not 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional, Union
 
@@ -87,10 +88,6 @@ class LaurentPoly:
 
     def terms(self) -> dict[Exponents, int]:
         return dict(self._terms)
-
-    def sorted_terms(self) -> list[tuple[Exponents, int]]:
-        """Terms sorted descending by (v-exponent, s-exponent)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -254,46 +251,70 @@ class LaurentPoly:
     # exact division
 
     def try_div(self, divisor: "LaurentPoly") -> Optional["LaurentPoly"]:
-        """Exact quotient self/divisor, or None when it does not divide."""
+        """Exact quotient self/divisor, or None when it does not divide.
+
+        Long division in lex order on (v-exponent, s-exponent), with both
+        operands shifted so that their lowest exponents are (0, 0).  In a
+        domain the lowest and highest exponents of a product add, so an
+        exact quotient, shifted the same way, has every term inside the box
+        [0, span_v(self) - span_v(divisor)] x [0, span_s(self) - span_s(divisor)],
+        where span_x is the highest minus the lowest x-exponent.  Every
+        quotient term of an exact division is a term of the quotient, so
+        an empty box, or a quotient term outside it, means no quotient
+        exists.  The remainder's leading term is taken from a heap with
+        lazy deletion, so each step costs the divisor's length (times a
+        logarithm), not a scan of the remainder.
+        """
         if not isinstance(divisor, LaurentPoly) or divisor.char != self.char:
             raise ValueError("divisor must share the characteristic")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.char)
-        fmin = self.min_exponents()
-        gmin = divisor.min_exponents()
+        fmin, fmax = self.min_exponents(), self.max_exponents()
+        gmin, gmax = divisor.min_exponents(), divisor.max_exponents()
+        box_v = (fmax[0] - fmin[0]) - (gmax[0] - gmin[0])
+        box_s = (fmax[1] - fmin[1]) - (gmax[1] - gmin[1])
+        if box_v < 0 or box_s < 0:
+            return None
+        char2 = self.char == 2
         rem = {(dv - fmin[0], ds - fmin[1]): c for (dv, ds), c in self._terms.items()}
-        gterms = {(dv - gmin[0], ds - gmin[1]): c for (dv, ds), c in divisor._terms.items()}
-        glead = max(gterms)
-        glc = gterms[glead]
+        gterms = [((dv - gmin[0], ds - gmin[1]), c) for (dv, ds), c in divisor._terms.items()]
+        glead, glc = max(gterms)
+        heap = [(-dv, -ds) for dv, ds in rem]
+        heapify(heap)
         quo: dict[Exponents, int] = {}
-        while rem:
-            rlead = max(rem)
-            rlc = rem[rlead]
-            edv = rlead[0] - glead[0]
-            eds = rlead[1] - glead[1]
-            if edv < 0 or eds < 0:
+        while heap:
+            ndv, nds = heappop(heap)
+            rlc = rem.get((-ndv, -nds))
+            if rlc is None:
+                continue  # stale entry of a cancelled term
+            edv = -ndv - glead[0]
+            eds = -nds - glead[1]
+            if not (0 <= edv <= box_v and 0 <= eds <= box_s):
                 return None
-            if self.char == 0:
+            if char2:
+                qc = rlc  # GF(2): leading coefficients are 1
+            else:
                 if rlc % glc:
                     return None
                 qc = rlc // glc
-            else:
-                qc = rlc  # GF(2): leading coefficients are 1
             quo[(edv, eds)] = qc
-            for (gdv, gds), gc in gterms.items():
+            for (gdv, gds), gc in gterms:
                 key = (gdv + edv, gds + eds)
-                nc = rem.get(key, 0) - qc * gc
-                if self.char == 2:
+                old = rem.get(key)
+                nc = (0 if old is None else old) - qc * gc
+                if char2:
                     nc %= 2
                 if nc:
+                    if old is None:
+                        heappush(heap, (-key[0], -key[1]))
                     rem[key] = nc
                 else:
-                    rem.pop(key, None)
+                    del rem[key]  # only a present term can cancel to 0
         shift_v = fmin[0] - gmin[0]
         shift_s = fmin[1] - gmin[1]
-        return LaurentPoly(
+        return LaurentPoly._make(
             {(dv + shift_v, ds + shift_s): c for (dv, ds), c in quo.items()},
             self.char,
         )
@@ -364,12 +385,13 @@ def s_power_difference(r: int, char: int = 0) -> LaurentPoly:
 class RingElem:
     """A quotient num/den of Laurent polynomials with matching characteristic.
 
-    Equality is mathematical (cross-multiplication), independent of the
-    stored representative.  Construction normalizes the representative:
-    common integer content and shared s^2r - 1 style factors are cancelled,
-    the denominator is shifted to nonnegative corner exponents, its leading
-    coefficient is made positive, and a denominator that divides the
-    numerator exactly is cleared to 1.
+    Equality is mathematical, independent of the stored representative:
+    numerators are compared when the denominators agree (exact in a
+    domain), and cross-multiplied otherwise.  Construction normalizes the
+    representative: common integer content and shared s^2r - 1 style
+    factors are cancelled, the denominator is shifted to nonnegative
+    corner exponents, its leading coefficient is made positive, and a
+    denominator that divides the numerator exactly is cleared to 1.
     """
 
     __slots__ = ("num", "den")
@@ -494,6 +516,8 @@ class RingElem:
             return NotImplemented
         if other.char != self.char:
             return False
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
@@ -574,6 +598,23 @@ def _residue(poly: LaurentPoly) -> int:
     ) % _HASH_PRIME
 
 
+def _divisible_by_s_period(poly: LaurentPoly, period: int) -> bool:
+    """Whether s^period - 1 divides poly, in O(len(poly)).
+
+    Modulo s^period - 1 (monic in s) the remainder of poly is its fold:
+    each term v^a*s^b lands on v^a*s^(b mod period).  So the division is
+    exact iff every folded (v-exponent, s-exponent mod period) coefficient
+    is 0, mod 2 in characteristic 2.
+    """
+    folded: dict[Exponents, int] = {}
+    for (dv, ds), c in poly._terms.items():
+        key = (dv, ds % period)
+        folded[key] = folded.get(key, 0) + c
+    if poly.char == 2:
+        return not any(c % 2 for c in folded.values())
+    return not any(folded.values())
+
+
 def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     char = num.char
     one = LaurentPoly.one(char)
@@ -593,7 +634,7 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
             num = num.shift(-dmin[0], -dmin[1])
             den = den.shift(-dmin[0], -dmin[1])
         # positive leading coefficient for den
-        if char == 0 and den.sorted_terms()[0][1] < 0:
+        if char == 0 and den._terms[max(den._terms)] < 0:
             num, den = -num, -den
         if den.is_one():
             return num, den
@@ -601,20 +642,14 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         quotient = num.try_div(den)
         if quotient is not None:
             return quotient, one
-        # cancel one shared s^(2r) - 1 factor, largest candidates first
+        # cancel one shared s^(2r) - 1 factor, largest candidates first;
+        # the fold test rules a candidate out before any division is tried
         span = den.max_exponents()[1] - den.min_exponents()[1]
-        cancelled = False
         for r in range(span // 2, 0, -1):
-            candidate = spow(2 * r, char) - one
-            dq = den.try_div(candidate)
-            if dq is None:
-                continue
-            nq = num.try_div(candidate)
-            if nq is None:
-                continue
-            num, den = nq, dq
-            cancelled = True
-            break
-        if not cancelled:
+            if _divisible_by_s_period(den, 2 * r) and _divisible_by_s_period(num, 2 * r):
+                candidate = spow(2 * r, char) - one
+                num, den = num.exact_div(candidate), den.exact_div(candidate)
+                break
+        else:
             return num, den
     return num, den

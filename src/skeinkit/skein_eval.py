@@ -416,6 +416,26 @@ def _local_sig(cross: dict, partner: dict, flavor: str, c):
 
 
 def _canonical_key(cross: dict, partner: dict, flavor: str):
+    """Relabeling-invariant memo key of a cluster state.
+
+    A breadth-first walk from each seed crossing of the lowest local
+    signature numbers the crossings and writes one row per crossing: for
+    each slot, from the walk's base slot on, the partner's number and
+    slot offset from that partner's base.  The smallest row sequence wins.
+
+    An oriented row starts with the crossing's sign, and its port entries
+    mostly imply that sign: the base is the under-in slot, so offsets 0
+    and 2 are the under-in and under-out ports, an arc joins an out-port
+    to an in-port, and an over strand leaves by the slot opposite the one
+    it enters; in/out thus spreads from the under ports along every strand
+    that passes under somewhere.  Only a component that passes over at
+    every crossing escapes it.  Such a component lies above the rest, a
+    split unknot of framing 0, so its orientation does not change the
+    value either.  The sign is therefore never what separates two states
+    of different value; it stays in the key all the same.
+    `TestCanonicalKey` in tests/test_skein_eval.py checks both claims on
+    the states the engine keys.
+    """
     sigs = {c: _local_sig(cross, partner, flavor, c) for c in cross}
     low = min(sigs.values())
     cids = sorted(c for c in cross if sigs[c] == low)

@@ -1,5 +1,8 @@
 """Branching, expansion plans, and formal pair products."""
 
+import hashlib
+import json
+
 import pytest
 
 from skeinkit.annulus import (
@@ -15,7 +18,7 @@ from skeinkit.annulus import (
     realize_symbolic,
 )
 from skeinkit.corpus import hopf_plus, unknot
-from skeinkit.eigen import isolating_polynomial, kauffman_meridian_eigenvalue
+from skeinkit.eigen import eigenvalue_table, isolating_polynomial, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition, partitions_up_to
 from skeinkit.ring import RingElem, vpow
 from skeinkit.skein_eval import kauffman
@@ -161,6 +164,31 @@ class TestExpansionPlans:
         assert len(expand_ylambda(P(1)).chains()) == 1
         assert len(expand_ylambda(P(2)).chains()) == 3
         assert len(expand_ylambda(P(2, 1)).chains()) == 9
+
+
+class TestRenderingPinned:
+    """Rendered plans and eigenvalues, pinned by sha256 of their text.
+
+    The hashes were taken before the ring's division and normalisation
+    kernels were reworked; any change to a rendered fraction shows here.
+    """
+
+    def test_plans_up_to_size_4(self):
+        lines = []
+        for target in nonempty_shapes(4):
+            anchors = [None] + (target.cells_removable() if target.size() > 1 else [])
+            for anchor in anchors:
+                lines.append(json.dumps(expand_ylambda(target, anchor).to_dict(), sort_keys=True))
+        assert len(lines) == 24
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "034d5413320f4949f0758f75239afcf980e873e55bac2b8bb839b6f41242400e"
+
+    def test_eigenvalue_table_to_size_8(self):
+        rows = eigenvalue_table(8)
+        text = "\n".join(f"{p}\t{value.render()}\t{value.to_mod2().render()}" for p, value in rows)
+        assert len(rows) == 67
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "fbd4ef995eec98e8b561245070fb10bdf88e4058d3100eee3ac392a9f30730e6"
 
 
 class TestRealizeSymbolic:

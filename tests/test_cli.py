@@ -24,6 +24,15 @@ def _trefoil_bytes(**changes) -> bytes:
     return json.dumps(data).encode()
 
 
+def _trefoil_edges(*keys: str) -> bytes:
+    """The trefoil's link file with edge 1 of component_of_edge listed under each key."""
+    data = trefoil().to_dict()
+    edges = data["component_of_edge"]
+    component = edges.pop("1")
+    data["component_of_edge"] = {**{key: component for key in keys}, **edges}
+    return json.dumps(data).encode()
+
+
 class TestSkeinCommand:
     def test_kauffman_of_unknot_is_circle_value(self):
         # documented example: the unknot evaluates to the free circle value
@@ -62,10 +71,16 @@ class TestSkeinCommand:
             b'{"components": 1e400, "crossings": [], "component_of_edge": {}}',
             _trefoil_bytes(crossings=[[1.5, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]]),
             _trefoil_bytes(components=True),
+            _trefoil_edges("0_1"),
+            _trefoil_edges("01"),
+            _trefoil_edges(" 1"),
+            _trefoil_edges("+1"),
+            _trefoil_edges("1", "01"),
         ],
         ids=[
             "json-list", "json-string", "edge-map-list", "not-utf8", "deep-nesting", "huge-number",
             "float-label", "bool-components",
+            "underscore-key", "leading-zero-key", "space-key", "plus-key", "duplicate-key",
         ],
     )
     def test_bad_link_file_is_usage_error(self, tmp_path, content):

@@ -6,28 +6,89 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinkit.ring import LaurentPoly, RingElem, spow, vpow, z_poly, s_power_difference
+from skeinkit.ring import (
+    LaurentPoly,
+    RingElem,
+    _divisible_by_s_period,
+    s_power_difference,
+    spow,
+    vpow,
+    z_poly,
+)
 
 
 def poly_from(pairs, char=0):
     return LaurentPoly(dict(pairs), char)
 
 
-small_exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-small_polys = st.builds(
-    poly_from,
-    st.lists(st.tuples(small_exponents, st.integers(-4, 4)), max_size=4),
-)
-small_polys_mod2 = st.builds(
-    lambda pairs: poly_from(pairs, char=2),
-    st.lists(st.tuples(small_exponents, st.integers(0, 1)), max_size=4),
-)
+def polys(char, max_size=4, low=-3, high=3):
+    coeffs = st.integers(-4, 4) if char == 0 else st.integers(0, 1)
+    exponents = st.tuples(st.integers(low, high), st.integers(low, high))
+    return st.builds(
+        lambda pairs: poly_from(pairs, char), st.lists(st.tuples(exponents, coeffs), max_size=max_size)
+    )
+
+
+small_polys = polys(0)
+small_polys_mod2 = polys(2)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 nonzero_polys_mod2 = small_polys_mod2.filter(lambda p: not p.is_zero())
 sample_points = st.tuples(
     st.fractions(min_value=Fraction(-4), max_value=Fraction(4)).filter(lambda x: x != 0),
     st.fractions(min_value=Fraction(-4), max_value=Fraction(4)).filter(lambda x: x != 0),
 )
+
+
+def reference_try_div(f, g):
+    """Plain long division, kept as the reference for LaurentPoly.try_div.
+
+    The remainder's leading term is found by max() over the whole remainder
+    at every step, and the walk gives up only when a quotient exponent goes
+    negative or, over Z, a coefficient does not divide.
+    """
+    if f.is_zero():
+        return LaurentPoly.zero(f.char)
+    fmin, gmin = f.min_exponents(), g.min_exponents()
+    rem = {(dv - fmin[0], ds - fmin[1]): c for (dv, ds), c in f.terms().items()}
+    gterms = {(dv - gmin[0], ds - gmin[1]): c for (dv, ds), c in g.terms().items()}
+    glead = max(gterms)
+    glc = gterms[glead]
+    quo = {}
+    while rem:
+        rlead = max(rem)
+        rlc = rem[rlead]
+        edv, eds = rlead[0] - glead[0], rlead[1] - glead[1]
+        if edv < 0 or eds < 0:
+            return None
+        if f.char == 0:
+            if rlc % glc:
+                return None
+            qc = rlc // glc
+        else:
+            qc = rlc
+        quo[(edv, eds)] = qc
+        for (gdv, gds), gc in gterms.items():
+            key = (gdv + edv, gds + eds)
+            nc = rem.get(key, 0) - qc * gc
+            if f.char == 2:
+                nc %= 2
+            if nc:
+                rem[key] = nc
+            else:
+                rem.pop(key, None)
+    return LaurentPoly(
+        {(dv + fmin[0] - gmin[0], ds + fmin[1] - gmin[1]): c for (dv, ds), c in quo.items()},
+        f.char,
+    )
+
+
+def divisors(char):
+    one = LaurentPoly.one(char)
+    return st.one_of(
+        polys(char).filter(lambda p: not p.is_zero()),
+        st.integers(1, 8).map(lambda m: spow(m, char) - one),
+        st.integers(1, 4).map(lambda k: (spow(2, char) - one) ** k),
+    )
 
 
 class TestLaurentPoly:
@@ -92,6 +153,39 @@ class TestLaurentPoly:
     def test_product_then_divide_roundtrip_mod2(self, a, b):
         assert (a * b).exact_div(b) == a
 
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_try_div_matches_reference(self, char, data):
+        # dividends g*q (exact) and g*q + p (mostly not); about one in ten
+        # of the latter has a quotient term that leaves the exponent box
+        g = data.draw(divisors(char))
+        q = data.draw(polys(char))
+        p = data.draw(st.one_of(st.just(LaurentPoly.zero(char)), polys(char, max_size=2)))
+        f = g * q + p
+        assert f.try_div(g) == reference_try_div(f, g)
+        assert (g * q).try_div(g) == q
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_quotient_leaving_box_is_none(self, char):
+        # shifted to lowest exponents (0, 0), the box is [0, 0] x [0, 2], but
+        # the first quotient term is s^3: no quotient, though the plain walk
+        # goes on until an exponent turns negative
+        g = LaurentPoly({(1, 0): 1, (2, -1): 1}, char)
+        f = g + LaurentPoly({(2, 2): 1}, char)
+        assert f.try_div(g) is None
+        assert reference_try_div(f, g) is None
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_fold_test_matches_division(self, char, data):
+        m = data.draw(st.integers(1, 8))
+        candidate = spow(m, char) - LaurentPoly.one(char)
+        f = data.draw(polys(char, max_size=6, low=-6, high=6))
+        f = f * data.draw(st.sampled_from([LaurentPoly.one(char), candidate]))
+        assert _divisible_by_s_period(f, m) == (f.try_div(candidate) is not None)
+
     @given(small_polys)
     def test_mod2_reduction_is_a_ring_map(self, a):
         b = spow(2) - vpow(1) * 3
@@ -143,6 +237,21 @@ class TestRingElem:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_equality_and_hash_agree(self, char, data):
+        nonzero = polys(char).filter(lambda p: not p.is_zero())
+        n1, n2 = data.draw(polys(char)), data.draw(polys(char))
+        den, extra = data.draw(nonzero), data.draw(nonzero)
+        a = RingElem(n1, den)
+        elems = [a, RingElem(a.num, a.den), RingElem(n2, den), RingElem(n1 * extra, den * extra)]
+        for x in elems:
+            for y in elems:
+                assert (x == y) == (x.num * y.den == y.num * x.den)
+                if x == y:
+                    assert hash(x) == hash(y)
 
     @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
     @settings(max_examples=60)

@@ -26,7 +26,9 @@ from skeinkit.eigen import (
 )
 from skeinkit.partition import Partition
 from skeinkit.ring import RingElem, vpow, z_poly
+from skeinkit import skein_eval
 from skeinkit.skein_eval import (
+    ORIENTED,
     EvalConfig,
     SkeinBudgetError,
     adjoint_homfly,
@@ -235,6 +237,130 @@ class TestAdjointOracle:
         want = _wrapper_route_adjoint(d, cfg)
         assert got == want
         assert got.render() == want.render()
+
+
+def _propagate_in_out(fixed, opposites):
+    """In (True) or out (False) for every port reachable from `fixed`.
+
+    `opposites(port)` lists the ports whose status is the opposite one:
+    the other end of the port's arc (arcs run from an out-port to an
+    in-port) and, on an over strand, the slot opposite it.  A port the
+    propagation meets twice must get the same status both times.
+    """
+    status = dict(fixed)
+    queue = list(fixed)
+    while queue:
+        port = queue.pop()
+        for other in opposites(port):
+            if other in status:
+                assert status[other] != status[port]
+            else:
+                status[other] = not status[port]
+                queue.append(other)
+    return status
+
+
+def _signs_from_key_ports(rows):
+    """Crossing signs read off an oriented key's port entries alone.
+
+    Entry r of row i is the partner (j, t) of slot u_i + r, with u the
+    under-in slot, so offsets 0 and 2 are the under-in and under-out ports
+    and the over strand runs between offsets 1 and 3.  The sign is +1 when
+    offset 3 is the over-in port, None when no under port reaches it.
+    """
+    fixed = {}
+    for i in range(len(rows)):
+        fixed[(i, 0)], fixed[(i, 2)] = True, False
+
+    def opposites(port):
+        i, r = port
+        return [rows[i][1 + r]] + ([(i, r ^ 2)] if r % 2 else [])
+
+    status = _propagate_in_out(fixed, opposites)
+    return [None if (i, 3) not in status else (1 if status[(i, 3)] else -1) for i in range(len(rows))]
+
+
+def _all_over_crossings(cross, partner):
+    """Crossings of a state whose over strand no under port reaches: those
+    on components that pass over at every crossing."""
+    fixed = {}
+    for c, (u, _) in cross.items():
+        fixed[(c, u)], fixed[(c, (u + 2) % 4)] = True, False
+
+    def opposites(port):
+        c, s = port
+        over = s % 2 == cross[c][1] % 2
+        return [partner[port]] + ([(c, (s + 2) % 4)] if over else [])
+
+    status = _propagate_in_out(fixed, opposites)
+    return {c for c, (_, o) in cross.items() if (c, o) not in status}
+
+
+def _keyed_states(monkeypatch):
+    """Every oriented cluster state the engine keys while evaluating the
+    corpus links' satellite rows of up to 12 crossings and two braid
+    closures whose resolution trees reach components that pass over at
+    every crossing."""
+    states = []
+    real = skein_eval._canonical_key
+
+    def recording(cross, partner, flavor):
+        if flavor == ORIENTED:
+            states.append((dict(cross), dict(partner)))
+        return real(cross, partner, flavor)
+
+    monkeypatch.setattr(skein_eval, "_canonical_key", recording)
+    links = [
+        braid_closure(3, [-1, -1, 2, -1, 2, -1, -1, -1, 2, -2, 1, 2]),
+        braid_closure(4, [-3, -2, -1, -1, -2, -2, -1, 3, 2, 3, -1, -1]),
+    ]
+    for name in corpus_names():
+        d = load_corpus(name)
+        for comp in range(d.n_components):
+            links.extend(build_satellite_row(d, comp, r) for r in range(4))
+    clear_caches()
+    for d in links:
+        if len(d.crossings) <= 12:
+            homfly(d, EvalConfig(max_crossings=64))
+    clear_caches()
+    monkeypatch.undo()
+    return states
+
+
+class TestCanonicalKey:
+    """The crossing sign that leads each oriented key row.
+
+    The sign is implied by the row's port entries unless the crossing lies
+    on a component that passes over at every crossing; reversing such a
+    component must leave the value unchanged, or keys without the sign
+    would be unsound.
+    """
+
+    def test_port_entries_imply_the_sign(self, monkeypatch):
+        states = _keyed_states(monkeypatch)
+        implied = 0
+        for cross, partner in states:
+            _, rows = skein_eval._canonical_key(cross, partner, ORIENTED)
+            for row, sign in zip(rows, _signs_from_key_ports(rows)):
+                if sign is not None:
+                    assert sign == row[0]
+                    implied += 1
+        assert implied > 100
+
+    def test_all_over_component_orientation_is_invisible(self, monkeypatch):
+        checked = 0
+        for cross, partner in _keyed_states(monkeypatch):
+            flip = _all_over_crossings(cross, partner)
+            if not flip:
+                continue
+            reversed_cross = {c: (u, (o + 2) % 4) if c in flip else (u, o) for c, (u, o) in cross.items()}
+            values = [
+                skein_eval._evaluate(dict(state), dict(partner), ORIENTED, False).to_ring_elem()
+                for state in (cross, reversed_cross)
+            ]
+            assert values[0] == values[1]
+            checked += 1
+        assert checked > 0
 
 
 word_strategy = st.lists(
