@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 
 from .annulus import (
     AnnulusVecK,
+    build_satellite_row,
     expand_ylambda,
     hsr_structure_check,
     realize_diagrams,
@@ -46,7 +47,6 @@ from .skein_eval import (
 )
 from .verify import (
     VerificationReport,
-    build_satellite_row,
     eigen_consistency,
     verify_main,
     verify_rudolph,

@@ -6,6 +6,10 @@ neighbors, and a meridian acts diagonally by the eigenvalues from
 ``eigen``.  Composing the two turns a decorated component into a weighted
 family of plain cabled-and-encircled diagrams; ``ExpansionPlan`` records
 that family and ``realize_diagrams`` builds the actual link diagrams.
+Because the meridians act diagonally, a plan's weighted sum of meridian
+powers is its isolating polynomial applied to the meridian map:
+``realize_symbolic`` multiplies each branched coefficient by that
+polynomial evaluated once at the shape's eigenvalue.
 
 The oriented side is kept formal: basis symbols are partition pairs,
 products with the width-one generators expand by the one-cell branching
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import LinkDiagram
-from .eigen import isolating_polynomial, kauffman_meridian_eigenvalue
+from .eigen import eval_polynomial, isolating_polynomial, kauffman_meridian_eigenvalue
 from .partition import Partition
 from .ring import RingElem
 
@@ -49,30 +53,11 @@ class AnnulusVecK:
         raise AttributeError("AnnulusVecK is immutable")
 
     @classmethod
-    def zero(cls) -> "AnnulusVecK":
-        return cls({})
-
-    @classmethod
     def basis(cls, shape: Partition) -> "AnnulusVecK":
         return cls({shape: RingElem.one()})
 
     def coefficient(self, shape: Partition) -> RingElem:
         return self.coeffs.get(shape, RingElem.zero())
-
-    def support(self) -> list[Partition]:
-        return sorted(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "AnnulusVecK") -> "AnnulusVecK":
-        total = dict(self.coeffs)
-        for shape, coeff in other.coeffs.items():
-            total[shape] = total.get(shape, RingElem.zero()) + coeff
-        return AnnulusVecK(total)
-
-    def __sub__(self, other: "AnnulusVecK") -> "AnnulusVecK":
-        return self + other.scale(-RingElem.one())
 
     def scale(self, factor: RingElem) -> "AnnulusVecK":
         return AnnulusVecK({shape: coeff * factor for shape, coeff in self.coeffs.items()})
@@ -103,48 +88,6 @@ def branch_mul_y1(vec: AnnulusVecK) -> AnnulusVecK:
     return AnnulusVecK(total)
 
 
-def meridian_act(vec: AnnulusVecK, r: int) -> AnnulusVecK:
-    """Apply r encircling meridians: diagonal action by eigenvalue powers."""
-    if r < 0:
-        raise ValueError(f"meridian count must be nonnegative, got {r}")
-    if r == 0:
-        return vec
-    return AnnulusVecK({
-        shape: coeff * kauffman_meridian_eigenvalue(shape) ** r
-        for shape, coeff in vec.coeffs.items()
-    })
-
-
-# ----------------------------------------------------------------------
-# longitude-meridian descriptors
-
-
-@dataclass(frozen=True)
-class LMWord:
-    """Nested longitude/meridian pattern, letters listed innermost first.
-
-    Each letter is ("l", k) for k parallel longitude strands or ("m", k)
-    for k meridians encircling everything inside it; the slot names the
-    basis decoration carried by the innermost strand.
-    """
-
-    letters: tuple[tuple[str, int], ...]
-    slot: Partition
-
-    def __post_init__(self):
-        for letter, exponent in self.letters:
-            if letter not in ("l", "m"):
-                raise ValueError(f"unknown letter {letter!r}")
-            if exponent < 1:
-                raise ValueError(f"letter exponent must be positive, got {exponent}")
-
-    def __str__(self) -> str:
-        inner = f"[{self.slot}]"
-        if not self.letters:
-            return inner
-        return inner + " " + " ".join(f"{letter}^{exp}" for letter, exp in self.letters)
-
-
 # ----------------------------------------------------------------------
 # expansion plans
 
@@ -162,7 +105,9 @@ class ExpansionPlan:
 
     target: Partition
     anchor: Optional[Partition]
-    terms: tuple[tuple[RingElem, int], ...]  # (coefficient, meridian count)
+    # (coefficient, meridian count) with counts 0, 1, 2, ... in order: the
+    # isolating polynomial's coefficients, ascending
+    terms: tuple[tuple[RingElem, int], ...]
     scale: RingElem
     inner: Optional["ExpansionPlan"]
 
@@ -190,17 +135,22 @@ class ExpansionPlan:
                 out.append((coeff * inner_coeff, (r,) + inner_counts))
         return out
 
-    def lm_words(self) -> list[tuple[RingElem, LMWord]]:
-        """The chains as longitude-meridian pattern descriptors."""
+    def lm_words(self) -> list[tuple[RingElem, str]]:
+        """The chains as longitude-meridian words, letters innermost first.
+
+        A word opens with the decoration of the innermost strand in
+        brackets, then reads "l^2" for each doubling and "m^r" for r
+        meridians encircling everything inside them: "[1] l^2 m^1".
+        """
+        slot = f"[{self.target if self.is_trivial else Partition((1,))}]"
         out = []
         for coeff, counts in self.chains():
-            letters: list[tuple[str, int]] = []
+            letters = [slot]
             for r in reversed(counts):
-                letters.append(("l", 2))
+                letters.append("l^2")
                 if r:
-                    letters.append(("m", r))
-            slot = self.target if self.is_trivial else Partition((1,))
-            out.append((coeff, LMWord(tuple(letters), slot)))
+                    letters.append(f"m^{r}")
+            out.append((coeff, " ".join(letters)))
         return out
 
     def to_dict(self) -> dict:
@@ -237,10 +187,12 @@ def expand_ylambda(target: Partition, rho_choice: Optional[Partition] = None) ->
 def realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:
     """Interpret a plan inside the symbolic annulus.
 
-    Branch the resolved inner vector by one strand, apply each term's
-    meridian powers, and sum with the term weights.  The isolating
-    construction guarantees the result is exactly full_scale() times the
-    target basis vector; callers may assert that identity.
+    Branch the resolved inner vector by one strand.  The terms' weighted
+    meridian powers act on each branched shape as the isolating
+    polynomial at that shape's eigenvalue, so each coefficient is
+    multiplied by that one value.  The isolating construction guarantees
+    the result is exactly full_scale() times the target basis vector;
+    callers may assert that identity.
     """
     if plan.is_trivial:
         return AnnulusVecK.basis(plan.target)
@@ -248,29 +200,43 @@ def realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:
         inner_vec = AnnulusVecK.basis(plan.anchor)
     else:
         inner_vec = realize_symbolic(plan.inner)
-    branched = branch_mul_y1(inner_vec)
-    total = AnnulusVecK.zero()
-    for coeff, r in plan.terms:
-        total = total + meridian_act(branched, r).scale(coeff)
-    return total
+    weights = [coeff for coeff, _ in plan.terms]
+    return AnnulusVecK({
+        shape: coeff * eval_polynomial(weights, kauffman_meridian_eigenvalue(shape))
+        for shape, coeff in branch_mul_y1(inner_vec).coeffs.items()
+    })
+
+
+def build_satellite_row(d: LinkDiagram, comp: int, r: int) -> LinkDiagram:
+    """Double one component and surround the pair with r meridians.
+
+    The meridians are inserted before doubling so each one encircles the
+    full width-two bundle.  Component layout of the result: the two
+    parallel copies sit at indices comp and comp+1, the other original
+    components keep their order after them, and the r meridians occupy
+    the final r indices.
+    """
+    if r < 0:
+        raise ValueError(f"meridian count must be nonnegative, got {r}")
+    out = d.with_meridians(comp, r) if r else d
+    return out.cable(comp, 2)
 
 
 def realize_diagrams(d: LinkDiagram, comp: int, plan: ExpansionPlan) -> list[tuple[RingElem, LinkDiagram]]:
     """Build the weighted honest diagrams a plan assigns to one component.
 
-    Per chain, outermost level first: encircle the chosen component with
-    that level's meridians, then double it; the next level operates on
-    the inner copy.  The innermost strand stays bare.  The weighted sum
-    of unoriented polynomial values over the output equals full_scale()
-    times the decorated-link value the plan's target names.
+    Per chain, outermost level first: build that level's satellite row
+    (encircle the chosen component with the level's meridians, then
+    double it); the next level operates on the inner copy.  The innermost
+    strand stays bare.  The weighted sum of unoriented polynomial values
+    over the output equals full_scale() times the decorated-link value
+    the plan's target names.
     """
     out = []
     for coeff, counts in plan.chains():
         current = d
         for r in counts:
-            if r:
-                current = current.with_meridians(comp, r)
-            current = current.cable(comp, 2)
+            current = build_satellite_row(current, comp, r)
         out.append((coeff, current))
     return out
 

@@ -194,7 +194,7 @@ def _cmd_expand(args) -> tuple[int, str]:
     except ValueError as exc:
         raise _CommandError(2, str(exc))
     payload = plan.to_dict()
-    payload["words"] = [str(word) for word in plan.lm_words()]
+    payload["words"] = [word for _, word in plan.lm_words()]
     return 0, json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -459,10 +459,20 @@ def _add_link_arg(parser: argparse.ArgumentParser):
     parser.add_argument("link", help="JSON file path or corpus:<name>")
 
 
+class _NonNegative(argparse.Action):
+    """Store an integer option, refusing negative values as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be nonnegative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_budget_arg(parser: argparse.ArgumentParser, default: int):
     parser.add_argument(
         "--max-crossings",
         type=int,
+        action=_NonNegative,
         default=default,
         metavar="N",
         help=f"crossing budget for the evaluator (default {default})",

@@ -79,6 +79,14 @@ def adjoint_matches_doubled_meridian(shape: Partition) -> bool:
 # isolating polynomials
 
 
+def eval_polynomial(coefficients, value: RingElem) -> RingElem:
+    """Horner evaluation of sum(coefficients[k] * value**k), ascending powers."""
+    total = RingElem.zero()
+    for coeff in reversed(coefficients):
+        total = total * value + coeff
+    return total
+
+
 @dataclass(frozen=True)
 class IsolatingPolynomial:
     """One-variable polynomial vanishing at every sibling eigenvalue.
@@ -96,15 +104,8 @@ class IsolatingPolynomial:
     roots: tuple[tuple[Partition, RingElem], ...]
     coefficients: tuple[RingElem, ...]  # ascending powers
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def eval_at(self, value: RingElem) -> RingElem:
-        total = RingElem.zero()
-        for coeff in reversed(self.coefficients):
-            total = total * value + coeff
-        return total
+        return eval_polynomial(self.coefficients, value)
 
     def separation_value(self) -> RingElem:
         """Value at the target's own eigenvalue; nonzero by distinctness."""

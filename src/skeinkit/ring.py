@@ -375,13 +375,6 @@ def z_poly(char: int = 0) -> LaurentPoly:
     return spow(1, char) - spow(-1, char)
 
 
-def s_power_difference(r: int, char: int = 0) -> LaurentPoly:
-    """s^r - s^-r, the denominators this ring localizes at."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return spow(r, char) - spow(-r, char)
-
-
 class RingElem:
     """A quotient num/den of Laurent polynomials with matching characteristic.
 
@@ -539,14 +532,6 @@ class RingElem:
 
     def is_one(self) -> bool:
         return self.num == self.den
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def as_polynomial(self) -> LaurentPoly:
-        if not self.den.is_one():
-            raise ValueError("element is not polynomial: " + self.render())
-        return self.num
 
     def evaluate(self, v_value: Fraction, s_value: Fraction) -> Fraction:
         denominator = self.den.evaluate(v_value, s_value)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .annulus import expand_ylambda
+from .annulus import build_satellite_row, expand_ylambda
 from .corpus import unknot
 from .diagram import LinkDiagram
 from .eigen import (
@@ -149,21 +149,6 @@ def verify_rudolph(d: LinkDiagram, config: Optional[EvalConfig] = None) -> Verif
 
 # ----------------------------------------------------------------------
 # satellite rows
-
-
-def build_satellite_row(d: LinkDiagram, comp: int, r: int) -> LinkDiagram:
-    """Double one component and surround the pair with r meridians.
-
-    The meridians are inserted before doubling so each one encircles the
-    full width-two bundle.  Component layout of the result: the two
-    parallel copies sit at indices comp and comp+1, the other original
-    components keep their order after them, and the r meridians occupy
-    the final r indices.
-    """
-    if r < 0:
-        raise ValueError(f"meridian count must be nonnegative, got {r}")
-    out = d.with_meridians(comp, r) if r else d
-    return out.cable(comp, 2)
 
 
 def _det3(m) -> RingElem:
@@ -304,9 +289,7 @@ def verify_main(
 # meridian eigenvalue consistency
 
 
-def eigen_consistency(
-    d: Optional[LinkDiagram] = None, config: Optional[EvalConfig] = None
-) -> VerificationReport:
+def eigen_consistency(config: Optional[EvalConfig] = None) -> VerificationReport:
     """Evaluate meridian powers around the unknot against the eigenvalue tables.
 
     Unoriented values must be the free-circle value times the width-one
@@ -315,8 +298,6 @@ def eigen_consistency(
     started = time.perf_counter()
     config = config or VERIFY_CONFIG
     base = unknot()
-    if d is not None and not d.same_diagram_as(base):
-        raise ValueError("eigenvalue consistency is tabulated for the unknot only")
 
     width_one = Partition((1,))
     empty = Partition(())

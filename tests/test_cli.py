@@ -50,6 +50,21 @@ class TestSkeinCommand:
         assert code == 1
         assert text.startswith("budget exceeded")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["skein", "homfly", "corpus:trefoil"],
+            ["verify", "rudolph", "corpus:unknot"],
+            ["verify", "main", "corpus:unknot", "--component", "1", "--partition", "2"],
+        ],
+        ids=["skein", "verify-rudolph", "verify-main"],
+    )
+    def test_negative_budget_is_usage_error(self, argv):
+        code, text = run(argv + ["--max-crossings", "-1"])
+        assert code == 2
+        assert text.startswith("usage:")
+        assert "error: argument --max-crossings: must be nonnegative, got -1" in text
+
     def test_unknown_corpus_name_is_usage_error(self):
         code, text = run(["skein", "homfly", "corpus:nope"])
         assert code == 2
@@ -129,6 +144,16 @@ class TestExpandCommand:
         assert payload["inner"]["target"] == payload["anchor"]
         assert {t["meridians"] for t in payload["terms"]} == {0, 1, 2}
         assert payload["words"] and all(isinstance(w, str) for w in payload["words"])
+
+    def test_words_are_longitude_meridian_descriptors(self):
+        # one word per chain, outer level's letters last
+        code, text = run(["expand", "--partition", "2,1"])
+        assert code == 0
+        assert json.loads(text)["words"] == [
+            f"[1] l^2{inner} l^2{outer}"
+            for outer in ("", " m^1", " m^2")
+            for inner in ("", " m^1", " m^2")
+        ]
 
     def test_explicit_anchor_choice(self):
         code, text = run(["expand", "--partition", "2,1", "--rho", "1,1"])

@@ -67,14 +67,13 @@ class TestIsolatingPolynomial:
     def test_single_cell_target_has_no_siblings(self):
         iso = isolating_polynomial(ONE)
         assert iso.anchor == EMPTY
-        assert iso.degree == 0
         assert iso.coefficients == (RingElem.one(),)
         assert iso.separation_value() == RingElem.one()
 
     def test_two_cell_target_structure(self):
         iso = isolating_polynomial(TWO)
         assert iso.anchor == ONE
-        assert iso.degree == 2
+        assert len(iso.coefficients) == 3
         sibling_shapes = [shape for shape, _ in iso.roots]
         assert sorted(sibling_shapes) == [EMPTY, ONE_ONE]
         c_empty = kauffman_meridian_eigenvalue(EMPTY)

@@ -465,3 +465,49 @@ class TestBraidRelations:
     def test_memo_off_agrees(self, n, data):
         word = data.draw(_long_word(n))
         assert _both(word, n, EvalConfig(memo=False)) == _both(word, n)
+
+
+def _two_cabled_word(word):
+    """The word on doubled strands: strand i becomes strands 2i-1 and 2i."""
+    out = []
+    for letter in word:
+        i, e = abs(letter), (1 if letter > 0 else -1)
+        out += [e * 2 * i, e * (2 * i - 1), e * (2 * i + 1), e * 2 * i]
+    return out
+
+
+class TestTwoConstructionRoutes:
+    """Two routes to the 2-cable of a braid closure must give the same values.
+
+    One route doubles every component of the closed diagram with `cable`;
+    the other doubles each strand of the braid word and closes that.  Both
+    carry the blackboard framing, so equal values check the framing and
+    orientation conventions of `cable` against an independent construction.
+    """
+
+    config = EvalConfig(max_crossings=64)
+
+    def check(self, n_strands, word):
+        cabled = braid_closure(n_strands, word, "w")
+        for comp in reversed(range(cabled.n_components)):
+            cabled = cabled.cable(comp, 2)
+        closed = braid_closure(2 * n_strands, _two_cabled_word(word), "w2")
+        assert homfly(cabled, self.config) == homfly(closed, self.config)
+        assert kauffman(cabled, self.config) == kauffman(closed, self.config)
+
+    @pytest.mark.parametrize(
+        "n_strands, word",
+        [(1, []), (2, []), (2, [1, 1]), (2, [-1, -1]), (2, [1, 1, 1]), (3, [1, -2, 1, -2]),
+         (3, [1, 2, -1, 2]), (2, [-1, -1, -1])],
+        ids=["unknot", "unlink2", "hopf_plus", "hopf_minus", "trefoil", "figure_eight",
+             "mixed-3-braid", "left-trefoil"],
+    )
+    def test_named_braids(self, n_strands, word):
+        self.check(n_strands, word)
+
+    @given(n=st.sampled_from([2, 3]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_words(self, n, data):
+        # 3-strand words stop at 4 letters: the kauffman value of a 5-6
+        # letter word's cable (20-24 crossings) takes 4-48 s
+        self.check(n, data.draw(st.lists(_letters(n), min_size=1, max_size=6 if n == 2 else 4)))

@@ -205,10 +205,3 @@ class TestEigenConsistency:
         report = eigen_consistency()
         assert report.passed, report.to_text()
         assert len(report.checks) == 10
-
-    def test_explicit_unknot_accepted(self):
-        assert eigen_consistency(unknot()).passed
-
-    def test_other_diagrams_rejected(self):
-        with pytest.raises(ValueError):
-            eigen_consistency(hopf_plus())
