@@ -9,14 +9,7 @@ generator close into crossingless circles.
 
 from __future__ import annotations
 
-from .diagram import (
-    LinkDiagram,
-    Mesh,
-    ROLE_UI,
-    ROLE_UO,
-    ROLE_OI,
-    ROLE_OO,
-)
+from .diagram import LinkDiagram, Mesh
 
 
 def braid_closure(n_strands: int, word: list[int], name: str = "braid") -> LinkDiagram:
@@ -56,24 +49,14 @@ def braid_closure(n_strands: int, word: list[int], name: str = "braid") -> LinkD
         i = abs(letter) - 1
         a, b = current[i], current[i + 1]
         cid = mesh._new_crossing(1 if letter > 0 else -1)
-        if letter > 0:
-            mesh._attach(a, "head", (cid, ROLE_UI))
-            mesh._attach(b, "head", (cid, ROLE_OI))
-            comp_a = mesh.arcs[a][2]
-            comp_b = mesh.arcs[b][2]
-            down_right = mesh._new_arc((cid, ROLE_UO), None, comp_a)
-            mesh.crossings[cid][ROLE_UO] = down_right
-            down_left = mesh._new_arc((cid, ROLE_OO), None, comp_b)
-            mesh.crossings[cid][ROLE_OO] = down_left
-        else:
-            mesh._attach(a, "head", (cid, ROLE_OI))
-            mesh._attach(b, "head", (cid, ROLE_UI))
-            comp_a = mesh.arcs[a][2]
-            comp_b = mesh.arcs[b][2]
-            down_right = mesh._new_arc((cid, ROLE_OO), None, comp_a)
-            mesh.crossings[cid][ROLE_OO] = down_right
-            down_left = mesh._new_arc((cid, ROLE_UO), None, comp_b)
-            mesh.crossings[cid][ROLE_UO] = down_left
+        # the strand from position i passes under at a positive letter
+        a_side, b_side = ("U", "O") if letter > 0 else ("O", "U")
+        mesh._attach(a, "head", (cid, a_side + "I"))
+        mesh._attach(b, "head", (cid, b_side + "I"))
+        down_right = mesh._new_arc((cid, a_side + "O"), None, mesh.arcs[a][2])
+        mesh.crossings[cid][a_side + "O"] = down_right
+        down_left = mesh._new_arc((cid, b_side + "O"), None, mesh.arcs[b][2])
+        mesh.crossings[cid][b_side + "O"] = down_left
         current[i] = down_left
         current[i + 1] = down_right
 

@@ -15,6 +15,12 @@ is (UI, OI, UO, OO).
 
 Cabling replaces a component by parallel copies with the blackboard
 framing; copy 1 is the leftmost copy relative to the strand direction.
+Each crossing the component takes part in becomes one grid of over copies
+times under copies: n x n at a self-crossing, 1 x n or n x 1 where the
+other strand belongs to another component and so counts as one copy.  At
+a positive crossing each over copy meets the under copies in the order
+1..n and each under copy meets the over copies in the order n..1; a
+negative crossing reverses both orders.
 A meridian is a small circle around one point of a component, passing
 over it on one side and under on the way back, with both crossings
 positive; successive meridians on the same component sit side by side
@@ -184,6 +190,8 @@ class LinkDiagram:
 
     def _validate(self, edges):
         n = self.n_components
+        if n < 0:
+            raise DiagramError(f"component count must be nonnegative, got {n}")
         crossed = set(self.component_of_edge.values())
         for comp in crossed:
             if not 0 <= comp < n:
@@ -354,53 +362,50 @@ class LinkDiagram:
     # ------------------------------------------------------------------
     # surgery wrappers
 
-    def _mesh(self) -> "Mesh":
-        return Mesh.from_diagram(self)
-
-    def cable(self, comp: int, copies: int, name: Optional[str] = None) -> "LinkDiagram":
+    def cable(self, comp: int, copies: int) -> "LinkDiagram":
         """Replace component comp by `copies` blackboard-framed parallel copies.
 
         The copies take over positions comp .. comp+copies-1; later
         components shift up.
         """
-        mesh = self._mesh()
+        mesh = Mesh.from_diagram(self)
         mesh.cable(comp, copies)
-        return mesh.to_diagram(name or f"{self.name}.cable({comp},{copies})")
+        return mesh.to_diagram(f"{self.name}.cable({comp},{copies})")
 
-    def with_meridians(self, comp: int, count: int, name: Optional[str] = None) -> "LinkDiagram":
+    def with_meridians(self, comp: int, count: int) -> "LinkDiagram":
         """Add `count` unlinked meridian circles around component comp.
 
         The meridians become the last `count` components, in insertion order.
         """
-        mesh = self._mesh()
+        mesh = Mesh.from_diagram(self)
         site = None
         for _ in range(count):
             site = mesh.insert_meridian(comp, site)
-        return mesh.to_diagram(name or f"{self.name}.mer({comp},{count})")
+        return mesh.to_diagram(f"{self.name}.mer({comp},{count})")
 
-    def delete_component(self, comp: int, name: Optional[str] = None) -> "LinkDiagram":
+    def delete_component(self, comp: int) -> "LinkDiagram":
         """Remove a component; the rest keep their relative order."""
-        mesh = self._mesh()
+        mesh = Mesh.from_diagram(self)
         mesh.delete_component(comp)
-        return mesh.to_diagram(name or f"{self.name}.drop({comp})")
+        return mesh.to_diagram(f"{self.name}.drop({comp})")
 
-    def reverse_component(self, comp: int, name: Optional[str] = None) -> "LinkDiagram":
-        mesh = self._mesh()
+    def reverse_component(self, comp: int) -> "LinkDiagram":
+        mesh = Mesh.from_diagram(self)
         mesh.reverse_component(comp)
-        return mesh.to_diagram(name or f"{self.name}.rev({comp})")
+        return mesh.to_diagram(f"{self.name}.rev({comp})")
 
-    def with_curl(self, comp: int, sign: int, name: Optional[str] = None) -> "LinkDiagram":
+    def with_curl(self, comp: int, sign: int) -> "LinkDiagram":
         """Add one kink of the given sign to a component (framing change)."""
-        mesh = self._mesh()
+        mesh = Mesh.from_diagram(self)
         mesh.add_curl(comp, sign)
-        return mesh.to_diagram(name or f"{self.name}.curl({comp},{sign:+d})")
+        return mesh.to_diagram(f"{self.name}.curl({comp},{sign:+d})")
 
-    def mirror(self, name: Optional[str] = None) -> "LinkDiagram":
-        mesh = self._mesh()
+    def mirror(self) -> "LinkDiagram":
+        mesh = Mesh.from_diagram(self)
         mesh.mirror()
-        return mesh.to_diagram(name or f"{self.name}.mirror")
+        return mesh.to_diagram(f"{self.name}.mirror")
 
-    def disjoint_union(self, other: "LinkDiagram", name: Optional[str] = None) -> "LinkDiagram":
+    def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
         shift = max(self.component_of_edge, default=0)
         comp_shift = self.n_components
         crossings = list(self.crossings) + [
@@ -410,7 +415,7 @@ class LinkDiagram:
         comp_map.update({e + shift: c + comp_shift for e, c in other.component_of_edge.items()})
         loops = list(self.free_loops) + [c + comp_shift for c in other.free_loops]
         return LinkDiagram(
-            name or f"{self.name}+{other.name}",
+            f"{self.name}+{other.name}",
             self.n_components + other.n_components,
             crossings,
             comp_map,
@@ -557,74 +562,49 @@ class Mesh:
                     arc[2] = copy_keys[0]
             return
 
-        n = copies
-        compmap: dict[tuple[int, str, int], tuple[int, str]] = {}
-        extmap: dict[tuple[int, str], tuple[int, str]] = {}
-        replaced = {}
+        # (crossing, role, copy) -> port on the grid; a strand of another
+        # component counts as the single copy 1
+        ports: dict[tuple[int, str, int], tuple[int, str]] = {}
+        replaced = set()
         for cid in list(self.crossings):
-            roles = self._roles_of(cid, key)
-            if not roles:
+            cross = self.crossings[cid]
+            over, under = self.arcs[cross[ROLE_OI]][2], self.arcs[cross[ROLE_UI]][2]
+            if key not in (over, under):
                 continue
-            sign = self.crossings[cid]["sign"]
-            if roles == ["U"]:
-                new = [self._new_crossing(sign) for _ in range(n)]
-                for k in range(1, n + 1):
-                    compmap[(cid, ROLE_UI, k)] = (new[k - 1], ROLE_UI)
-                    compmap[(cid, ROLE_UO, k)] = (new[k - 1], ROLE_UO)
-                chain = new if sign > 0 else list(reversed(new))
-                extmap[(cid, ROLE_OI)] = (chain[0], ROLE_OI)
-                extmap[(cid, ROLE_OO)] = (chain[-1], ROLE_OO)
-                over_comp = self.arcs[self.crossings[cid][ROLE_OI]][2]
-                for a, b in zip(chain, chain[1:]):
-                    self._new_arc_attached((a, ROLE_OO), (b, ROLE_OI), over_comp)
-            elif roles == ["O"]:
-                new = [self._new_crossing(sign) for _ in range(n)]
-                for k in range(1, n + 1):
-                    compmap[(cid, ROLE_OI, k)] = (new[k - 1], ROLE_OI)
-                    compmap[(cid, ROLE_OO, k)] = (new[k - 1], ROLE_OO)
-                chain = list(reversed(new)) if sign > 0 else new
-                extmap[(cid, ROLE_UI)] = (chain[0], ROLE_UI)
-                extmap[(cid, ROLE_UO)] = (chain[-1], ROLE_UO)
-                under_comp = self.arcs[self.crossings[cid][ROLE_UI]][2]
-                for a, b in zip(chain, chain[1:]):
-                    self._new_arc_attached((a, ROLE_UO), (b, ROLE_UI), under_comp)
-            else:  # self-crossing: full grid, over copy i versus under copy j
-                grid = {(i, j): self._new_crossing(sign) for i in range(1, n + 1) for j in range(1, n + 1)}
-                for i in range(1, n + 1):
-                    over_chain = [grid[(i, t)] for t in (range(1, n + 1) if sign > 0 else range(n, 0, -1))]
-                    compmap[(cid, ROLE_OI, i)] = (over_chain[0], ROLE_OI)
-                    compmap[(cid, ROLE_OO, i)] = (over_chain[-1], ROLE_OO)
-                    for a, b in zip(over_chain, over_chain[1:]):
-                        self._new_arc_attached((a, ROLE_OO), (b, ROLE_OI), (key, i))
-                for j in range(1, n + 1):
-                    under_chain = [grid[(t, j)] for t in (range(n, 0, -1) if sign > 0 else range(1, n + 1))]
-                    compmap[(cid, ROLE_UI, j)] = (under_chain[0], ROLE_UI)
-                    compmap[(cid, ROLE_UO, j)] = (under_chain[-1], ROLE_UO)
-                    for a, b in zip(under_chain, under_chain[1:]):
-                        self._new_arc_attached((a, ROLE_UO), (b, ROLE_UI), (key, j))
-            replaced[cid] = True
+            sign = cross["sign"]
+            n_over = copies if over == key else 1
+            n_under = copies if under == key else 1
+            # grid crossing (i, j), over copy i+1 against under copy j+1, is
+            # cells[i * n_under + j]; each copy runs along its row or column,
+            # forwards or backwards by the sign
+            cells = [self._new_crossing(sign) for _ in range(n_over * n_under)]
+            rows = [cells[i * n_under:(i + 1) * n_under] for i in range(n_over)]
+            columns = [cells[j::n_under] for j in range(n_under)]
+            for chains, forward, in_role, out_role, comp in (
+                (rows, sign > 0, ROLE_OI, ROLE_OO, over),
+                (columns, sign < 0, ROLE_UI, ROLE_UO, under),
+            ):
+                for k, chain in enumerate(chains, 1):
+                    if not forward:
+                        chain.reverse()
+                    ports[(cid, in_role, k)] = (chain[0], in_role)
+                    ports[(cid, out_role, k)] = (chain[-1], out_role)
+                    arc_comp = (key, k) if comp == key else comp
+                    for a, b in zip(chain, chain[1:]):
+                        self._new_arc_attached((a, out_role), (b, in_role), arc_comp)
+            replaced.add(cid)
 
         for aid in list(self.arcs):
             tail, head, arc_comp = self.arcs[aid]
             if arc_comp == key:
-                for k in range(1, n + 1):
-                    ntail = compmap[(tail[0], tail[1], k)]
-                    nhead = compmap[(head[0], head[1], k)]
-                    self._new_arc_attached(ntail, nhead, (key, k))
+                for k in range(1, copies + 1):
+                    self._new_arc_attached(ports[(*tail, k)], ports[(*head, k)], (key, k))
                 del self.arcs[aid]
-            else:
-                moved = False
-                if tail[0] in replaced:
-                    tail = extmap[(tail[0], tail[1])]
-                    moved = True
-                if head[0] in replaced:
-                    head = extmap[(head[0], head[1])]
-                    moved = True
-                if moved:
-                    self.arcs[aid][0] = tail
-                    self.arcs[aid][1] = head
-                    self.crossings[tail[0]][tail[1]] = aid
-                    self.crossings[head[0]][head[1]] = aid
+                continue
+            if tail[0] in replaced:
+                self._attach(aid, "tail", ports[(*tail, 1)])
+            if head[0] in replaced:
+                self._attach(aid, "head", ports[(*head, 1)])
         for cid in replaced:
             del self.crossings[cid]
 
@@ -653,8 +633,7 @@ class Mesh:
         if key in self.loops:
             self.loops.discard(key)
             self._new_arc_attached((m1, ROLE_UO), (m2, ROLE_OI), key)
-            resume = self._new_arc_attached((m2, ROLE_OO), (m1, ROLE_UI), key)
-            return resume
+            return self._new_arc_attached((m2, ROLE_OO), (m1, ROLE_UI), key)
         if site is None:
             site = min(aid for aid, arc in self.arcs.items() if arc[2] == key)
         tail, head, arc_comp = self.arcs[site]
@@ -663,12 +642,8 @@ class Mesh:
         # split the site arc: tail -> m1(under) -> m2(over) -> head
         self._attach(site, "head", (m1, ROLE_UI))
         self._new_arc_attached((m1, ROLE_UO), (m2, ROLE_OI), key)
-        resume = self._new_arc(  # reuse head port of the original arc
-            (m2, ROLE_OO), head, key
-        )
-        self.crossings[m2][ROLE_OO] = resume
-        self.crossings[head[0]][head[1]] = resume
-        return resume
+        # the resume arc takes over the head port of the original arc
+        return self._new_arc_attached((m2, ROLE_OO), head, key)
 
     def delete_component(self, comp):
         key = self.comp_order[comp] if isinstance(comp, int) else comp
@@ -676,20 +651,16 @@ class Mesh:
             self.loops.discard(key)
             self.comp_order.remove(key)
             return
-        while True:
-            target = None
-            for cid in sorted(self.crossings):
-                if self._roles_of(cid, key):
-                    target = cid
-                    break
-            if target is None:
-                break
-            roles = self._roles_of(target, key)
-            cross = self.crossings[target]
+        # removing one crossing never changes which others the component
+        # takes part in, so one pass in id order finds them all
+        for cid in sorted(self.crossings):
+            roles = self._roles_of(cid, key)
+            if not roles:
+                continue
+            cross = self.crossings.pop(cid)
             if roles == ["U", "O"]:
                 # a self-crossing of the doomed component: all four arcs are
                 # its own and are swept up at the end
-                del self.crossings[target]
                 continue
             other = "O" if roles == ["U"] else "U"
             in_arc = cross[other + "I"]
@@ -705,7 +676,6 @@ class Mesh:
                 self.arcs[out_arc][0] = tail
                 self.crossings[tail[0]][tail[1]] = out_arc
                 del self.arcs[in_arc]
-            del self.crossings[target]
         for aid in [a for a, arc in self.arcs.items() if arc[2] == key]:
             del self.arcs[aid]
         # deleting may strand other components as crossingless circles
@@ -753,9 +723,7 @@ class Mesh:
         tail, head, _ = self.arcs[site]
         self._attach(site, "head", (k, ROLE_UI))
         self._new_arc_attached((k, ROLE_UO), (k, ROLE_OI), key)
-        out = self._new_arc((k, ROLE_OO), head, key)
-        self.crossings[k][ROLE_OO] = out
-        self.crossings[head[0]][head[1]] = out
+        self._new_arc_attached((k, ROLE_OO), head, key)
 
     def mirror(self):
         for cid, cross in self.crossings.items():

@@ -89,11 +89,9 @@ class Partition:
         """column - row over all cells."""
         return [j - i for i, j in self.cells()]
 
-    def content_polynomial(self, char: int = 0) -> LaurentPoly:
+    def content_polynomial(self) -> LaurentPoly:
         """Sum of s^(column - row) over the cells, as a Laurent polynomial."""
-        return LaurentPoly(((0, c), 1) for c in self.contents()) if char == 0 else LaurentPoly(
-            (((0, c), 1) for c in self.contents()), char=2
-        )
+        return LaurentPoly(((0, c), 1) for c in self.contents())
 
     # ------------------------------------------------------------------
     # diagonal hook (Frobenius) coordinates

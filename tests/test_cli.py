@@ -91,11 +91,13 @@ class TestSkeinCommand:
             _trefoil_edges(" 1"),
             _trefoil_edges("+1"),
             _trefoil_edges("1", "01"),
+            b'{"components": -1, "crossings": [], "component_of_edge": {}}',
         ],
         ids=[
             "json-list", "json-string", "edge-map-list", "not-utf8", "deep-nesting", "huge-number",
             "float-label", "bool-components",
             "underscore-key", "leading-zero-key", "space-key", "plus-key", "duplicate-key",
+            "negative-components",
         ],
     )
     def test_bad_link_file_is_usage_error(self, tmp_path, content):
@@ -104,6 +106,13 @@ class TestSkeinCommand:
         code, text = run(["skein", "homfly", str(path)])
         assert code == 2
         assert text.startswith("error:")
+
+    def test_negative_component_count_is_usage_error_for_verify(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"components": -1, "crossings": [], "component_of_edge": {}}')
+        code, text = run(["verify", "rudolph", str(path)])
+        assert code == 2
+        assert text.startswith("error: bad link description")
 
 
 class TestEigenCommand:

@@ -1,9 +1,12 @@
 """Planar diagram model: construction, codes, and surgeries."""
 
+import hashlib
 import json
 
 import pytest
 
+from skeinkit import skein_eval
+from skeinkit.annulus import build_satellite_row
 from skeinkit.corpus import (
     CORPUS,
     corpus_names,
@@ -17,6 +20,7 @@ from skeinkit.corpus import (
     unlink,
 )
 from skeinkit.diagram import AmbiguousOrientationError, DiagramError, LinkDiagram
+from skeinkit.ring import LaurentPoly
 
 
 class TestConstruction:
@@ -222,3 +226,51 @@ class TestSurgeries:
         assert d.writhe() == 2
         assert d.n_components == 1
         assert len(d.crossings) == 4
+
+
+# any change to these values changes the output or the names of surgery
+BATTERY_SIZE = 363
+BATTERY_SHA256 = "63e32c649fb2dbc75b839a0c6577c67ffe796c708612c91b63672ccd11aedac2"
+
+
+def _surgery_battery(monkeypatch) -> list[LinkDiagram]:
+    """Surgery results over every component of every corpus link, then every
+    adjoint term of the corpus and of its satellite rows of <= 8 crossings."""
+    out = []
+    adjoint_inputs = []
+    for name in corpus_names():
+        d = load_corpus(name)
+        adjoint_inputs.append(d)
+        for c in range(d.n_components):
+            out += [d.cable(c, copies) for copies in (1, 2, 3)]
+            for r in range(4):
+                row = build_satellite_row(d, c, r)
+                out.append(row)
+                if len(row.crossings) <= 8:
+                    adjoint_inputs.append(row)
+            out += [
+                d.with_curl(c, 1).cable(c, 2),
+                d.with_curl(c, -1).cable(c, 2),
+                d.mirror().cable(c, 2),
+                d.reverse_component(c).cable(c, 2),
+                d.with_meridians(c, 2).cable(c, 3).delete_component(c),
+            ]
+
+    def record(term, flavor, config):
+        out.append(term)
+        return skein_eval._ZFrac(LaurentPoly.zero())
+
+    monkeypatch.setattr(skein_eval, "_run", record)
+    for d in adjoint_inputs:
+        skein_eval.adjoint_homfly(d)
+    return out
+
+
+class TestSurgeryPinned:
+    """Surgery output, names included, is pinned byte for byte."""
+
+    def test_battery_hash(self, monkeypatch):
+        battery = _surgery_battery(monkeypatch)
+        digest = hashlib.sha256("\n".join(d.to_json() for d in battery).encode()).hexdigest()
+        assert len(battery) == BATTERY_SIZE
+        assert digest == BATTERY_SHA256

@@ -25,7 +25,7 @@ from skeinkit.eigen import (
     kauffman_meridian_eigenvalue,
 )
 from skeinkit.partition import Partition
-from skeinkit.ring import RingElem, vpow, z_poly
+from skeinkit.ring import LaurentPoly, RingElem, vpow, z_poly
 from skeinkit import skein_eval
 from skeinkit.skein_eval import (
     ORIENTED,
@@ -511,3 +511,118 @@ class TestTwoConstructionRoutes:
         # 3-strand words stop at 4 letters: the kauffman value of a 5-6
         # letter word's cable (20-24 crossings) takes 4-48 s
         self.check(n, data.draw(st.lists(_letters(n), min_size=1, max_size=6 if n == 2 else 4)))
+
+
+def bracket(d) -> LaurentPoly:
+    """The Kauffman bracket <D> by the naive sum over all 2^n smoothings.
+
+    A is stored as the s variable.  The A-smoothing of crossing (a, b, c, d)
+    joins a-b and c-d, the B-smoothing joins a-d and b-c; each state weighs
+    A^(#A - #B) times one circle factor -A^2 - A^-2 per loop, free loops
+    included, so the empty diagram is 1.  Nothing here is shared with the
+    engine.
+    """
+    n = len(d.crossings)
+    states = {}
+    for state in range(1 << n):
+        root = {e: e for e in d.component_of_edge}
+
+        def find(e):
+            while root[e] != e:
+                root[e] = root[root[e]]
+                e = root[e]
+            return e
+
+        b_count = 0
+        for ci, (a, b, c, e) in enumerate(d.crossings):
+            pairs = ((a, e), (b, c)) if state >> ci & 1 else ((a, b), (c, e))
+            b_count += state >> ci & 1
+            for x, y in pairs:
+                root[find(x)] = find(y)
+        loops = sum(1 for e in root if find(e) == e) + len(d.free_loops)
+        key = (n - 2 * b_count, loops)
+        states[key] = states.get(key, 0) + 1
+    circle = -LaurentPoly.monomial(0, 2) - LaurentPoly.monomial(0, -2)
+    total = LaurentPoly.zero()
+    for (power, loops), count in states.items():
+        total = total + LaurentPoly.monomial(0, power, count) * circle ** loops
+    return total
+
+
+def _specialise(poly: LaurentPoly, v_to: int, s_to: int) -> LaurentPoly:
+    """v -> -t^v_to, s -> t^s_to, with t stored as the s variable."""
+    return LaurentPoly(((0, v_to * a + s_to * b), c * (-1) ** a) for (a, b), c in poly.terms().items())
+
+
+def _agrees(value: RingElem, want: LaurentPoly, v_to: int, s_to: int) -> bool:
+    den = _specialise(value.den, v_to, s_to)
+    assert not den.is_zero()
+    return _specialise(value.num, v_to, s_to) == want * den
+
+
+def _check_bracket(d, config=None):
+    # kauffman at v = -A^-3, s = A is <D>; homfly at v = -t^-4, s = t^2 is t^w <D>
+    want = bracket(d)
+    assert _agrees(kauffman(d, config), want, -3, 1)
+    assert _agrees(homfly(d, config), LaurentPoly.monomial(0, d.writhe()) * want, -4, 2)
+
+
+def _satellite_rows_to_12():
+    rows = []
+    for name in corpus_names():
+        d = load_corpus(name)
+        for comp in range(d.n_components):
+            for r in range(4):
+                row = build_satellite_row(d, comp, r)
+                if len(row.crossings) <= 12:
+                    rows.append(row)
+    return rows
+
+
+class TestBracketStateSum:
+    """Both flavors against the bracket state sum, which shares no engine code.
+
+    Every input stays at <= 12 crossings: the naive sum doubles its work per
+    crossing (about 0.3 s at 12).
+    """
+
+    def test_bracket_conventions(self):
+        circle = -LaurentPoly.monomial(0, 2) - LaurentPoly.monomial(0, -2)
+        assert bracket(empty_link()) == LaurentPoly.one()
+        assert bracket(unlink(2)) == circle * circle
+        assert bracket(unknot().with_curl(0, 1)) == -LaurentPoly.monomial(0, 3) * circle
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo-on", "memo-off"])
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_corpus(self, name, memo):
+        _check_bracket(load_corpus(name), EvalConfig(memo=memo))
+
+    @pytest.mark.parametrize("d", _satellite_rows_to_12(), ids=lambda d: d.name)
+    def test_satellite_rows(self, d):
+        _check_bracket(d)
+
+    @given(n=st.sampled_from([3, 4]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_braid_closures(self, n, data):
+        word = data.draw(st.lists(_letters(n), min_size=8, max_size=12))
+        _check_bracket(braid_closure(n, word, "w"))
+
+    @pytest.mark.parametrize("make", [hopf_plus, hopf_minus, trefoil])
+    def test_adjoint_terms(self, make, monkeypatch):
+        # adjoint_homfly at v = -t^-4, s = t^2 is the signed sum of t^w <term>
+        d = make()
+        terms = []
+        run = skein_eval._run
+
+        def recording(term, flavor, config):
+            terms.append(term)
+            return run(term, flavor, config)
+
+        monkeypatch.setattr(skein_eval, "_run", recording)
+        got = adjoint_homfly(d)
+        want = LaurentPoly.zero()
+        for term in terms:
+            sign = -1 if (d.n_components - term.n_components // 2) % 2 else 1
+            want = want + LaurentPoly.monomial(0, term.writhe(), sign) * bracket(term)
+        assert len(terms) == 1 << d.n_components
+        assert _agrees(got, want, -4, 2)
