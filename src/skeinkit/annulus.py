@@ -125,33 +125,21 @@ class ExpansionPlan:
         """All term combinations: (weight, meridian counts outermost first)."""
         if self.is_trivial:
             return [(RingElem.one(), ())]
-        if self.inner is None:
-            inner_chains = [(RingElem.one(), ())]
-        else:
-            inner_chains = self.inner.chains()
-        out = []
-        for coeff, r in self.terms:
-            for inner_coeff, inner_counts in inner_chains:
-                out.append((coeff * inner_coeff, (r,) + inner_counts))
-        return out
+        inner = self.inner.chains() if self.inner is not None else [(RingElem.one(), ())]
+        return [(coeff * c, (r,) + counts) for coeff, r in self.terms for c, counts in inner]
 
-    def lm_words(self) -> list[tuple[RingElem, str]]:
+    def lm_words(self) -> list[str]:
         """The chains as longitude-meridian words, letters innermost first.
 
         A word opens with the decoration of the innermost strand in
         brackets, then reads "l^2" for each doubling and "m^r" for r
         meridians encircling everything inside them: "[1] l^2 m^1".
+        Words come in the order of chains(), without their weights.
         """
-        slot = f"[{self.target if self.is_trivial else Partition((1,))}]"
-        out = []
-        for coeff, counts in self.chains():
-            letters = [slot]
-            for r in reversed(counts):
-                letters.append("l^2")
-                if r:
-                    letters.append(f"m^{r}")
-            out.append((coeff, " ".join(letters)))
-        return out
+        if self.is_trivial:
+            return [f"[{self.target}]"]
+        inner = self.inner.lm_words() if self.inner is not None else [f"[{self.anchor}]"]
+        return [f"{word} l^2" + (f" m^{r}" if r else "") for _, r in self.terms for word in inner]
 
     def to_dict(self) -> dict:
         return {

@@ -106,6 +106,12 @@ class _Parser(argparse.ArgumentParser):
             self._captured.append(message)
         raise _ParserExit(status, "".join(self._captured).rstrip("\n"))
 
+    def _get_values(self, action, arg_strings):
+        # argparse strips the value of `--opt=--`, leaving an empty list
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _parse_partition(text: str) -> Partition:
     try:
@@ -194,7 +200,7 @@ def _cmd_expand(args) -> tuple[int, str]:
     except ValueError as exc:
         raise _CommandError(2, str(exc))
     payload = plan.to_dict()
-    payload["words"] = [word for _, word in plan.lm_words()]
+    payload["words"] = plan.lm_words()
     return 0, json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -488,7 +494,7 @@ def _build_parser() -> _Parser:
     for flavor, blurb in (
         ("homfly", "oriented framed polynomial"),
         ("kauffman", "unoriented framed polynomial"),
-        ("adjoint", "mod-2 adjoint polynomial"),
+        ("adjoint", "antiparallel-pair adjoint polynomial"),
     ):
         p = sub.add_parser(flavor, help=blurb)
         _add_link_arg(p)

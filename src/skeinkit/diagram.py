@@ -172,8 +172,6 @@ class LinkDiagram:
             signs = tuple(int(s) for s in signs)
         over_slots = _derive_over_slots(crossings, edges, signs)
         derived_signs = tuple(1 if o == 3 else -1 for o in over_slots)
-        if signs is not None and signs != derived_signs:
-            raise DiagramError(f"stated signs {signs} disagree with derived {derived_signs}")
 
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n_components", int(n_components))
@@ -203,7 +201,8 @@ class LinkDiagram:
                 raise DiagramError(f"component {comp} has edges and is marked crossingless")
         if len(set(self.free_loops)) != len(self.free_loops):
             raise DiagramError("duplicate free loop indices")
-        if crossed | set(self.free_loops) != set(range(n)):
+        # all indices lie in 0..n-1 and free loops are distinct and uncrossed
+        if len(crossed) + len(self.free_loops) != n:
             raise DiagramError("every component must carry edges or be a free loop")
         mentioned = {e for quad in self.crossings for e in quad}
         if mentioned != edges:

@@ -80,11 +80,7 @@ class _ZFrac:
         )
 
     def __sub__(self, other: "_ZFrac") -> "_ZFrac":
-        k = max(self.zpow, other.zpow)
-        return _ZFrac(
-            self.num * _zpow_poly(k - self.zpow) - other.num * _zpow_poly(k - other.zpow),
-            k,
-        )
+        return self + other.negate()
 
     def __mul__(self, other: "_ZFrac") -> "_ZFrac":
         return _ZFrac(self.num * other.num, self.zpow + other.zpow)
@@ -143,33 +139,37 @@ def _is_over(datum, slot) -> bool:
 # structural surgery on states
 
 
-def _excise(cross: dict, partner: dict, dead: set, through: dict) -> int:
+def _excise(cross: dict, partner: dict, dead: set, through: dict) -> tuple[int, set]:
     """Delete the crossings in `dead`, rerouting strands along `through`.
 
     `through` pairs the ports where a strand runs through the deleted
     region; ports of dead crossings missing from `through` must sit on arcs
-    internal to the region.  Returns the number of closed circles freed.
+    internal to the region.  Reads only the dead crossings' ports and their
+    partners.  Returns (circles freed, surviving crossings rerouted).
     """
-    removed = {(c, s) for c in dead for s in range(4)}
     circles = 0
     consumed = set()
-    externals = [p for p, q in partner.items() if p not in removed and q in removed]
-    for a in externals:
-        q = partner.get(a)
-        if q is None or q not in removed:
-            continue
-        x = q
-        while True:
-            y = through[x]
-            consumed.add(x)
-            consumed.add(y)
-            z = partner[y]
-            if z in removed:
-                x = z
-            else:
-                partner[a] = z
-                partner[z] = a
-                break
+    touched = set()
+    for c in dead:
+        for s in range(4):
+            a = partner[(c, s)]
+            if a[0] in dead:
+                continue
+            touched.add(a[0])
+            if partner[a][0] not in dead:
+                continue  # already rerouted from the strand's other end
+            x = (c, s)
+            while True:
+                y = through[x]
+                consumed.add(x)
+                consumed.add(y)
+                z = partner[y]
+                if z[0] in dead:
+                    x = z
+                else:
+                    partner[a] = z
+                    partner[z] = a
+                    break
     for start in through:
         if start in consumed:
             continue
@@ -183,11 +183,11 @@ def _excise(cross: dict, partner: dict, dead: set, through: dict) -> int:
                 circles += 1
                 break
             x = z
-    for p in removed:
-        partner.pop(p, None)
     for c in dead:
+        for s in range(4):
+            del partner[(c, s)]
         del cross[c]
-    return circles
+    return circles, touched
 
 
 def _sym(*pairs) -> dict:
@@ -213,16 +213,6 @@ def _smooth_through(c, datum, positive: bool) -> dict:
 
 # ----------------------------------------------------------------------
 # simplification
-
-
-def _neighbors(partner: dict, dead: set) -> set:
-    out = set()
-    for c in dead:
-        for s in range(4):
-            c2 = partner[(c, s)][0]
-            if c2 not in dead:
-                out.add(c2)
-    return out
 
 
 def _kink_move(cross: dict, partner: dict, c):
@@ -296,10 +286,10 @@ def _simplify(cross: dict, partner: dict) -> tuple[int, int]:
                 continue
             c2, through = bigon
             dead = {c, c2}
-        touched = _neighbors(partner, dead)
-        circles += _excise(cross, partner, dead, through)
+        freed, touched = _excise(cross, partner, dead, through)
+        circles += freed
         for t in touched:
-            if t in cross and t not in pending:
+            if t not in pending:
                 pending.add(t)
                 heapq.heappush(heap, t)
     return vshift, circles
@@ -503,9 +493,8 @@ def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFrac:
 
 
 def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFrac:
-    use_memo = memo and len(cross) >= 4  # tiny clusters resolve faster than keying
-    key = _canonical_key(cross, partner, flavor) if use_memo else None
-    if use_memo and key in _MEMO:
+    key = _canonical_key(cross, partner, flavor) if memo else None
+    if memo and key in _MEMO:
         return _MEMO[key]
     first_bad, n_circles, writhe = _scan(cross, partner, flavor)
     if first_bad is not None:
@@ -517,7 +506,7 @@ def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFra
     else:
         switched, _, z_term = _resolve(cross, partner, flavor, first_bad, memo)
         result = switched + z_term
-    if use_memo:
+    if memo:
         _MEMO[key] = result
     return result
 
@@ -543,7 +532,7 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
     for through in throughs:
         sm_cross = dict(cross)
         sm_partner = dict(partner)
-        freed = _excise(sm_cross, sm_partner, {c}, through)
+        freed, _ = _excise(sm_cross, sm_partner, {c}, through)
         smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo).times_circles(freed, flavor))
     if flavor == ORIENTED:
         z_term = smoothings[0].times_z()

@@ -259,18 +259,41 @@ class TestRealizeSymbolic:
 
 class TestLMWords:
     def test_render_bare_core(self):
-        words = expand_ylambda(P(1)).lm_words()
-        assert [(w, c.is_one()) for c, w in words] == [("[1]", True)]
+        assert expand_ylambda(P(1)).lm_words() == ["[1]"]
 
     def test_render_row_two_terms(self):
         words = expand_ylambda(P(2)).lm_words()
-        assert [w for _, w in words] == ["[1] l^2", "[1] l^2 m^1", "[1] l^2 m^2"]
+        assert words == ["[1] l^2", "[1] l^2 m^1", "[1] l^2 m^2"]
 
     def test_nested_words_list_innermost_first(self):
-        words = [w for _, w in expand_ylambda(P(2, 1)).lm_words()]
+        words = expand_ylambda(P(2, 1)).lm_words()
         assert len(words) == 9
         assert words[0] == "[1] l^2 l^2"
         assert "[1] l^2 m^2 l^2 m^2" in words
+
+    def test_words_need_no_coefficient_products(self, monkeypatch):
+        plan = expand_ylambda(P(2, 1))
+
+        def refuse(self, other):
+            raise AssertionError("lm_words multiplied coefficients")
+
+        monkeypatch.setattr(RingElem, "__mul__", refuse)
+        assert len(plan.lm_words()) == 9
+
+    def test_words_spell_chain_counts(self, monkeypatch):
+        # every target up to five cells, every anchor: word i spells the
+        # meridian counts of chain i, innermost level first.  Only the
+        # counts are compared, so chains() skips its weight products.
+        plans = plans_up_to(5)
+        monkeypatch.setattr(RingElem, "__mul__", lambda self, other: self)
+        for plan in plans:
+            want = []
+            for _, counts in plan.chains():
+                letters = ["[1]"]
+                for r in reversed(counts):
+                    letters += ["l^2"] + ([f"m^{r}"] if r else [])
+                want.append(" ".join(letters))
+            assert plan.lm_words() == want
 
 
 class TestRealizeDiagrams:

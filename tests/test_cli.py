@@ -1,8 +1,14 @@
 """End-to-end exercises of the command line surface via cli.run."""
 
+import copy
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinkit.cli import main as cli_main
 from skeinkit.cli import run
@@ -113,6 +119,86 @@ class TestSkeinCommand:
         code, text = run(["verify", "rudolph", str(path)])
         assert code == 2
         assert text.startswith("error: bad link description")
+
+
+    def test_component_count_costs_no_memory(self, tmp_path):
+        # a stated count is compared, never enumerated
+        path = tmp_path / "bad.json"
+        path.write_text('{"components": 1000000, "crossings": [], "component_of_edge": {}}')
+        tracemalloc.start()
+        try:
+            code, text = run(["skein", "kauffman", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert text.startswith("error: bad link description")
+        assert peak < 1 << 20
+
+
+# values a mutation may put anywhere in a link file
+_ODD_VALUES = [0, -1, 1.5, True, None, "1", [], {}, 10**30, -(10**30), [[0, [1]], [-1]]]
+
+
+def _json_paths(doc, path=()):
+    """Every path into a JSON document, the root first."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_link_files(draw):
+    """A corpus link file after 1-3 edits, each dropping a key or item or
+    replacing the value at a path by an odd one."""
+    doc = json.loads(load_corpus(draw(st.sampled_from(corpus_names()))).to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+    return json.dumps(doc)
+
+
+def _assert_clean_exit(result):
+    code, text = result
+    assert code in (0, 1, 2)
+    if code == 2:
+        # argparse's own refusals open with the usage line
+        assert text.startswith(("error:", "usage:"))
+        assert "error:" in text
+
+
+class TestGeneratedInput:
+    """Generated malformed input ends in an exit code, never an exception."""
+
+    @given(text=_mutated_link_files())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_link_files(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "link.json"
+            path.write_text(text)
+            for command in (["skein", "kauffman"], ["verify", "rudolph"]):
+                _assert_clean_exit(run(command + [str(path), "--max-crossings", "8"]))
+
+    @given(partition=st.text(",0123-x ", max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_partition_strings(self, partition):
+        argv = ["verify", "main", "corpus:hopf_plus", "--component", "1"]
+        _assert_clean_exit(run(argv + [f"--partition={partition}", "--max-crossings", "0"]))
 
 
 class TestEigenCommand:
@@ -269,6 +355,30 @@ class TestUsage:
         code, text = run(["--help"])
         assert code == 0
         assert "COMMAND" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["skein", "kauffman", "corpus:unknot", "--max-crossings=--"],
+            ["eigen", "c", "--partition=--"],
+            ["expand", "--partition=2", "--rho=--"],
+            ["verify", "main", "corpus:unknot", "--component=--", "--partition=1"],
+        ],
+        ids=["budget", "partition", "rho", "component"],
+    )
+    def test_double_dash_value_is_usage_error(self, argv):
+        # argparse reads `--opt=--` as an empty list of values
+        code, text = run(argv)
+        assert code == 2
+        assert text.startswith("usage:")
+        assert "expected one argument" in text
+
+    def test_skein_help_names_the_adjoint_polynomial(self):
+        # the command prints the characteristic-0 value, not a mod-2 one
+        code, text = run(["skein", "--help"])
+        assert code == 0
+        assert "antiparallel-pair adjoint polynomial" in text
+        assert "mod-2" not in text
 
     def test_repeat_invocation_is_byte_identical(self):
         probe = ["skein", "kauffman", "corpus:hopf_minus"]

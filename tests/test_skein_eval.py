@@ -37,7 +37,7 @@ from skeinkit.skein_eval import (
     kauffman,
     skein_relation_probe,
 )
-from skeinkit.verify import build_satellite_row
+from skeinkit.verify import build_satellite_row, verify_rudolph
 
 dH = delta_homfly()
 dK = delta_kauffman()
@@ -626,3 +626,33 @@ class TestBracketStateSum:
             want = want + LaurentPoly.monomial(0, term.writhe(), sign) * bracket(term)
         assert len(terms) == 1 << d.n_components
         assert _agrees(got, want, -4, 2)
+
+
+class TestEngineWork:
+    """Exact engine work on small satellite rows, pinned as upper bounds.
+
+    Counts have no noise, so a change that makes the engine branch more
+    shows here even when its wall time hides in the spread.  A change that
+    removes work lowers the bounds.
+    """
+
+    def test_rows_up_to_6_crossings(self, monkeypatch):
+        counts = {"_resolve": 0, "_cluster_value": 0}
+        for name in counts:
+            inner = getattr(skein_eval, name)
+
+            def counting(*args, _name=name, _inner=inner):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(skein_eval, name, counting)
+        rows = [row for row in _satellite_rows_to_12() if 0 < len(row.crossings) <= 6]
+        assert len(rows) == 7
+        try:
+            for row in rows:
+                clear_caches()
+                assert verify_rudolph(row).passed
+        finally:
+            clear_caches()
+        assert counts["_resolve"] <= 117
+        assert counts["_cluster_value"] <= 226
