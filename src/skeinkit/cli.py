@@ -29,6 +29,7 @@ same entry point the tests drive and the determinism criterion compares.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,10 +93,21 @@ class _CommandError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    """An argument parser that raises `_ParserExit` instead of exiting.
+
+    Every parser of one tree appends its messages to a single capture
+    buffer, the root's, so the tree can be built once and reused: `run`
+    empties the buffer before each parse.
+    """
+
+    def __init__(self, *args, captured: Optional[list[str]] = None, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
-        self._captured: list[str] = []
+        self._captured: list[str] = [] if captured is None else captured
+
+    def add_subparsers(self, **kwargs):
+        kwargs.setdefault("parser_class", functools.partial(_Parser, captured=self._captured))
+        return super().add_subparsers(**kwargs)
 
     def _print_message(self, message, file=None):
         if message:
@@ -563,9 +575,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser tree, built on the first invocation and reused after."""
+    return _build_parser()
+
+
 def run(argv: list[str]) -> tuple[int, str]:
-    """Execute one CLI invocation; returns (exit_code, output_text)."""
-    parser = _build_parser()
+    """Execute one CLI invocation; returns (exit_code, output_text).
+
+    Invocations share one parser tree and its capture buffer, so they
+    must not run concurrently.
+    """
+    parser = _parser()
+    parser._captured.clear()
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

@@ -24,6 +24,12 @@ free circle harvesting) and looked up in a cache keyed by a relabeling
 invariant serialization.  Diagrams whose every crossing is first reached
 on its over strand evaluate in closed form, so the recursion only branches
 on the first crossing first reached on its under strand.
+
+Every state the engine branches on is already simplified, and a resolved
+child differs from it only at the resolved crossing c: the switched child
+in c's levels, a smoothed child in the arcs through c.  So a child's
+simplification examines c (switched) or the crossings the smoothing
+rerouted, not every crossing, and ends in the same state.
 """
 
 from __future__ import annotations
@@ -73,11 +79,13 @@ class _ZFrac:
         self.zpow = zpow
 
     def __add__(self, other: "_ZFrac") -> "_ZFrac":
-        k = max(self.zpow, other.zpow)
-        return _ZFrac(
-            self.num * _zpow_poly(k - self.zpow) + other.num * _zpow_poly(k - other.zpow),
-            k,
-        )
+        # bring only the operand with the lower z-power up to the other's
+        gap = self.zpow - other.zpow
+        if gap == 0:
+            return _ZFrac(self.num + other.num, self.zpow)
+        if gap > 0:
+            return _ZFrac(self.num + other.num * _zpow_poly(gap), self.zpow)
+        return _ZFrac(self.num * _zpow_poly(-gap) + other.num, other.zpow)
 
     def __sub__(self, other: "_ZFrac") -> "_ZFrac":
         return self + other.negate()
@@ -257,16 +265,23 @@ def _bigon_move(cross: dict, partner: dict, c):
     return c2, through
 
 
-def _simplify(cross: dict, partner: dict) -> tuple[int, int]:
+def _simplify(cross: dict, partner: dict, seeds) -> tuple[int, int]:
     """Harvest kinks and parallel bigons in place; returns (v shift, circles).
 
-    Worklist-driven: a pattern involving some crossing can only become true
-    when an arc next to it is rewired, so only neighbors of an excised
-    region ever need re-examination.
+    Worklist-driven from `seeds`, which must hold every crossing where a
+    move is possible: a pattern involving some crossing can only become
+    true when an arc next to it is rewired or its levels change, so only
+    neighbors of an excised region ever need re-examination.  A whole
+    diagram is seeded with all its crossings.  A child that `_resolve`
+    makes from a simplified state differs from it only at the resolved
+    crossing c, so it is seeded with {c} when switched (a new bigon must
+    contain c) and with the rerouted crossings when smoothed.  Crossings
+    without a move are no-ops in the heap, so the moves, and the state
+    they leave, are those of a run seeded with every crossing.
     """
     vshift = 0
     circles = 0
-    heap = sorted(cross)
+    heap = sorted(seeds)
     pending = set(heap)
     while heap:
         c = heapq.heappop(heap)
@@ -382,29 +397,6 @@ def _clusters(cross: dict, partner: dict) -> list[set]:
     return out
 
 
-def _local_sig(cross: dict, partner: dict, flavor: str, c):
-    """Relabeling-invariant radius-1 fingerprint used to shortlist BFS seeds."""
-    if flavor == ORIENTED:
-        u = cross[c][0]
-        row = [_sign(cross[c])]
-        for r in range(4):
-            c2, s2 = partner[(c, (u + r) % 4)]
-            row.append((_sign(cross[c2]), (s2 - cross[c2][0]) % 4, c2 == c))
-        return tuple(row)
-    best = None
-    b0 = cross[c][0] % 2
-    for base in (b0, b0 + 2):
-        row = []
-        for r in range(4):
-            c2, s2 = partner[(c, (base + r) % 4)]
-            rel = (s2 - cross[c2][0] % 2) % 4
-            row.append((min(rel, (rel + 2) % 4), c2 == c))
-        t = tuple(row)
-        if best is None or t < best:
-            best = t
-    return best
-
-
 def _canonical_key(cross: dict, partner: dict, flavor: str):
     """Relabeling-invariant memo key of a cluster state.
 
@@ -412,6 +404,14 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
     signature numbers the crossings and writes one row per crossing: for
     each slot, from the walk's base slot on, the partner's number and
     slot offset from that partner's base.  The smallest row sequence wins.
+
+    The local signature is a relabeling-invariant radius-1 fingerprint
+    that shortlists the seeds.  Oriented, it is the crossing's sign and,
+    from the under-in slot on, each neighbour's sign, its slot offset from
+    that neighbour's under-in slot and whether it is the crossing itself.
+    Unoriented, the base is either slot of the under parity, the offsets
+    are taken mod 2, and the smaller of the two rows (one the other
+    rotated by two slots) is the signature.
 
     An oriented row starts with the crossing's sign, and its port entries
     mostly imply that sign: the base is the under-in slot, so offsets 0
@@ -426,10 +426,27 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
     `TestCanonicalKey` in tests/test_skein_eval.py checks both claims on
     the states the engine keys.
     """
-    sigs = {c: _local_sig(cross, partner, flavor, c) for c in cross}
+    oriented = flavor == ORIENTED
+    sigs = {}
+    if oriented:
+        signs = {c: _sign(datum) for c, datum in cross.items()}
+        for c, (u, _) in cross.items():
+            row = [signs[c]]
+            for r in range(4):
+                c2, s2 = partner[(c, (u + r) % 4)]
+                row.append((signs[c2], (s2 - cross[c2][0]) % 4, c2 == c))
+            sigs[c] = tuple(row)
+    else:
+        for c, (u, _) in cross.items():
+            b0 = u % 2
+            row = []
+            for r in range(4):
+                c2, s2 = partner[(c, (b0 + r) % 4)]
+                row.append(((s2 - cross[c2][0]) % 2, c2 == c))
+            sigs[c] = min(tuple(row), (row[2], row[3], row[0], row[1]))
     low = min(sigs.values())
-    cids = sorted(c for c in cross if sigs[c] == low)
-    if flavor == ORIENTED:
+    cids = sorted(c for c, sig in sigs.items() if sig == low)
+    if oriented:
         seeds = [(c, cross[c][0]) for c in cids]
     else:
         seeds = []
@@ -449,12 +466,12 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
             c = queue[qi]
             qi += 1
             b = rots[c]
-            row = [_sign(cross[c])] if flavor == ORIENTED else []
+            row = [signs[c]] if oriented else []
             for r in range(4):
                 c2, s2 = partner[(c, (b + r) % 4)]
                 if c2 not in ids:
                     ids[c2] = len(queue)
-                    if flavor == ORIENTED:
+                    if oriented:
                         rots[c2] = cross[c2][0]
                     else:
                         b2 = cross[c2][0] % 2
@@ -475,20 +492,26 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
     return (flavor, tuple(best))
 
 
-def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFrac:
-    vshift, circles = _simplify(cross, partner)
-    value = _ZFrac(vpow(vshift), 0).times_circles(circles, flavor)
+def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool, seeds) -> _ZFrac:
+    """Value of a state after simplifying it from `seeds` (see `_simplify`)."""
+    vshift, circles = _simplify(cross, partner, seeds)
     if not cross:
-        return value
+        return _ZFrac(vpow(vshift), 0).times_circles(circles, flavor)
     groups = _clusters(cross, partner)
     if len(groups) == 1:
-        return value * _cluster_value(cross, partner, flavor, memo)
-    for group in groups:
-        sub_cross = {c: cross[c] for c in group}
-        sub_partner = {
-            (c, s): partner[(c, s)] for c in group for s in range(4)
-        }
-        value = value * _cluster_value(sub_cross, sub_partner, flavor, memo)
+        value = _cluster_value(cross, partner, flavor, memo)
+    else:
+        value = None
+        for group in groups:
+            sub_cross = {c: cross[c] for c in group}
+            sub_partner = {
+                (c, s): partner[(c, s)] for c in group for s in range(4)
+            }
+            part = _cluster_value(sub_cross, sub_partner, flavor, memo)
+            value = part if value is None else value * part
+    value = value.times_circles(circles, flavor)
+    if vshift:
+        value = _ZFrac(value.num.shift(vshift, 0), value.zpow)
     return value
 
 
@@ -527,13 +550,13 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
         throughs = (_smooth_through(c, cross[c], sign > 0),)
     else:
         throughs = (_smooth_through(c, cross[c], True), _smooth_through(c, cross[c], False))
-    switched = _evaluate(sw_cross, dict(partner), flavor, memo)
+    switched = _evaluate(sw_cross, dict(partner), flavor, memo, (c,))
     smoothings = []
     for through in throughs:
         sm_cross = dict(cross)
         sm_partner = dict(partner)
-        freed, _ = _excise(sm_cross, sm_partner, {c}, through)
-        smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo).times_circles(freed, flavor))
+        freed, touched = _excise(sm_cross, sm_partner, {c}, through)
+        smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo, touched).times_circles(freed, flavor))
     if flavor == ORIENTED:
         z_term = smoothings[0].times_z()
         if sign < 0:
@@ -572,7 +595,7 @@ def _recursion_room():
 def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
     cross, partner, memo = _prepare(d, config)
     with _recursion_room():
-        value = _evaluate(cross, partner, flavor, memo)
+        value = _evaluate(cross, partner, flavor, memo, cross)
     return value.times_circles(len(d.free_loops), flavor)
 
 
@@ -625,14 +648,18 @@ def skein_relation_probe(
     flavor: str = ORIENTED,
     config: Optional[EvalConfig] = None,
 ) -> dict:
-    """Resolve one crossing both ways and check the defining relation."""
+    """Resolve one crossing both ways and check the defining relation.
+
+    The state is resolved as given, not simplified first, so each child is
+    simplified only around the crossing; that changes no value.
+    """
     if not 0 <= crossing < len(d.crossings):
         raise ValueError(f"crossing index {crossing} out of range")
     if flavor not in (ORIENTED, UNORIENTED):
         raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
     cross, partner, memo = _prepare(d, config)
     with _recursion_room():
-        here = _evaluate(dict(cross), dict(partner), flavor, memo)
+        here = _evaluate(dict(cross), dict(partner), flavor, memo, cross)
         switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
     loops = len(d.free_loops)
     out = {"flavor": flavor}

@@ -384,6 +384,20 @@ class TestUsage:
         probe = ["skein", "kauffman", "corpus:hopf_minus"]
         assert run(probe) == run(probe)
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["verify", "main", "corpus:unknot"], 2), (["--help"], 0),
+         (["verify", "rudolph", "corpus:hopf_plus"], 0)],
+        ids=["usage-error", "help", "verify-rudolph"],
+    )
+    def test_shared_parser_repeats_its_output(self, argv, code):
+        # every call reuses one parser tree, whose messages go to one
+        # capture buffer that each call empties first
+        first = run(argv)
+        assert first[0] == code
+        assert run(argv) == first
+        assert run(argv) == first
+
 
 class TestMainWrapper:
     def test_prints_to_stdout_and_returns_code(self, capsys):

@@ -1,5 +1,8 @@
 """Framed polynomial evaluators against hand-resolved and structural oracles."""
 
+import hashlib
+import json
+import random
 import sys
 
 import pytest
@@ -29,6 +32,7 @@ from skeinkit.ring import LaurentPoly, RingElem, vpow, z_poly
 from skeinkit import skein_eval
 from skeinkit.skein_eval import (
     ORIENTED,
+    UNORIENTED,
     EvalConfig,
     SkeinBudgetError,
     adjoint_homfly,
@@ -355,12 +359,202 @@ class TestCanonicalKey:
                 continue
             reversed_cross = {c: (u, (o + 2) % 4) if c in flip else (u, o) for c, (u, o) in cross.items()}
             values = [
-                skein_eval._evaluate(dict(state), dict(partner), ORIENTED, False).to_ring_elem()
+                skein_eval._evaluate(dict(state), dict(partner), ORIENTED, False, state).to_ring_elem()
                 for state in (cross, reversed_cross)
             ]
             assert values[0] == values[1]
             checked += 1
         assert checked > 0
+
+
+def _reference_sign(datum):
+    u, o = datum
+    return 1 if (o - u) % 4 == 3 else -1
+
+
+def _reference_local_sig(cross, partner, flavor, c):
+    if flavor == ORIENTED:
+        u = cross[c][0]
+        row = [_reference_sign(cross[c])]
+        for r in range(4):
+            c2, s2 = partner[(c, (u + r) % 4)]
+            row.append((_reference_sign(cross[c2]), (s2 - cross[c2][0]) % 4, c2 == c))
+        return tuple(row)
+    best = None
+    b0 = cross[c][0] % 2
+    for base in (b0, b0 + 2):
+        row = []
+        for r in range(4):
+            c2, s2 = partner[(c, (base + r) % 4)]
+            rel = (s2 - cross[c2][0] % 2) % 4
+            row.append((min(rel, (rel + 2) % 4), c2 == c))
+        t = tuple(row)
+        if best is None or t < best:
+            best = t
+    return best
+
+
+def reference_canonical_key(cross, partner, flavor):
+    """`skein_eval._canonical_key` in its earlier form, the reference it must
+    equal: one signature call per crossing, each sign recomputed where it
+    is read, and both unoriented signature rows built and compared."""
+    sigs = {c: _reference_local_sig(cross, partner, flavor, c) for c in cross}
+    low = min(sigs.values())
+    cids = sorted(c for c in cross if sigs[c] == low)
+    if flavor == ORIENTED:
+        seeds = [(c, cross[c][0]) for c in cids]
+    else:
+        seeds = []
+        for c in cids:
+            base = cross[c][0] % 2
+            seeds.append((c, base))
+            seeds.append((c, base + 2))
+    best = None
+    for seed, base in seeds:
+        ids = {seed: 0}
+        rots = {seed: base}
+        queue = [seed]
+        rows = []
+        qi = 0
+        status = 0
+        while qi < len(queue):
+            c = queue[qi]
+            qi += 1
+            b = rots[c]
+            row = [_reference_sign(cross[c])] if flavor == ORIENTED else []
+            for r in range(4):
+                c2, s2 = partner[(c, (b + r) % 4)]
+                if c2 not in ids:
+                    ids[c2] = len(queue)
+                    if flavor == ORIENTED:
+                        rots[c2] = cross[c2][0]
+                    else:
+                        b2 = cross[c2][0] % 2
+                        rots[c2] = b2 if (s2 - b2) % 4 in (0, 1) else b2 + 2
+                    queue.append(c2)
+                row.append((ids[c2], (s2 - rots[c2]) % 4))
+            rowt = tuple(row)
+            if best is not None and status == 0:
+                ref = best[len(rows)]
+                if rowt > ref:
+                    rows = None
+                    break
+                if rowt < ref:
+                    status = 1
+            rows.append(rowt)
+        if rows is not None and (best is None or status == 1):
+            best = rows
+    return (flavor, tuple(best))
+
+
+def _seeded_braids(count):
+    """Closures of seeded 20-letter 3-braid words, no letter next to its inverse."""
+    rng = random.Random(5)
+    out = []
+    for i in range(count):
+        word = []
+        while len(word) < 20:
+            letter = rng.choice((1, 2, -1, -2))
+            if not word or word[-1] != -letter:
+                word.append(letter)
+        out.append(braid_closure(3, word, f"braid{i}"))
+    return out
+
+
+def _evaluate_all(flavor, links):
+    run = homfly if flavor == ORIENTED else kauffman
+    clear_caches()
+    try:
+        for d in links:
+            run(d, EvalConfig(max_crossings=64))
+    finally:
+        clear_caches()
+
+
+class TestEngineRewritesExact:
+    """The engine's faster paths against the code they replaced, state by state.
+
+    Inputs: the corpus satellite rows of <= 12 crossings and six seeded
+    20-letter 3-braid closures, in both flavors.
+    """
+
+    @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
+    def test_keys_equal_reference(self, flavor, monkeypatch):
+        real = skein_eval._canonical_key
+        keyed = []
+
+        def comparing(cross, partner, flavor):
+            key = real(cross, partner, flavor)
+            assert key == reference_canonical_key(cross, partner, flavor)
+            keyed.append(key)
+            return key
+
+        monkeypatch.setattr(skein_eval, "_canonical_key", comparing)
+        _evaluate_all(flavor, _satellite_rows_to_12() + _seeded_braids(6))
+        assert len(keyed) > 1000
+
+    @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
+    def test_local_simplify_equals_full(self, flavor, monkeypatch):
+        # a child seeded with the crossings its resolution changed must end
+        # as it would have if every crossing had been examined
+        real = skein_eval._simplify
+        seeded = []
+
+        def checking(cross, partner, seeds):
+            if set(seeds) >= set(cross):
+                return real(cross, partner, seeds)
+            full_cross, full_partner = dict(cross), dict(partner)
+            want = real(full_cross, full_partner, list(full_cross))
+            got = real(cross, partner, seeds)
+            assert got == want
+            assert cross == full_cross
+            assert partner == full_partner
+            seeded.append(len(seeds))
+            return got
+
+        monkeypatch.setattr(skein_eval, "_simplify", checking)
+        _evaluate_all(flavor, _satellite_rows_to_12() + _seeded_braids(6))
+        assert len(seeded) > 1000
+
+
+def _rendered_probe_sha256(d):
+    lines = []
+    for ci in range(len(d.crossings)):
+        for flavor in (ORIENTED, UNORIENTED):
+            probe = skein_relation_probe(d, ci, flavor)
+            lines.append(json.dumps(
+                {k: x.render() if isinstance(x, RingElem) else x for k, x in probe.items()},
+                sort_keys=True,
+            ))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _probe_links():
+    links = [load_corpus(name) for name in corpus_names()]
+    # a curl is a kink the probe's unsimplified children keep
+    links += [trefoil().with_curl(0, 1), figure_eight().with_curl(0, -1)]
+    return [d for d in links if d.crossings]
+
+
+PROBE_SHA256 = {
+    "hopf_plus": "6d8d1f7e4ffef1128f21ad563d2a2a2b9b9622c1e6b7438fc2781050f9c53f4f",
+    "hopf_minus": "0c69f51fa3304a69e9e8567752bd66ce92f919a0471ca080ed0807bb8a5555a1",
+    "trefoil": "2c61fd8aa0f99b13d481a62e4e4d642329f819daa769dd9a96904082ab827c88",
+    "figure_eight": "08c8a3f15d8abdb5710b628e58949422fad572d33c5eedf95284fd0e05ad6531",
+    "trefoil.curl(0,+1)": "7eef9b4a1c32ca0808706a6764a9e10b7a3300b9a87aaa1b2ab950e0d253e8ac",
+    "figure_eight.curl(0,-1)": "bc902fbfa0325af0af0b8f425e37cfdac56d773b388b2474190ecb1a5d672254",
+}
+
+
+class TestProbePinned:
+    """`skein_relation_probe` resolves an unsimplified state, so its children
+    are simplified only around the resolved crossing.  Their values, as
+    rendered, are pinned to the ones every child got from a full
+    simplification."""
+
+    @pytest.mark.parametrize("d", _probe_links(), ids=lambda d: d.name)
+    def test_rendered_values(self, d):
+        assert _rendered_probe_sha256(d) == PROBE_SHA256[d.name]
 
 
 word_strategy = st.lists(
@@ -636,8 +830,13 @@ class TestEngineWork:
     removes work lowers the bounds.
     """
 
+    def rows(self):
+        rows = [row for row in _satellite_rows_to_12() if 0 < len(row.crossings) <= 6]
+        assert len(rows) == 7
+        return rows
+
     def test_rows_up_to_6_crossings(self, monkeypatch):
-        counts = {"_resolve": 0, "_cluster_value": 0}
+        counts = {"_resolve": 0, "_cluster_value": 0, "_kink_move": 0, "_bigon_move": 0}
         for name in counts:
             inner = getattr(skein_eval, name)
 
@@ -646,13 +845,38 @@ class TestEngineWork:
                 return _inner(*args)
 
             monkeypatch.setattr(skein_eval, name, counting)
-        rows = [row for row in _satellite_rows_to_12() if 0 < len(row.crossings) <= 6]
-        assert len(rows) == 7
         try:
-            for row in rows:
+            for row in self.rows():
                 clear_caches()
                 assert verify_rudolph(row).passed
         finally:
             clear_caches()
         assert counts["_resolve"] <= 117
         assert counts["_cluster_value"] <= 226
+        # sites examined: a resolved child is re-simplified only where it changed
+        assert counts["_kink_move"] <= 1315
+        assert counts["_bigon_move"] <= 1185
+
+    def test_products_up_to_6_crossings(self, monkeypatch):
+        # no product by one: values gain a v-shift by shifting exponents
+        # and a sum multiplies only the operand of lower z-power
+        skein_eval._zpow_poly(16)  # the z-power table outlives each run
+        products = 0
+        real = LaurentPoly.__mul__
+
+        def counting(a, b):
+            nonlocal products
+            products += 1
+            return real(a, b)
+
+        rows = self.rows()
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        try:
+            for row in rows:
+                clear_caches()
+                homfly(row)
+                kauffman(row)
+                adjoint_homfly(row)
+        finally:
+            clear_caches()
+        assert products <= 898
