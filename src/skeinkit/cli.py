@@ -229,11 +229,9 @@ def _cmd_verify_main(args) -> tuple[int, str]:
             2, f"component index {args.component} out of range 1..{d.n_components}"
         )
     shape = _parse_partition(args.partition)
-    assignments = [Partition((1,))] * d.n_components
-    assignments[args.component - 1] = shape
     cfg = EvalConfig(max_crossings=args.max_crossings)
     try:
-        report = verify_main(d, assignments, cfg)
+        report = verify_main(d, args.component - 1, shape, cfg)
     except ValueError as exc:
         raise _CommandError(2, str(exc))
     return _report_result(report, args.json)
@@ -356,8 +354,8 @@ def _crit_rudolph_corpus(extended: bool) -> tuple[bool, str]:
     return True, f"{len(corpus_names())} diagrams, crossing budget 24"
 
 
-def _verify_main_case(d: LinkDiagram, assignments: list[Partition]) -> Optional[str]:
-    report = verify_main(d, assignments)
+def _verify_main_case(d: LinkDiagram, comp: int, shape: Partition) -> Optional[str]:
+    report = verify_main(d, comp, shape)
     if not report.passed:
         first = next(c for c in report.checks if not c.passed)
         return f"check failed: {first.label}"
@@ -377,10 +375,7 @@ def _crit_main_width_two(extended: bool) -> tuple[bool, str]:
         cases.append(("hopf_plus component 1 with shape 2", "hopf_plus", 0, Partition((2,))))
     problems = []
     for label, name, comp, shape in cases:
-        d = load_corpus(name)
-        assignments = [Partition((1,))] * d.n_components
-        assignments[comp] = shape
-        message = _verify_main_case(d, assignments)
+        message = _verify_main_case(load_corpus(name), comp, shape)
         if message:
             problems.append(f"{label}: {message}")
     if problems:

@@ -438,8 +438,9 @@ class Mesh:
 
     Crossings map the four roles UI/UO/OI/OO to arc ids; arcs record
     (tail, head, component key) with tail at an out-role and head at an
-    in-role.  Component keys are opaque and ordered by `comp_order`;
-    crossingless circles sit in `loops`.
+    in-role.  Component keys are opaque and ordered by `comp_order`, and
+    the surgeries take a component by its position there; crossingless
+    circles sit in `loops`.
     """
 
     def __init__(self):
@@ -547,18 +548,14 @@ class Mesh:
         """Replace `comp` by parallel copies 1..copies (copy 1 leftmost)."""
         if copies < 1:
             raise ValueError("copies must be >= 1")
-        key = self.comp_order[comp] if isinstance(comp, int) else comp
-        idx = self.comp_order.index(key)
+        key = self.comp_order[comp]
         copy_keys = [(key, k) for k in range(1, copies + 1)]
-        self.comp_order[idx:idx + 1] = copy_keys
+        # a negative `comp` counts from the end, as in a list
+        pos = comp % len(self.comp_order)
+        self.comp_order[pos:pos + 1] = copy_keys
         if key in self.loops:
             self.loops.discard(key)
             self.loops.update(copy_keys)
-            return
-        if copies == 1:
-            for arc in self.arcs.values():
-                if arc[2] == key:
-                    arc[2] = copy_keys[0]
             return
 
         # (crossing, role, copy) -> port on the grid; a strand of another
@@ -621,7 +618,7 @@ class Mesh:
         the meridian: inserting the next meridian there keeps the beads
         mutually unlinked.
         """
-        key = self.comp_order[comp] if isinstance(comp, int) else comp
+        key = self.comp_order[comp]
         mer_key = ("meridian", self._next_crossing, self._next_arc)
         self.comp_order.append(mer_key)
         m1 = self._new_crossing(1)  # meridian over the component
@@ -645,7 +642,7 @@ class Mesh:
         return self._new_arc_attached((m2, ROLE_OO), head, key)
 
     def delete_component(self, comp):
-        key = self.comp_order[comp] if isinstance(comp, int) else comp
+        key = self.comp_order[comp]
         if key in self.loops:
             self.loops.discard(key)
             self.comp_order.remove(key)
@@ -664,17 +661,13 @@ class Mesh:
             other = "O" if roles == ["U"] else "U"
             in_arc = cross[other + "I"]
             out_arc = cross[other + "O"]
-            other_comp = self.arcs[out_arc][2]
-            if in_arc == out_arc:
-                # the surviving strand closes into a crossingless circle
-                del self.arcs[in_arc]
-                if not any(arc[2] == other_comp for arc in self.arcs.values()):
-                    self.loops.add(other_comp)
-            else:
+            if in_arc != out_arc:
                 tail = self.arcs[in_arc][0]
                 self.arcs[out_arc][0] = tail
                 self.crossings[tail[0]][tail[1]] = out_arc
-                del self.arcs[in_arc]
+            # if in_arc == out_arc the surviving strand closes into a
+            # crossingless circle, which the closing sweep adds to `loops`
+            del self.arcs[in_arc]
         for aid in [a for a, arc in self.arcs.items() if arc[2] == key]:
             del self.arcs[aid]
         # deleting may strand other components as crossingless circles
@@ -686,7 +679,7 @@ class Mesh:
         self.comp_order.remove(key)
 
     def reverse_component(self, comp):
-        key = self.comp_order[comp] if isinstance(comp, int) else comp
+        key = self.comp_order[comp]
         if key in self.loops:
             return
         touched: dict[int, list[str]] = {}
@@ -711,7 +704,7 @@ class Mesh:
     def add_curl(self, comp, sign: int):
         if sign not in (1, -1):
             raise ValueError("curl sign must be +1 or -1")
-        key = self.comp_order[comp] if isinstance(comp, int) else comp
+        key = self.comp_order[comp]
         k = self._new_crossing(sign)
         if key in self.loops:
             self.loops.discard(key)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .partition import Partition, partitions_up_to
-from .ring import LaurentPoly, RingElem, vpow, z_poly
+from .ring import RingElem, vpow, z_poly
 
 
 def delta_homfly() -> RingElem:

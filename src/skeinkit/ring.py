@@ -187,14 +187,15 @@ class LaurentPoly:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative powers only exist for monomials; shift exponents instead")
-        result = LaurentPoly.one(self.char)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if exponent == 0:
+            return LaurentPoly.one(self.char)
+        # left to right over the bits below the leading one: a square per
+        # bit and a product by the base per set bit, so p ** 1 is p itself
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

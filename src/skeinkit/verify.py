@@ -16,7 +16,7 @@ default dict/text renderings so repeated runs are byte-identical.
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .annulus import build_satellite_row, expand_ylambda
 from .corpus import unknot
@@ -35,26 +35,25 @@ from .skein_eval import EvalConfig, adjoint_homfly, homfly, kauffman
 # 4-crossing base with 3 meridians lands on 64 crossings
 VERIFY_CONFIG = EvalConfig(max_crossings=64)
 
-_ROW_LABEL = "row r={r}: adjoint equals doubled unoriented value"
-_ASSEMBLED_LABEL = "assembled: adjoint decoration equals doubled unoriented decoration"
-_SOLVED_LABELS = (
-    "solved empty-shape value equals deleted-component value",
-    "solved target value reproduces the assembled value",
-    "row r={r} predicted exactly",
-)
-_ADJOINT_PREFIX = "adjoint side: "
+
+def _main_check_labels(n: int) -> tuple[str, ...]:
+    """Every check label of a decorated report on an n-term plan, in report order."""
+    solved = (
+        "solved empty-shape value equals deleted-component value",
+        "solved target value reproduces the assembled value",
+        f"row r={n} predicted exactly",
+    )
+    return (
+        tuple(f"row r={r}: adjoint equals doubled unoriented value" for r in range(n + 1))
+        + ("assembled: adjoint decoration equals doubled unoriented decoration",)
+        + solved
+        + tuple("adjoint side: " + label for label in solved)
+    )
+
 
 # every check a width-two verify_main report promises, in report order; a
-# width-two target has three sibling shapes, so its rows are r = 0..3
-MAIN_CHECK_LABELS = (
-    tuple(_ROW_LABEL.format(r=r) for r in range(4))
-    + (_ASSEMBLED_LABEL,)
-    + tuple(
-        prefix + label.format(r=3)
-        for prefix in ("", _ADJOINT_PREFIX)
-        for label in _SOLVED_LABELS
-    )
-)
+# width-two target has three sibling shapes, so its plan has three terms
+MAIN_CHECK_LABELS = _main_check_labels(3)
 
 
 # ----------------------------------------------------------------------
@@ -172,14 +171,14 @@ def _solve3(rows, rhs):
     return out
 
 
-def _assemble_and_solve(plan, values, coeff_map, deleted_value, prefix, details):
-    """Assemble one side's decorated value; return it with the side's three checks.
+def _assemble_and_solve(plan, values, coeff_map, deleted_value):
+    """Assemble one side's decorated value; return it with the side's three outcomes.
 
     `values` are the side's row values r = 0..len(plan.terms), and
     `coeff_map` carries characteristic-zero weights and eigenvalues into
-    the side's ring.  The checks solve the first rows for the anchor's
+    the side's ring.  The outcomes solve the first rows for the anchor's
     branched shapes and compare against the deleted-component value, the
-    assembled value and the last row; `prefix` and `details` label them.
+    assembled value and the last row.
     """
     n = len(plan.terms)
     assembled = coeff_map(RingElem.zero())
@@ -195,108 +194,86 @@ def _assemble_and_solve(plan, values, coeff_map, deleted_value, prefix, details)
     for e, shape in zip(eig, shapes):
         prediction = prediction + solved[shape] * e ** n
 
-    outcomes = (
+    return assembled, [
         solved[Partition(())] == deleted_value,
         solved[plan.target] == assembled,
         prediction == values[n],
-    )
-    checks = [
-        CheckRecord(prefix + label.format(r=n), ok, detail)
-        for label, ok, detail in zip(_SOLVED_LABELS, outcomes, details)
     ]
-    return assembled, checks
 
 
 def verify_main(
     d: LinkDiagram,
-    assignments: Sequence[Partition],
+    comp: int,
+    shape: Partition,
     config: Optional[EvalConfig] = None,
 ) -> VerificationReport:
-    """Check the satellite extension with one width-two decoration.
+    """Check the satellite extension with `shape` on component `comp` (0-based).
 
-    Exactly one component carries a two-cell shape, the rest width-one.
-    Builds the meridian rows r = 0..3, checks the base relation on each,
-    assembles the decorated values on both sides with the row weights and
-    separation scale of the expansion plan ``expand_ylambda(target)``,
-    and cross-checks each side by solving the width-two linear system:
-    the empty-shape solution must equal the deleted-component value, the
+    Every other component carries the width-one shape.  A one-cell shape
+    is the base relation itself.  For a two-cell shape, builds the
+    meridian rows r = 0..3, checks the base relation on each, assembles
+    the decorated values on both sides with the row weights and separation
+    scale of the expansion plan ``expand_ylambda(shape)``, and
+    cross-checks each side by solving the width-two linear system: the
+    empty-shape solution must equal the deleted-component value, the
     target solution must reproduce the assembled value, and row r = 3
     must be predicted exactly.
     """
     started = time.perf_counter()
     config = config or VERIFY_CONFIG
-    if len(assignments) != d.n_components:
-        raise ValueError(
-            f"{len(assignments)} assignments for {d.n_components} components"
-        )
-    assignments = [
-        p if isinstance(p, Partition) else Partition(tuple(p)) for p in assignments
-    ]
-    labels = tuple(str(p) for p in assignments)
-    wide = [i for i, p in enumerate(assignments) if p.size() == 2]
-    if not wide:
-        if any(p.size() != 1 for p in assignments):
-            raise ValueError("assignments must be width-one except one two-cell shape")
-        base = verify_rudolph(d, config)
-        return VerificationReport(
-            "main", d.name, labels, base.checks, base.passed,
-            time.perf_counter() - started,
-        )
-    if len(wide) != 1 or any(
-        p.size() != 1 for i, p in enumerate(assignments) if i != wide[0]
-    ):
+    if not 0 <= comp < d.n_components:
+        raise ValueError(f"component index {comp} out of range 0..{d.n_components - 1}")
+    assignments = tuple(str(shape) if i == comp else "1" for i in range(d.n_components))
+    if shape.size() == 1:
+        return _finish("main", d.name, assignments, verify_rudolph(d, config).checks, started)
+    if shape.size() != 2:
         raise ValueError("assignments must be width-one except one two-cell shape")
 
-    comp = wide[0]
-    target = assignments[comp]
-    plan = expand_ylambda(target)
-
+    plan = expand_ylambda(shape)
     rows = [build_satellite_row(d, comp, r) for r in range(len(plan.terms) + 1)]
     unoriented = [kauffman(row, config) for row in rows]
     adjoint = [adjoint_homfly(row, config).to_mod2() for row in rows]
     deleted = d.delete_component(comp)
-
-    checks = [
-        CheckRecord(
-            _ROW_LABEL.format(r=r),
-            adjoint[r] == _doubled(unoriented[r]),
-            f"{len(row.crossings)} crossings",
-        )
-        for r, row in enumerate(rows)
-    ]
     # characteristic zero on the unoriented side, mod 2 throughout on the
     # adjoint side
-    assembled_unoriented, unoriented_checks = _assemble_and_solve(
-        plan, unoriented, lambda x: x, kauffman(deleted, config),
-        "", (f"deleted diagram {deleted.name}", "division residual zero", ""),
+    assembled_unoriented, unoriented_outcomes = _assemble_and_solve(
+        plan, unoriented, lambda x: x, kauffman(deleted, config)
     )
-    assembled_adjoint, adjoint_checks = _assemble_and_solve(
-        plan, adjoint, _doubled, adjoint_homfly(deleted, config).to_mod2(),
-        _ADJOINT_PREFIX, ("", "", ""),
+    assembled_adjoint, adjoint_outcomes = _assemble_and_solve(
+        plan, adjoint, _doubled, adjoint_homfly(deleted, config).to_mod2()
     )
-    checks.append(
-        CheckRecord(
-            _ASSEMBLED_LABEL,
-            assembled_adjoint == _doubled(assembled_unoriented),
-            f"decoration {target} on component {comp}",
+    outcomes = (
+        [a == _doubled(u) for a, u in zip(adjoint, unoriented)]
+        + [assembled_adjoint == _doubled(assembled_unoriented)]
+        + unoriented_outcomes
+        + adjoint_outcomes
+    )
+    details = [f"{len(row.crossings)} crossings" for row in rows] + [
+        f"decoration {shape} on component {comp}",
+        f"deleted diagram {deleted.name}",
+        "division residual zero",
+        "", "", "", "",
+    ]
+    checks = [
+        CheckRecord(label, ok, detail)
+        for label, ok, detail in zip(
+            _main_check_labels(len(plan.terms)), outcomes, details, strict=True
         )
-    )
-    checks += unoriented_checks + adjoint_checks
-    return _finish("main", d.name, labels, checks, started)
+    ]
+    return _finish("main", d.name, assignments, checks, started)
 
 
 # ----------------------------------------------------------------------
 # meridian eigenvalue consistency
 
 
-def eigen_consistency(config: Optional[EvalConfig] = None) -> VerificationReport:
+def eigen_consistency() -> VerificationReport:
     """Evaluate meridian powers around the unknot against the eigenvalue tables.
 
     Unoriented values must be the free-circle value times the width-one
     eigenvalue power; oriented values likewise for both meridian senses.
     """
     started = time.perf_counter()
-    config = config or VERIFY_CONFIG
     base = unknot()
 
     width_one = Partition((1,))
@@ -310,8 +287,8 @@ def eigen_consistency(config: Optional[EvalConfig] = None) -> VerificationReport
     checks = [
         CheckRecord(
             "bare circle values",
-            kauffman(base, config) == circle_unoriented
-            and homfly(base, config) == circle_oriented,
+            kauffman(base, VERIFY_CONFIG) == circle_unoriented
+            and homfly(base, VERIFY_CONFIG) == circle_oriented,
             "",
         )
     ]
@@ -323,21 +300,21 @@ def eigen_consistency(config: Optional[EvalConfig] = None) -> VerificationReport
         checks.append(
             CheckRecord(
                 f"unoriented meridian power {r}",
-                kauffman(ring, config) == circle_unoriented * c1 ** r,
+                kauffman(ring, VERIFY_CONFIG) == circle_unoriented * c1 ** r,
                 f"{len(ring.crossings)} crossings",
             )
         )
         checks.append(
             CheckRecord(
                 f"oriented meridian power {r}, same sense",
-                homfly(ring, config) == circle_oriented * same_sense ** r,
+                homfly(ring, VERIFY_CONFIG) == circle_oriented * same_sense ** r,
                 "",
             )
         )
         checks.append(
             CheckRecord(
                 f"oriented meridian power {r}, opposite sense",
-                homfly(reversed_ring, config) == circle_oriented * opposite_sense ** r,
+                homfly(reversed_ring, VERIFY_CONFIG) == circle_oriented * opposite_sense ** r,
                 "",
             )
         )

@@ -1,6 +1,7 @@
 """End-to-end exercises of the command line surface via cli.run."""
 
 import copy
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -309,6 +310,33 @@ class TestVerifyCommand:
             "  PASS  adjoint side: row r=3 predicted exactly",
             "result: PASS",
         ])
+
+    # sha256 of the rendered --json report; any change to a label, detail,
+    # assignment or the check order changes it
+    @pytest.mark.parametrize(
+        "link, component, partition, digest",
+        [
+            ("unknot", "1", "2",
+             "bf78b76d86d9396c49636a30f060c215d3c9d36b0e418348954e71ddc437d055"),
+            ("unknot", "1", "1,1",
+             "acd6f7998983218a1af11e4a35b87f631158ec21580e6e2d69eae28a40b6bdd1"),
+            ("hopf_plus", "2", "1",
+             "101f213d8f033ff6228d1417050d7276009d9099227b382b257ce51fc1d8b259"),
+        ],
+    )
+    def test_main_json_report_pinned(self, link, component, partition, digest):
+        code, text = run([
+            "verify", "main", f"corpus:{link}",
+            "--component", component, "--partition", partition, "--json",
+        ])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("partition", ["3", "0"])
+    def test_main_rejects_shapes_other_than_one_or_two_cells(self, partition):
+        assert run(
+            ["verify", "main", "corpus:unknot", "--component", "1", "--partition", partition]
+        ) == (2, "error: assignments must be width-one except one two-cell shape")
 
     def test_main_component_index_is_one_based(self):
         code, text = run(

@@ -175,6 +175,19 @@ class TestSurgeries:
         assert d.linking_number(0, 1) == 3
         assert d.writhe() == 12
 
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_single_copy_cable_changes_only_the_name(self, name):
+        d = load_corpus(name)
+        for c in range(d.n_components):
+            cabled = d.cable(c, 1)
+            assert cabled.to_dict() == {**d.to_dict(), "name": cabled.name}
+            assert cabled.same_diagram_as(d)
+            assert skein_eval.homfly(cabled) == skein_eval.homfly(d)
+            assert skein_eval.kauffman(cabled) == skein_eval.kauffman(d)
+
+    def test_cable_takes_a_negative_index_from_the_end(self):
+        assert hopf_plus().cable(-1, 2).same_diagram_as(hopf_plus().cable(1, 2))
+
     def test_cable_then_delete_copy_restores(self):
         d = trefoil().cable(0, 2).delete_component(1)
         assert d.same_diagram_as(trefoil())

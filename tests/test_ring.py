@@ -99,6 +99,31 @@ class TestLaurentPoly:
         squared = (vpow(-1, char=2) - vpow(1, char=2)) ** 2
         assert squared == vpow(-2, char=2) + vpow(2, char=2)
 
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_powers_equal_repeated_products(self, char):
+        base = vpow(1, char) - spow(2, char) + 1
+        expected = LaurentPoly.one(char)
+        for exponent in range(10):
+            assert base ** exponent == expected
+            expected = expected * base
+
+    def test_power_makes_no_wasted_products(self, monkeypatch):
+        # square-and-multiply from the base: no product by one, no square
+        # past the last bit
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        base = vpow(1) + spow(1)
+        for exponent, products in ((0, 0), (1, 0), (2, 1), (5, 3)):
+            calls.clear()
+            base ** exponent
+            assert len(calls) == products, exponent
+
     def test_exact_division(self):
         quotient = (spow(2) - spow(-2)).exact_div(spow(1) - spow(-1))
         assert quotient == spow(1) + spow(-1)

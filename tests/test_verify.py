@@ -124,7 +124,7 @@ result: PASS"""
 
 @pytest.fixture(scope="module")
 def unknot_row_two_report():
-    return verify_main(unknot(), [P(2)])
+    return verify_main(unknot(), 0, P(2))
 
 
 class TestMainUnknot:
@@ -143,7 +143,7 @@ class TestMainUnknot:
         assert tuple(c.label for c in checks) == MAIN_CHECK_LABELS
         for i, label in enumerate(MAIN_CHECK_LABELS):
             short = replace(unknot_row_two_report, checks=checks[:i] + checks[i + 1:])
-            monkeypatch.setattr(cli, "verify_main", lambda d, assignments: short)
+            monkeypatch.setattr(cli, "verify_main", lambda d, comp, shape: short)
             passed, detail = cli._crit_main_width_two(False)
             assert not passed
             assert f"unknot with shape 2: missing checks: {label}" in detail
@@ -159,13 +159,13 @@ class TestMainUnknot:
 
     def test_column_shape_passes(self, unknot_row_two_report):
         # same row diagrams, different assembly coefficients
-        report = verify_main(unknot(), [P(1, 1)])
+        report = verify_main(unknot(), 0, P(1, 1))
         assert report.passed, report.to_text()
         assert report.assignments == ("1,1",)
         assert report.to_text() == MAIN_UNKNOT_TEXT.format(shape="1,1")
 
     def test_width_one_degenerates_to_base_relation(self):
-        report = verify_main(unknot(), [P(1)])
+        report = verify_main(unknot(), 0, P(1))
         assert report.kind == "main"
         assert report.passed
         assert len(report.checks) == 1
@@ -173,21 +173,17 @@ class TestMainUnknot:
 
 
 class TestMainValidation:
-    def test_assignment_count_must_match(self):
+    def test_component_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_main(unknot(), [P(2), P(1)])
+            verify_main(unknot(), 1, P(2))
 
     def test_oversized_shape_rejected(self):
         with pytest.raises(ValueError):
-            verify_main(unknot(), [P(3)])
-
-    def test_two_wide_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            verify_main(hopf_plus(), [P(2), P(1, 1)])
+            verify_main(unknot(), 0, P(3))
 
     def test_empty_shape_rejected(self):
         with pytest.raises(ValueError):
-            verify_main(hopf_plus(), [P(1), P()])
+            verify_main(hopf_plus(), 1, P())
 
 
 @pytest.mark.extended
@@ -196,7 +192,7 @@ class TestMainHopf:
         # width-two shape on the first component, trivial shape on the other;
         # the same case the acceptance battery runs under --extended, so one
         # process computes the family once and shares the memo
-        report = verify_main(hopf_plus(), [P(2), P(1)])
+        report = verify_main(hopf_plus(), 0, P(2))
         assert report.passed, report.to_text()
 
 
