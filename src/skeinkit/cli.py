@@ -204,8 +204,20 @@ def _cmd_eigen_table(args) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+# every level of a plan has at least 3 terms (a nonempty anchor has at
+# least 2 addable shapes and 1 removable one), so a size-n target lists at
+# least 3^(n-1) words: size 14 already prints 156 MB
+_EXPAND_MAX_SIZE = 14
+
+
 def _cmd_expand(args) -> tuple[int, str]:
     target = _parse_partition(args.partition)
+    if target.size() > _EXPAND_MAX_SIZE:
+        raise _CommandError(
+            2,
+            f"partition {target} has size {target.size()}; its plan lists at least"
+            f" 3^{target.size() - 1} words, so expand takes sizes up to {_EXPAND_MAX_SIZE}",
+        )
     rho = _parse_partition(args.rho) if args.rho is not None else None
     try:
         plan = expand_ylambda(target, rho)

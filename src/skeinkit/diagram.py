@@ -361,12 +361,21 @@ class LinkDiagram:
     # ------------------------------------------------------------------
     # surgery wrappers
 
+    def _component_index(self, comp: int) -> int:
+        """`comp` as an index 0..n-1; a negative one counts from the end."""
+        _require_ints("component index", [comp])
+        n = self.n_components
+        if not -n <= comp < n:
+            raise DiagramError(f"{self.name}: component index {comp} out of range for {n} components")
+        return comp % n
+
     def cable(self, comp: int, copies: int) -> "LinkDiagram":
         """Replace component comp by `copies` blackboard-framed parallel copies.
 
         The copies take over positions comp .. comp+copies-1; later
         components shift up.
         """
+        comp = self._component_index(comp)
         mesh = Mesh.from_diagram(self)
         mesh.cable(comp, copies)
         return mesh.to_diagram(f"{self.name}.cable({comp},{copies})")
@@ -376,6 +385,9 @@ class LinkDiagram:
 
         The meridians become the last `count` components, in insertion order.
         """
+        comp = self._component_index(comp)
+        if count < 0:
+            raise DiagramError(f"{self.name}: meridian count must be nonnegative, got {count}")
         mesh = Mesh.from_diagram(self)
         site = None
         for _ in range(count):
@@ -384,17 +396,20 @@ class LinkDiagram:
 
     def delete_component(self, comp: int) -> "LinkDiagram":
         """Remove a component; the rest keep their relative order."""
+        comp = self._component_index(comp)
         mesh = Mesh.from_diagram(self)
         mesh.delete_component(comp)
         return mesh.to_diagram(f"{self.name}.drop({comp})")
 
     def reverse_component(self, comp: int) -> "LinkDiagram":
+        comp = self._component_index(comp)
         mesh = Mesh.from_diagram(self)
         mesh.reverse_component(comp)
         return mesh.to_diagram(f"{self.name}.rev({comp})")
 
     def with_curl(self, comp: int, sign: int) -> "LinkDiagram":
         """Add one kink of the given sign to a component (framing change)."""
+        comp = self._component_index(comp)
         mesh = Mesh.from_diagram(self)
         mesh.add_curl(comp, sign)
         return mesh.to_diagram(f"{self.name}.curl({comp},{sign:+d})")
@@ -550,9 +565,7 @@ class Mesh:
             raise ValueError("copies must be >= 1")
         key = self.comp_order[comp]
         copy_keys = [(key, k) for k in range(1, copies + 1)]
-        # a negative `comp` counts from the end, as in a list
-        pos = comp % len(self.comp_order)
-        self.comp_order[pos:pos + 1] = copy_keys
+        self.comp_order[comp:comp + 1] = copy_keys
         if key in self.loops:
             self.loops.discard(key)
             self.loops.update(copy_keys)

@@ -326,17 +326,17 @@ def _find_clasp(cross: dict, partner: dict):
     return None
 
 
-def _scan(cross: dict, partner: dict, flavor: str):
+def _scan(cross: dict, partner: dict):
     """Walk every circle; report (first bad crossing, circle count, writhe sum).
 
     A crossing is good when its first visit runs along the over strand.
     The walk order is deterministic: circles start at the smallest
-    unvisited entry port, in slot order inherited from the diagram.
+    unvisited in-port (c, u) or (c, o), and a walk marks both directions
+    of each port it passes visited.  An oriented state's walks only ever
+    enter by in-ports, so there the marking changes nothing; an
+    unoriented state's circles may run against the strands' directions.
     """
-    if flavor == ORIENTED:
-        entry_ports = sorted((c, s) for c, (u, o) in cross.items() for s in (u, o))
-    else:
-        entry_ports = sorted((c, s) for c in cross for s in range(4))
+    entry_ports = sorted((c, s) for c, (u, o) in cross.items() for s in (u, o))
     visited = set()
     seen = set()
     n_circles = 0
@@ -350,8 +350,7 @@ def _scan(cross: dict, partner: dict, flavor: str):
         while p not in visited:
             c, s = p
             visited.add(p)
-            if flavor != ORIENTED:
-                visited.add((c, (s + 2) % 4))
+            visited.add((c, (s + 2) % 4))
             over = _is_over(cross[c], s)
             if c not in seen:
                 if not over:
@@ -400,82 +399,53 @@ def _clusters(cross: dict, partner: dict) -> list[set]:
 def _canonical_key(cross: dict, partner: dict, flavor: str):
     """Relabeling-invariant memo key of a cluster state.
 
-    A breadth-first walk from each seed crossing of the lowest local
-    signature numbers the crossings and writes one row per crossing: for
-    each slot, from the walk's base slot on, the partner's number and
-    slot offset from that partner's base.  The smallest row sequence wins.
+    One walk serves both flavors, which set only m: 4 oriented, 2
+    unoriented.  A port's offset is its slot minus its crossing's under-in
+    slot u, mod m, and a crossing's bases are range(u, u + 4, m): the
+    under-in slot oriented, either under slot unoriented.  A breadth-first
+    walk from each seed (crossing, base) numbers the crossings and writes
+    one row per crossing: for each slot from the base on, the partner's
+    number and slot offset from the partner's base.  A newly reached
+    crossing takes the base s2 - offset at or before the reaching slot s2.
+    The smallest row sequence wins.  The seeds are the bases of the
+    crossings of the lowest local signature: the smallest, over the
+    crossing's bases, of its row of neighbour offsets and self-loop flags.
 
-    The local signature is a relabeling-invariant radius-1 fingerprint
-    that shortlists the seeds.  Oriented, it is the crossing's sign and,
-    from the under-in slot on, each neighbour's sign, its slot offset from
-    that neighbour's under-in slot and whether it is the crossing itself.
-    Unoriented, the base is either slot of the under parity, the offsets
-    are taken mod 2, and the smaller of the two rows (one the other
-    rotated by two slots) is the signature.
-
-    An oriented row starts with the crossing's sign, and its port entries
-    mostly imply that sign: the base is the under-in slot, so offsets 0
-    and 2 are the under-in and under-out ports, an arc joins an out-port
-    to an in-port, and an over strand leaves by the slot opposite the one
-    it enters; in/out thus spreads from the under ports along every strand
-    that passes under somewhere.  Only a component that passes over at
-    every crossing escapes it.  Such a component lies above the rest, a
-    split unknot of framing 0, so its orientation does not change the
-    value either.  The sign is therefore never what separates two states
-    of different value; it stays in the key all the same.
+    No row holds a crossing sign.  The port entries imply it: an arc joins
+    an out-port to an in-port and a strand leaves by the slot opposite the
+    one it enters, so in/out spreads from the under ports along every
+    strand that passes under somewhere.  Only a component that passes over
+    at every crossing escapes it; it lies above the rest, a split unknot of
+    framing 0, so its orientation does not change the value either.
     `TestCanonicalKey` in tests/test_skein_eval.py checks both claims on
     the states the engine keys.
     """
-    oriented = flavor == ORIENTED
+    m = 4 if flavor == ORIENTED else 2
     sigs = {}
-    if oriented:
-        signs = {c: _sign(datum) for c, datum in cross.items()}
-        for c, (u, _) in cross.items():
-            row = [signs[c]]
-            for r in range(4):
-                c2, s2 = partner[(c, (u + r) % 4)]
-                row.append((signs[c2], (s2 - cross[c2][0]) % 4, c2 == c))
-            sigs[c] = tuple(row)
-    else:
-        for c, (u, _) in cross.items():
-            b0 = u % 2
-            row = []
-            for r in range(4):
-                c2, s2 = partner[(c, (b0 + r) % 4)]
-                row.append(((s2 - cross[c2][0]) % 2, c2 == c))
-            sigs[c] = min(tuple(row), (row[2], row[3], row[0], row[1]))
+    for c, (u, _) in cross.items():
+        row = []
+        for r in range(4):
+            c2, s2 = partner[(c, (u + r) % 4)]
+            row.append(((s2 - cross[c2][0]) % m, c2 == c))
+        row = tuple(row)
+        sigs[c] = min(row, row[m:] + row[:m])  # from u and from u + m (mod 4)
     low = min(sigs.values())
-    cids = sorted(c for c, sig in sigs.items() if sig == low)
-    if oriented:
-        seeds = [(c, cross[c][0]) for c in cids]
-    else:
-        seeds = []
-        for c in cids:
-            base = cross[c][0] % 2
-            seeds.append((c, base))
-            seeds.append((c, base + 2))
+    seeds = [(c, b) for c in sorted(cross) if sigs[c] == low for b in range(cross[c][0], cross[c][0] + 4, m)]
     best = None
     for seed, base in seeds:
         ids = {seed: 0}
         rots = {seed: base}
         queue = [seed]
         rows = []
-        qi = 0
         status = 0  # vs best: 0 tied so far, 1 strictly smaller at some row
-        while qi < len(queue):
-            c = queue[qi]
-            qi += 1
+        for c in queue:  # the walk appends to the queue as it goes
             b = rots[c]
-            row = [signs[c]] if oriented else []
+            row = []
             for r in range(4):
                 c2, s2 = partner[(c, (b + r) % 4)]
                 if c2 not in ids:
                     ids[c2] = len(queue)
-                    if oriented:
-                        rots[c2] = cross[c2][0]
-                    else:
-                        b2 = cross[c2][0] % 2
-                        rots[c2] = b2 if (s2 - b2) % 4 in (0, 1) else b2 + 2
+                    rots[c2] = s2 - (s2 - cross[c2][0]) % m
                     queue.append(c2)
                 row.append((ids[c2], (s2 - rots[c2]) % 4))
             rowt = tuple(row)
@@ -519,7 +489,7 @@ def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFra
     key = _canonical_key(cross, partner, flavor) if memo else None
     if memo and key in _MEMO:
         return _MEMO[key]
-    first_bad, n_circles, writhe = _scan(cross, partner, flavor)
+    first_bad, n_circles, writhe = _scan(cross, partner)
     if first_bad is not None:
         clasp = _find_clasp(cross, partner)
         if clasp is not None:

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -260,6 +261,20 @@ class TestExpandCommand:
         code, text = run(["expand", "--partition", "2", "--rho", "3"])
         assert code == 2
         assert text.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "partition, message",
+        [
+            ("15", "error: partition 15 has size 15; its plan lists at least 3^14 words,"
+                   " so expand takes sizes up to 14"),
+            ("1100", "error: partition 1100 has size 1100; its plan lists at least 3^1099 words,"
+                     " so expand takes sizes up to 14"),
+        ],
+    )
+    def test_oversized_target_refused_before_planning(self, partition, message):
+        started = time.perf_counter()
+        assert run(["expand", "--partition", partition]) == (2, message)
+        assert time.perf_counter() - started < 0.5
 
 
 class TestVerifyCommand:

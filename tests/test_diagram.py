@@ -188,6 +188,30 @@ class TestSurgeries:
     def test_cable_takes_a_negative_index_from_the_end(self):
         assert hopf_plus().cable(-1, 2).same_diagram_as(hopf_plus().cable(1, 2))
 
+    def test_negative_index_is_named_from_zero(self):
+        assert hopf_plus().delete_component(-1).name == "hopf_plus.drop(1)"
+        assert hopf_plus().with_curl(-2, 1).name == "hopf_plus.curl(0,+1)"
+
+    @pytest.mark.parametrize(
+        "surgery",
+        [
+            lambda d: d.cable(5, 2),
+            lambda d: d.cable(-3, 2),
+            lambda d: d.with_meridians(5, 1),
+            lambda d: d.delete_component(2),
+            lambda d: d.reverse_component(7),
+            lambda d: d.with_curl(2, 1),
+            lambda d: d.cable(True, 2),
+        ],
+    )
+    def test_component_index_out_of_range(self, surgery):
+        with pytest.raises(DiagramError, match="component index"):
+            surgery(hopf_plus())
+
+    def test_negative_meridian_count_refused(self):
+        with pytest.raises(DiagramError, match="meridian count must be nonnegative, got -2"):
+            hopf_plus().with_meridians(0, -2)
+
     def test_cable_then_delete_copy_restores(self):
         d = trefoil().cable(0, 2).delete_component(1)
         assert d.same_diagram_as(trefoil())

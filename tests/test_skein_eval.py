@@ -278,7 +278,7 @@ def _signs_from_key_ports(rows):
 
     def opposites(port):
         i, r = port
-        return [rows[i][1 + r]] + ([(i, r ^ 2)] if r % 2 else [])
+        return [rows[i][r]] + ([(i, r ^ 2)] if r % 2 else [])
 
     status = _propagate_in_out(fixed, opposites)
     return [None if (i, 3) not in status else (1 if status[(i, 3)] else -1) for i in range(len(rows))]
@@ -300,54 +300,78 @@ def _all_over_crossings(cross, partner):
     return {c for c, (_, o) in cross.items() if (c, o) not in status}
 
 
+def _key_numbering(cross, partner, rows):
+    """The crossings in the order that an oriented key's `rows` number them.
+
+    Walks breadth-first from every crossing, reading each crossing's slots
+    from its under-in slot on, until one walk writes `rows`.
+    """
+    for seed in sorted(cross):
+        ids = {seed: 0}
+        order = [seed]
+        written = []
+        for c in order:
+            row = []
+            for r in range(4):
+                c2, s2 = partner[(c, (cross[c][0] + r) % 4)]
+                if c2 not in ids:
+                    ids[c2] = len(order)
+                    order.append(c2)
+                row.append((ids[c2], (s2 - cross[c2][0]) % 4))
+            written.append(tuple(row))
+        if tuple(written) == rows:
+            return order
+    raise AssertionError("no walk writes the key's rows")
+
+
+def _record_keyed_states(monkeypatch, flavor, links):
+    """Every cluster state the engine keys while evaluating `links`."""
+    states = []
+    real = skein_eval._canonical_key
+
+    def recording(cross, partner, flavor):
+        states.append((dict(cross), dict(partner)))
+        return real(cross, partner, flavor)
+
+    monkeypatch.setattr(skein_eval, "_canonical_key", recording)
+    try:
+        _evaluate_all(flavor, links)
+    finally:
+        monkeypatch.undo()
+    return states
+
+
 def _keyed_states(monkeypatch):
     """Every oriented cluster state the engine keys while evaluating the
     corpus links' satellite rows of up to 12 crossings and two braid
     closures whose resolution trees reach components that pass over at
     every crossing."""
-    states = []
-    real = skein_eval._canonical_key
-
-    def recording(cross, partner, flavor):
-        if flavor == ORIENTED:
-            states.append((dict(cross), dict(partner)))
-        return real(cross, partner, flavor)
-
-    monkeypatch.setattr(skein_eval, "_canonical_key", recording)
     links = [
         braid_closure(3, [-1, -1, 2, -1, 2, -1, -1, -1, 2, -2, 1, 2]),
         braid_closure(4, [-3, -2, -1, -1, -2, -2, -1, 3, 2, 3, -1, -1]),
     ]
-    for name in corpus_names():
-        d = load_corpus(name)
-        for comp in range(d.n_components):
-            links.extend(build_satellite_row(d, comp, r) for r in range(4))
-    clear_caches()
-    for d in links:
-        if len(d.crossings) <= 12:
-            homfly(d, EvalConfig(max_crossings=64))
-    clear_caches()
-    monkeypatch.undo()
-    return states
+    return _record_keyed_states(monkeypatch, ORIENTED, links + _satellite_rows_to_12())
 
 
 class TestCanonicalKey:
-    """The crossing sign that leads each oriented key row.
+    """Oriented keys hold no crossing sign.
 
-    The sign is implied by the row's port entries unless the crossing lies
-    on a component that passes over at every crossing; reversing such a
-    component must leave the value unchanged, or keys without the sign
-    would be unsound.
+    A key's port entries imply the sign of every crossing its rows number,
+    except those on a component that passes over at every crossing.
+    Reversing such a component leaves the key unchanged, so it must leave
+    the value unchanged too, or keys without the sign would be unsound.
     """
 
     def test_port_entries_imply_the_sign(self, monkeypatch):
-        states = _keyed_states(monkeypatch)
         implied = 0
-        for cross, partner in states:
+        for cross, partner in _keyed_states(monkeypatch):
             _, rows = skein_eval._canonical_key(cross, partner, ORIENTED)
-            for row, sign in zip(rows, _signs_from_key_ports(rows)):
+            all_over = _all_over_crossings(cross, partner)
+            order = _key_numbering(cross, partner, rows)
+            for c, sign in zip(order, _signs_from_key_ports(rows), strict=True):
+                assert (sign is None) == (c in all_over)
                 if sign is not None:
-                    assert sign == row[0]
+                    assert sign == _reference_sign(cross[c])
                     implied += 1
         assert implied > 100
 
@@ -358,6 +382,8 @@ class TestCanonicalKey:
             if not flip:
                 continue
             reversed_cross = {c: (u, (o + 2) % 4) if c in flip else (u, o) for c, (u, o) in cross.items()}
+            keys = [skein_eval._canonical_key(state, partner, ORIENTED) for state in (cross, reversed_cross)]
+            assert keys[0] == keys[1]
             values = [
                 skein_eval._evaluate(dict(state), dict(partner), ORIENTED, False, state).to_ring_elem()
                 for state in (cross, reversed_cross)
@@ -447,9 +473,12 @@ def reference_canonical_key(cross, partner, flavor):
     return (flavor, tuple(best))
 
 
-def _seeded_braids(count):
-    """Closures of seeded 20-letter 3-braid words, no letter next to its inverse."""
-    rng = random.Random(5)
+def _seeded_braids(count, seed=5):
+    """Closures of seeded 20-letter 3-braid words, no letter next to its inverse.
+
+    Seed 1 gives the benchmark's braid_family words, named as there.
+    """
+    rng = random.Random(seed)
     out = []
     for i in range(count):
         word = []
@@ -480,18 +509,61 @@ class TestEngineRewritesExact:
 
     @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
     def test_keys_equal_reference(self, flavor, monkeypatch):
+        # unoriented keys equal the reference's; oriented keys hold no sign,
+        # so they may merge reference classes, but only ones of one value
         real = skein_eval._canonical_key
-        keyed = []
+        classes = {}  # key -> {reference key: one state keyed so}
+        keyed = 0
 
         def comparing(cross, partner, flavor):
+            nonlocal keyed
             key = real(cross, partner, flavor)
-            assert key == reference_canonical_key(cross, partner, flavor)
-            keyed.append(key)
+            ref = reference_canonical_key(cross, partner, flavor)
+            if flavor == UNORIENTED:
+                assert key == ref
+            classes.setdefault(key, {}).setdefault(ref, (dict(cross), dict(partner)))
+            keyed += 1
             return key
 
         monkeypatch.setattr(skein_eval, "_canonical_key", comparing)
         _evaluate_all(flavor, _satellite_rows_to_12() + _seeded_braids(6))
-        assert len(keyed) > 1000
+        monkeypatch.undo()
+        assert keyed > 1000
+        refs = [ref for group in classes.values() for ref in group]
+        assert len(refs) == len(set(refs))  # equal reference keys, equal keys
+        merged = [group for group in classes.values() if len(group) > 1]
+        for group in merged:
+            values = [
+                skein_eval._evaluate(dict(cross), dict(partner), flavor, False, cross).to_ring_elem()
+                for cross, partner in group.values()
+            ]
+            assert all(value == values[0] for value in values)
+        assert bool(merged) == (flavor == ORIENTED)
+
+    @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
+    def test_keys_ignore_labels(self, flavor, monkeypatch):
+        # relabel each keyed state: permute its crossing ids and rotate each
+        # crossing's slots; unoriented, also reverse some crossings' data
+        rng = random.Random(11)
+        states = _record_keyed_states(monkeypatch, flavor, _satellite_rows_to_12())
+        for cross, partner in states:
+            want = skein_eval._canonical_key(cross, partner, flavor)
+            for _ in range(4):
+                name = dict(zip(cross, rng.sample(list(cross), len(cross))))
+                turn = {c: rng.randrange(4) for c in cross}
+                flip = {c: 2 * rng.randrange(2) if flavor == UNORIENTED else 0 for c in cross}
+
+                def port(p):
+                    c, s = p
+                    return name[c], (s + turn[c]) % 4
+
+                relabeled = {
+                    name[c]: ((u + turn[c] + flip[c]) % 4, (o + turn[c] + flip[c]) % 4)
+                    for c, (u, o) in cross.items()
+                }
+                moved = {port(a): port(b) for a, b in partner.items()}
+                assert skein_eval._canonical_key(relabeled, moved, flavor) == want
+        assert len(states) > 100
 
     @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
     def test_local_simplify_equals_full(self, flavor, monkeypatch):
@@ -823,7 +895,8 @@ class TestBracketStateSum:
 
 
 class TestEngineWork:
-    """Exact engine work on small satellite rows, pinned as upper bounds.
+    """Exact engine work on small satellite rows and braid closures, pinned
+    as upper bounds.
 
     Counts have no noise, so a change that makes the engine branch more
     shows here even when its wall time hides in the spread.  A change that
@@ -880,3 +953,26 @@ class TestEngineWork:
         finally:
             clear_caches()
         assert products <= 898
+
+    @pytest.mark.parametrize("flavor, resolves, entries", [(ORIENTED, 1725, 1737), (UNORIENTED, 2652, 2656)])
+    def test_braid_family_words(self, flavor, resolves, entries, monkeypatch):
+        # the benchmark's first 20 braid_family closures, sharing one memo
+        calls = 0
+        inner = skein_eval._resolve
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(skein_eval, "_resolve", counting)
+        run = homfly if flavor == ORIENTED else kauffman
+        clear_caches()
+        try:
+            for d in _seeded_braids(20, seed=1):
+                run(d)
+            memo_size = len(skein_eval._MEMO)
+        finally:
+            clear_caches()
+        assert calls <= resolves
+        assert memo_size <= entries
