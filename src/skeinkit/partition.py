@@ -107,27 +107,6 @@ class Partition:
         legs = tuple(conj.parts[i - 1] - i for i in range(1, k + 1))
         return arms, legs
 
-    @classmethod
-    def from_hooks(cls, arms: tuple[int, ...], legs: tuple[int, ...]) -> "Partition":
-        if len(arms) != len(legs):
-            raise ValueError("arm and leg sequences must have equal length")
-        for seq in (arms, legs):
-            if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-                raise ValueError("hook coordinates must be strictly decreasing")
-            if any(x < 0 for x in seq):
-                raise ValueError("hook coordinates must be nonnegative")
-        k = len(arms)
-        cells = set()
-        for i in range(1, k + 1):
-            for j in range(1, arms[i - 1] + i + 1):
-                cells.add((i, j))
-            for r in range(1, legs[i - 1] + i + 1):
-                cells.add((r, i))
-        if not cells:
-            return cls(())
-        rows = max(i for i, _ in cells)
-        return cls(tuple(sum(1 for c in cells if c[0] == i) for i in range(1, rows + 1)))
-
     # ------------------------------------------------------------------
     # one-cell neighbors
 

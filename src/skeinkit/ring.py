@@ -17,7 +17,6 @@ only when the reduced denominator is not 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional, Union
@@ -236,17 +235,6 @@ class LaurentPoly:
         for c in self._terms.values():
             g = gcd(g, abs(c))
         return g
-
-    def evaluate(self, v_value: Fraction, s_value: Fraction) -> Fraction:
-        """Evaluate at nonzero rationals; characteristic 0 only."""
-        if self.char != 0:
-            raise ValueError("evaluation is defined over the integers only")
-        if v_value == 0 or s_value == 0:
-            raise ValueError("evaluation point must avoid 0")
-        total = Fraction(0)
-        for (dv, ds), c in self._terms.items():
-            total += c * (Fraction(v_value) ** dv) * (Fraction(s_value) ** ds)
-        return total
 
     # ------------------------------------------------------------------
     # exact division
@@ -533,12 +521,6 @@ class RingElem:
 
     def is_one(self) -> bool:
         return self.num == self.den
-
-    def evaluate(self, v_value: Fraction, s_value: Fraction) -> Fraction:
-        denominator = self.den.evaluate(v_value, s_value)
-        if denominator == 0:
-            raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.evaluate(v_value, s_value) / denominator
 
     def to_mod2(self) -> "RingElem":
         """Reduce coefficients mod 2; characteristic-0 elements only."""

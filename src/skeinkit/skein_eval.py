@@ -25,6 +25,12 @@ invariant serialization.  Diagrams whose every crossing is first reached
 on its over strand evaluate in closed form, so the recursion only branches
 on the first crossing first reached on its under strand.
 
+The cache key (`_canonical_key`) is one `bytes`: a flavor byte, then one
+unsigned 16-bit entry `id * 4 + offset` per port, row by row, as read by
+a walk from each base of lowest local signature; the smallest walk wins.
+The 16-bit entries limit a diagram to 16,383 crossings, whatever the
+budget.  Cached values are immutable, and equal ones share one object.
+
 Every state the engine branches on is already simplified, and a resolved
 child differs from it only at the resolved crossing c: the switched child
 in c's levels, a smoothed child in the arcs through c.  So a child's
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -45,7 +52,8 @@ from .ring import LaurentPoly, RingElem, vpow, z_poly
 
 
 class SkeinBudgetError(RuntimeError):
-    """Raised when a diagram exceeds the configured crossing budget."""
+    """Raised when a diagram exceeds the configured crossing budget or the
+    engine's crossing limit."""
 
 
 @dataclass(frozen=True)
@@ -369,11 +377,19 @@ def _scan(cross: dict, partner: dict):
 # the recursive engine
 
 
+# A memo key packs each entry `id * 4 + offset` into 16 bits, which holds
+# every entry of a diagram of at most this many crossings; the engine only
+# ever removes crossings.
+_KEY_CROSSINGS = 16383
+_FLAVOR_BYTE = {ORIENTED: b"o", UNORIENTED: b"u"}
+
 _MEMO: dict = {}
+_VALUES: dict = {}  # (zpow, num) -> the one memo value of that fraction
 
 
 def clear_caches():
     _MEMO.clear()
+    _VALUES.clear()
 
 
 def _clusters(cross: dict, partner: dict) -> list[set]:
@@ -396,20 +412,27 @@ def _clusters(cross: dict, partner: dict) -> list[set]:
     return out
 
 
-def _canonical_key(cross: dict, partner: dict, flavor: str):
-    """Relabeling-invariant memo key of a cluster state.
+def _canonical_key(cross: dict, partner: dict, flavor: str) -> bytes:
+    """Relabeling-invariant memo key of a cluster state, packed into bytes.
 
     One walk serves both flavors, which set only m: 4 oriented, 2
     unoriented.  A port's offset is its slot minus its crossing's under-in
     slot u, mod m, and a crossing's bases are range(u, u + 4, m): the
     under-in slot oriented, either under slot unoriented.  A breadth-first
     walk from each seed (crossing, base) numbers the crossings and writes
-    one row per crossing: for each slot from the base on, the partner's
-    number and slot offset from the partner's base.  A newly reached
-    crossing takes the base s2 - offset at or before the reaching slot s2.
-    The smallest row sequence wins.  The seeds are the bases of the
-    crossings of the lowest local signature: the smallest, over the
-    crossing's bases, of its row of neighbour offsets and self-loop flags.
+    one row per crossing: for each slot from the base on, the entry
+    `id * 4 + offset` of the partner's number and slot offset from the
+    partner's base.  A newly reached crossing takes the base s2 - offset at
+    or before the reaching slot s2.  Offsets are below 4, so entries order
+    as the (id, offset) pairs they pack.  The smallest row sequence wins.
+    A base's signature is its row of neighbour offsets and self-loop flags,
+    `offset * 2 + self_loop`, read from that base; the seeds are the bases
+    whose signature is the lowest.  The seed set names no label, so it
+    decides which walk wins but not which states share a key.
+
+    The key is a flavor byte followed by the rows' entries, one unsigned
+    16-bit entry each; `_prepare` refuses diagrams of more than
+    `_KEY_CROSSINGS` crossings, so no entry overflows.
 
     No row holds a crossing sign.  The port entries imply it: an arc joins
     an out-port to an in-port and a strand leaves by the slot opposite the
@@ -421,16 +444,18 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
     the states the engine keys.
     """
     m = 4 if flavor == ORIENTED else 2
-    sigs = {}
+    sigs = []
     for c, (u, _) in cross.items():
         row = []
         for r in range(4):
             c2, s2 = partner[(c, (u + r) % 4)]
-            row.append(((s2 - cross[c2][0]) % m, c2 == c))
+            row.append((s2 - cross[c2][0]) % m * 2 + (c2 == c))
         row = tuple(row)
-        sigs[c] = min(row, row[m:] + row[:m])  # from u and from u + m (mod 4)
-    low = min(sigs.values())
-    seeds = [(c, b) for c in sorted(cross) if sigs[c] == low for b in range(cross[c][0], cross[c][0] + 4, m)]
+        sigs.append((row, c, u))
+        if m == 2:
+            sigs.append((row[2:] + row[:2], c, u + 2))
+    low = min(row for row, _, _ in sigs)
+    seeds = sorted((c, base) for row, c, base in sigs if row == low)
     best = None
     for seed, base in seeds:
         ids = {seed: 0}
@@ -447,7 +472,7 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
                     ids[c2] = len(queue)
                     rots[c2] = s2 - (s2 - cross[c2][0]) % m
                     queue.append(c2)
-                row.append((ids[c2], (s2 - rots[c2]) % 4))
+                row.append(ids[c2] * 4 + (s2 - rots[c2]) % 4)
             rowt = tuple(row)
             if best is not None and status == 0:
                 ref = best[len(rows)]
@@ -459,7 +484,7 @@ def _canonical_key(cross: dict, partner: dict, flavor: str):
             rows.append(rowt)
         if rows is not None and (best is None or status == 1):
             best = rows
-    return (flavor, tuple(best))
+    return _FLAVOR_BYTE[flavor] + array("H", [x for row in best for x in row]).tobytes()
 
 
 def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool, seeds) -> _ZFrac:
@@ -486,9 +511,11 @@ def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool, seeds) -> _ZF
 
 
 def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFrac:
-    key = _canonical_key(cross, partner, flavor) if memo else None
-    if memo and key in _MEMO:
-        return _MEMO[key]
+    if memo:
+        key = _canonical_key(cross, partner, flavor)
+        hit = _MEMO.get(key)
+        if hit is not None:
+            return hit
     first_bad, n_circles, writhe = _scan(cross, partner)
     if first_bad is not None:
         clasp = _find_clasp(cross, partner)
@@ -500,6 +527,8 @@ def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFra
         switched, _, z_term = _resolve(cross, partner, flavor, first_bad, memo)
         result = switched + z_term
     if memo:
+        # values are immutable, so entries of equal value share one object
+        result = _VALUES.setdefault((result.zpow, result.num), result)
         _MEMO[key] = result
     return result
 
@@ -543,6 +572,10 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
 def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
     """Entry checks shared by every evaluation; returns (cross, partner, memo)."""
     cfg = config or DEFAULT_CONFIG
+    if len(d.crossings) > _KEY_CROSSINGS:
+        raise SkeinBudgetError(
+            f"{d.name}: {len(d.crossings)} crossings exceed the engine's limit of {_KEY_CROSSINGS}"
+        )
     if len(d.crossings) > cfg.max_crossings:
         raise SkeinBudgetError(
             f"{d.name}: {len(d.crossings)} crossings exceed the budget of {cfg.max_crossings}"

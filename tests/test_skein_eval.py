@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,30 @@ class TestStructure:
             homfly(trefoil(), EvalConfig(max_crossings=2))
         with pytest.raises(SkeinBudgetError):
             kauffman(figure_eight(), EvalConfig(max_crossings=3))
+
+    def test_crossing_limit_whatever_the_budget(self):
+        # a memo key entry packs a crossing id into 16 bits, so a diagram
+        # too large for that is refused before any key is made
+        d = braid_closure(2, [1] * 16384)
+        cfg = EvalConfig(max_crossings=20000)
+        for run in (homfly, kauffman):
+            with pytest.raises(SkeinBudgetError, match="16384 crossings exceed the engine's limit of 16383"):
+                run(d, cfg)
+
+    def test_clear_caches_empties_the_memo_and_values(self, monkeypatch):
+        resolves = _count_resolves(monkeypatch)
+        counts = []
+        for _ in range(2):
+            clear_caches()
+            assert not skein_eval._MEMO and not skein_eval._VALUES
+            before = resolves["calls"]
+            homfly(figure_eight())
+            kauffman(figure_eight())
+            assert skein_eval._MEMO and skein_eval._VALUES
+            counts.append(resolves["calls"] - before)
+        clear_caches()
+        assert not skein_eval._MEMO and not skein_eval._VALUES
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("ci", [0, 1, 2])
     def test_relation_probe_trefoil(self, ci):
@@ -300,12 +325,25 @@ def _all_over_crossings(cross, partner):
     return {c for c, (_, o) in cross.items() if (c, o) not in status}
 
 
-def _key_numbering(cross, partner, rows):
-    """The crossings in the order that an oriented key's `rows` number them.
+def _key_rows(key):
+    """A packed memo key's rows of (crossing number, slot offset) pairs.
+
+    The key is a flavor byte, then one unsigned 16-bit entry
+    `number * 4 + offset` per port, four ports a row.
+    """
+    assert isinstance(key, bytes) and key[:1] in (b"o", b"u")
+    entries = array("H", key[1:])
+    pairs = [(x // 4, x % 4) for x in entries]
+    return tuple(tuple(pairs[i:i + 4]) for i in range(0, len(pairs), 4))
+
+
+def _key_numbering(cross, partner, key):
+    """The crossings in the order that an oriented key's rows number them.
 
     Walks breadth-first from every crossing, reading each crossing's slots
-    from its under-in slot on, until one walk writes `rows`.
+    from its under-in slot on, until one walk writes the key's rows.
     """
+    rows = _key_rows(key)
     for seed in sorted(cross):
         ids = {seed: 0}
         order = [seed]
@@ -365,10 +403,10 @@ class TestCanonicalKey:
     def test_port_entries_imply_the_sign(self, monkeypatch):
         implied = 0
         for cross, partner in _keyed_states(monkeypatch):
-            _, rows = skein_eval._canonical_key(cross, partner, ORIENTED)
+            key = skein_eval._canonical_key(cross, partner, ORIENTED)
             all_over = _all_over_crossings(cross, partner)
-            order = _key_numbering(cross, partner, rows)
-            for c, sign in zip(order, _signs_from_key_ports(rows), strict=True):
+            order = _key_numbering(cross, partner, key)
+            for c, sign in zip(order, _signs_from_key_ports(_key_rows(key)), strict=True):
                 assert (sign is None) == (c in all_over)
                 if sign is not None:
                     assert sign == _reference_sign(cross[c])
@@ -421,9 +459,10 @@ def _reference_local_sig(cross, partner, flavor, c):
 
 
 def reference_canonical_key(cross, partner, flavor):
-    """`skein_eval._canonical_key` in its earlier form, the reference it must
-    equal: one signature call per crossing, each sign recomputed where it
-    is read, and both unoriented signature rows built and compared."""
+    """`skein_eval._canonical_key` in an earlier form, unpacked, whose classes
+    it must induce: one signature call per crossing, each sign recomputed
+    where it is read, and both bases of every unoriented crossing of lowest
+    signature seeded."""
     sigs = {c: _reference_local_sig(cross, partner, flavor, c) for c in cross}
     low = min(sigs.values())
     cids = sorted(c for c in cross if sigs[c] == low)
@@ -490,6 +529,19 @@ def _seeded_braids(count, seed=5):
     return out
 
 
+def _count_resolves(monkeypatch) -> dict:
+    """Count `_resolve` calls from now on, under the returned dict's "calls"."""
+    counter = {"calls": 0}
+    inner = skein_eval._resolve
+
+    def counting(*args):
+        counter["calls"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(skein_eval, "_resolve", counting)
+    return counter
+
+
 def _evaluate_all(flavor, links):
     run = homfly if flavor == ORIENTED else kauffman
     clear_caches()
@@ -509,8 +561,10 @@ class TestEngineRewritesExact:
 
     @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
     def test_keys_equal_reference(self, flavor, monkeypatch):
-        # unoriented keys equal the reference's; oriented keys hold no sign,
-        # so they may merge reference classes, but only ones of one value
+        # keys are packed, so they are compared by the classes they induce:
+        # unoriented keys are equal exactly when the reference's are;
+        # oriented keys hold no sign, so they may merge reference classes,
+        # but only ones of one value
         real = skein_eval._canonical_key
         classes = {}  # key -> {reference key: one state keyed so}
         keyed = 0
@@ -519,8 +573,6 @@ class TestEngineRewritesExact:
             nonlocal keyed
             key = real(cross, partner, flavor)
             ref = reference_canonical_key(cross, partner, flavor)
-            if flavor == UNORIENTED:
-                assert key == ref
             classes.setdefault(key, {}).setdefault(ref, (dict(cross), dict(partner)))
             keyed += 1
             return key
@@ -956,23 +1008,40 @@ class TestEngineWork:
 
     @pytest.mark.parametrize("flavor, resolves, entries", [(ORIENTED, 1725, 1737), (UNORIENTED, 2652, 2656)])
     def test_braid_family_words(self, flavor, resolves, entries, monkeypatch):
-        # the benchmark's first 20 braid_family closures, sharing one memo
-        calls = 0
-        inner = skein_eval._resolve
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return inner(*args)
-
-        monkeypatch.setattr(skein_eval, "_resolve", counting)
+        # the benchmark's first 20 braid_family closures, sharing one memo:
+        # packed keys, and entries of equal value share one value object
+        values = {ORIENTED: 381, UNORIENTED: 909}[flavor]
+        counted = _count_resolves(monkeypatch)
         run = homfly if flavor == ORIENTED else kauffman
         clear_caches()
         try:
             for d in _seeded_braids(20, seed=1):
                 run(d)
             memo_size = len(skein_eval._MEMO)
+            assert all(type(key) is bytes for key in skein_eval._MEMO)
+            distinct = len({id(value) for value in skein_eval._MEMO.values()})
         finally:
             clear_caches()
-        assert calls <= resolves
+        assert counted["calls"] <= resolves
         assert memo_size <= entries
+        assert distinct <= values
+
+    @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
+    def test_shared_values_stay_sound(self, flavor, monkeypatch):
+        # a second pass over the same closures is served from the memo, and
+        # renders what evaluation without the memo renders
+        resolves = _count_resolves(monkeypatch)
+        run = homfly if flavor == ORIENTED else kauffman
+        words = _seeded_braids(20, seed=1)
+        clear_caches()
+        try:
+            first = [run(d).render() for d in words]
+            before = resolves["calls"]
+            second = [run(d).render() for d in words]
+            served = resolves["calls"] - before
+        finally:
+            clear_caches()
+        assert served == 0
+        assert second == first
+        memo_off = EvalConfig(memo=False)
+        assert [run(d, memo_off).render() for d in words[:4]] == second[:4]
