@@ -5,7 +5,9 @@ listed counterclockwise starting from the incoming under-strand edge, so
 slot 0 is the under-in edge and slot 2 the under-out edge.  The over strand
 occupies slots 1 and 3; which of those is incoming is not part of the tuple
 and is derived by propagating edge directions globally.  A crossing is
-positive exactly when the over strand runs from slot 3 to slot 1.
+positive exactly when the over strand runs from slot 3 to slot 1.  Each
+edge's tail and head, the (crossing, slot) it leaves and enters, are
+derived once and kept as `LinkDiagram.edge_ends`.
 
 Surgery (cabling, meridian insertion, deletion, reversal, curls, mirror)
 runs on an internal mesh whose crossings hold arcs by role: UI/UO for the
@@ -36,7 +38,6 @@ from typing import Optional
 ROLE_UI, ROLE_UO, ROLE_OI, ROLE_OO = "UI", "UO", "OI", "OO"
 SLOTS_POS = (ROLE_UI, ROLE_OO, ROLE_UO, ROLE_OI)
 SLOTS_NEG = (ROLE_UI, ROLE_OI, ROLE_UO, ROLE_OO)
-IN_ROLES = (ROLE_UI, ROLE_OI)
 _FLIP = {ROLE_UI: ROLE_UO, ROLE_UO: ROLE_UI, ROLE_OI: ROLE_OO, ROLE_OO: ROLE_OI}
 _SWITCH = {ROLE_UI: ROLE_OI, ROLE_OI: ROLE_UI, ROLE_UO: ROLE_OO, ROLE_OO: ROLE_UO}
 
@@ -57,12 +58,14 @@ class AmbiguousOrientationError(DiagramError):
 # orientation derivation
 
 
-def _derive_over_slots(crossings, edges, signs=None) -> list[int]:
-    """For each crossing return the incoming over slot (1 or 3).
+def _derive_over_slots(crossings, edges, signs=None) -> tuple[list[int], dict]:
+    """Return each crossing's incoming over slot (1 or 3) and each edge's ends.
 
     Propagates in/out labels: slot 0 is incoming and slot 2 outgoing by
     definition, each edge must be outgoing at one end and incoming at the
-    other, and slots 1/3 of a crossing carry one of each.
+    other, and slots 1/3 of a crossing carry one of each.  Each edge's
+    ends are its outgoing and incoming (crossing, slot), `(tail, head)`,
+    keyed in increasing edge order.
 
     When `signs` is given it seeds the over-strand direction at every
     crossing; propagation then acts as a consistency check.  Without it a
@@ -124,11 +127,12 @@ def _derive_over_slots(crossings, edges, signs=None) -> list[int]:
                 "a component passing over at every transit has no orientation anchor"
             )
         over_slots.append(1 if one == "in" else 3)
-    for edge, spots in appearances.items():
-        kinds = sorted(status[pos] for pos in spots)
-        if kinds != ["in", "out"]:
+    ends = {}
+    for edge, (a, b) in appearances.items():
+        if status[a] == status[b]:
             raise DiagramError(f"edge {edge} is not traversed head to tail")
-    return over_slots
+        ends[edge] = (a, b) if status[a] == "out" else (b, a)
+    return over_slots, dict(sorted(ends.items()))
 
 
 def _require_ints(what: str, values):
@@ -154,9 +158,14 @@ def _edge_label(key) -> int:
 
 
 class LinkDiagram:
-    """Immutable planar diagram of an oriented framed link."""
+    """Immutable planar diagram of an oriented framed link.
 
-    __slots__ = ("name", "n_components", "crossings", "signs", "component_of_edge", "free_loops")
+    `edge_ends` maps each edge, in increasing order, to the (crossing,
+    slot) it leaves and the one it enters: the one record of edge directions.
+    """
+
+    __slots__ = ("name", "n_components", "crossings", "signs", "component_of_edge", "free_loops",
+                 "edge_ends")
 
     def __init__(self, name, n_components, crossings, component_of_edge, free_loops=(), signs=None):
         crossings = tuple(tuple(int(e) for e in quad) for quad in crossings)
@@ -170,7 +179,7 @@ class LinkDiagram:
 
         if signs is not None:
             signs = tuple(int(s) for s in signs)
-        over_slots = _derive_over_slots(crossings, edges, signs)
+        over_slots, edge_ends = _derive_over_slots(crossings, edges, signs)
         derived_signs = tuple(1 if o == 3 else -1 for o in over_slots)
 
         object.__setattr__(self, "name", str(name))
@@ -179,6 +188,7 @@ class LinkDiagram:
         object.__setattr__(self, "signs", derived_signs)
         object.__setattr__(self, "component_of_edge", component_of_edge)
         object.__setattr__(self, "free_loops", free_loops)
+        object.__setattr__(self, "edge_ends", edge_ends)
         self._validate(edges)
 
     def __setattr__(self, name, value):
@@ -212,17 +222,8 @@ class LinkDiagram:
             if set(self.component_of_edge[e] for e in cycle_edges) != {comp}:
                 raise DiagramError(f"component {comp} mixes edges of other components")
 
-    def _entry_of_edge(self) -> dict[int, tuple[int, int]]:
-        entry = {}
-        for ci, quad in enumerate(self.crossings):
-            in_slots = (0, 3) if self.signs[ci] > 0 else (0, 1)
-            for slot in in_slots:
-                entry[quad[slot]] = (ci, slot)
-        return entry
-
     def _component_cycles(self) -> dict[int, list[int]]:
         """Ordered edge cycle per crossed component."""
-        entry = self._entry_of_edge()
         cycles: dict[int, list[int]] = {}
         seen = set()
         for start in sorted(self.component_of_edge):
@@ -233,7 +234,7 @@ class LinkDiagram:
             while True:
                 cycle.append(edge)
                 seen.add(edge)
-                ci, slot = entry[edge]
+                ci, slot = self.edge_ends[edge][1]
                 edge = self.crossings[ci][(slot + 2) % 4]
                 if edge == start:
                     break
@@ -473,21 +474,14 @@ class Mesh:
         mesh = cls()
         mesh.comp_order = list(range(d.n_components))
         mesh.loops = set(d.free_loops)
-        ends: dict[int, dict] = {e: {} for e in d.component_of_edge}
-        for ci, quad in enumerate(d.crossings):
-            layout = slot_layout(d.signs[ci])
-            mesh.crossings[ci + 1] = {"sign": d.signs[ci]}
-            for slot, edge in enumerate(quad):
-                role = layout[slot]
-                key = "head" if role in IN_ROLES else "tail"
-                # a curl grabs the same edge at two slots of one crossing
-                ends[edge][key] = (ci + 1, role)
+        mesh.crossings = {ci + 1: {"sign": sign} for ci, sign in enumerate(d.signs)}
         mesh._next_crossing = len(d.crossings) + 1
-        for edge in sorted(ends):
-            tail, head = ends[edge]["tail"], ends[edge]["head"]
-            aid = mesh._new_arc(tail, head, d.component_of_edge[edge])
-            mesh.crossings[tail[0]][tail[1]] = aid
-            mesh.crossings[head[0]][head[1]] = aid
+        layouts = [slot_layout(sign) for sign in d.signs]
+        # one arc per edge, in edge order, so arc ids follow edge labels
+        for edge, ((tc, ts), (hc, hs)) in d.edge_ends.items():
+            mesh._new_arc_attached(
+                (tc + 1, layouts[tc][ts]), (hc + 1, layouts[hc][hs]), d.component_of_edge[edge]
+            )
         return mesh
 
     def _new_arc(self, tail, head, comp) -> int:

@@ -589,7 +589,9 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
     if num.is_zero():
         return LaurentPoly.zero(char), one
 
-    for _ in range(64):  # fixpoint loop; each pass shrinks den or stops
+    # each pass returns or divides den by some s^(2r) - 1 (r >= 1), which
+    # shrinks den's span in s, so the loop ends
+    while True:
         # shared integer content
         if char == 0:
             g = gcd(num.content(), den.content())
@@ -620,4 +622,3 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
                 break
         else:
             return num, den
-    return num, den

@@ -125,19 +125,12 @@ UNORIENTED = "unoriented"
 
 
 def _build_state(d: LinkDiagram):
+    # a positive crossing's over strand enters at slot 3, a negative one's at 1
+    cross = {ci: (0, 3 if sign > 0 else 1) for ci, sign in enumerate(d.signs)}
     partner = {}
-    ends: dict[int, dict] = {}
-    cross = {}
-    for ci, quad in enumerate(d.crossings):
-        over_in = 3 if d.signs[ci] > 0 else 1
-        cross[ci] = (0, over_in)
-        for slot, edge in enumerate(quad):
-            key = "in" if slot in (0, over_in) else "out"
-            ends.setdefault(edge, {})[key] = (ci, slot)
-    for edge in sorted(ends):
-        a, b = ends[edge]["out"], ends[edge]["in"]
-        partner[a] = b
-        partner[b] = a
+    for tail, head in d.edge_ends.values():
+        partner[tail] = head
+        partner[head] = tail
     return cross, partner
 
 
@@ -293,8 +286,6 @@ def _simplify(cross: dict, partner: dict, seeds) -> tuple[int, int]:
     pending = set(heap)
     while heap:
         c = heapq.heappop(heap)
-        if c not in pending:
-            continue
         pending.discard(c)
         if c not in cross:
             continue
@@ -569,17 +560,22 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
 # public entry points
 
 
+def _check_size(name: str, crossings: int, cfg: EvalConfig):
+    """Refuse a diagram of more crossings than the engine's limit or the budget."""
+    if crossings > _KEY_CROSSINGS:
+        raise SkeinBudgetError(
+            f"{name}: {crossings} crossings exceed the engine's limit of {_KEY_CROSSINGS}"
+        )
+    if crossings > cfg.max_crossings:
+        raise SkeinBudgetError(
+            f"{name}: {crossings} crossings exceed the budget of {cfg.max_crossings}"
+        )
+
+
 def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
     """Entry checks shared by every evaluation; returns (cross, partner, memo)."""
     cfg = config or DEFAULT_CONFIG
-    if len(d.crossings) > _KEY_CROSSINGS:
-        raise SkeinBudgetError(
-            f"{d.name}: {len(d.crossings)} crossings exceed the engine's limit of {_KEY_CROSSINGS}"
-        )
-    if len(d.crossings) > cfg.max_crossings:
-        raise SkeinBudgetError(
-            f"{d.name}: {len(d.crossings)} crossings exceed the budget of {cfg.max_crossings}"
-        )
+    _check_size(d.name, len(d.crossings), cfg)
     cross, partner = _build_state(d)
     return cross, partner, cfg.memo
 
@@ -621,25 +617,31 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
 
     Each term is built in one mesh pass and named as the chain of surgery
     wrappers would name it, e.g. `hopf_plus.drop(1).cable(0,2).rev(1)`.
-    The terms are summed exactly as num / z^k fractions and the total is
+    Every term's size is checked before any term is built: a crossing
+    survives when both its strands are kept, as a grid of 2 x 2.  The
+    terms are summed exactly as num / z^k fractions and the total is
     normalised once.
     """
     n = d.n_components
-    total = _ZFrac(LaurentPoly.zero())
+    cfg = config or DEFAULT_CONFIG
+    strands = [d.crossing_components(ci) for ci in range(len(d.crossings))]
+    terms = []
     for mask in range(1 << n):
+        kept = bin(mask).count("1")
+        name = d.name + "".join(f".drop({i})" for i in reversed(range(n)) if not mask & (1 << i))
+        name += "".join(f".cable({pos},2).rev({pos + 1})" for pos in reversed(range(kept)))
+        both = sum(1 for u, o in strands if mask & (1 << u) and mask & (1 << o))
+        _check_size(name, 4 * both, cfg)
+        terms.append((mask, kept, name))
+    total = _ZFrac(LaurentPoly.zero())
+    for mask, kept, name in terms:
         mesh = Mesh.from_diagram(d)
-        name = d.name
-        kept = 0
         for i in reversed(range(n)):
-            if mask & (1 << i):
-                kept += 1
-            else:
+            if not mask & (1 << i):
                 mesh.delete_component(i)
-                name += f".drop({i})"
         for pos in reversed(range(kept)):
             mesh.cable(pos, 2)
             mesh.reverse_component(pos + 1)
-            name += f".cable({pos},2).rev({pos + 1})"
         term = _run(mesh.to_diagram(name), ORIENTED, config)
         total = total - term if (n - kept) % 2 else total + term
     return total.to_ring_elem()

@@ -150,25 +150,22 @@ def verify_rudolph(d: LinkDiagram, config: Optional[EvalConfig] = None) -> Verif
 # satellite rows
 
 
-def _det3(m) -> RingElem:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _solve3(rows, rhs):
-    base = _det3(rows)
-    if base.is_zero():
-        raise ArithmeticError("eigenvalue collision: width-two system is singular")
-    out = []
-    for j in range(3):
-        replaced = [row[:] for row in rows]
-        for r in range(3):
-            replaced[r][j] = rhs[r]
-        out.append(_det3(replaced) / base)
-    return out
+def _solve(rows, rhs) -> list[RingElem]:
+    """The exact solution x of rows . x = rhs, by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise ArithmeticError("eigenvalue collision: width-two system is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and not factor.is_zero():
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
 
 
 def _assemble_and_solve(plan, values, coeff_map, deleted_value):
@@ -189,7 +186,7 @@ def _assemble_and_solve(plan, values, coeff_map, deleted_value):
     shapes = plan.anchor.cells_addable() + plan.anchor.cells_removable()
     eig = [coeff_map(kauffman_meridian_eigenvalue(shape)) for shape in shapes]
     matrix = [[e ** r for e in eig] for r in range(n)]
-    solved = dict(zip(shapes, _solve3(matrix, values[:n])))
+    solved = dict(zip(shapes, _solve(matrix, values[:n])))
     prediction = coeff_map(RingElem.zero())
     for e, shape in zip(eig, shapes):
         prediction = prediction + solved[shape] * e ** n

@@ -4,11 +4,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinkit import skein_eval
 from skeinkit.annulus import build_satellite_row
 from skeinkit.corpus import (
     CORPUS,
+    braid_closure,
     corpus_names,
     empty_link,
     figure_eight,
@@ -19,8 +22,9 @@ from skeinkit.corpus import (
     unknot,
     unlink,
 )
-from skeinkit.diagram import AmbiguousOrientationError, DiagramError, LinkDiagram
+from skeinkit.diagram import AmbiguousOrientationError, DiagramError, LinkDiagram, Mesh
 from skeinkit.ring import LaurentPoly
+from skeinkit.verify import VERIFY_CONFIG
 
 
 class TestConstruction:
@@ -299,7 +303,9 @@ def _surgery_battery(monkeypatch) -> list[LinkDiagram]:
 
     monkeypatch.setattr(skein_eval, "_run", record)
     for d in adjoint_inputs:
-        skein_eval.adjoint_homfly(d)
+        # the row terms reach 32 crossings, and adjoint_homfly sizes every
+        # term against the budget before it builds one
+        skein_eval.adjoint_homfly(d, VERIFY_CONFIG)
     return out
 
 
@@ -311,3 +317,98 @@ class TestSurgeryPinned:
         digest = hashlib.sha256("\n".join(d.to_json() for d in battery).encode()).hexdigest()
         assert len(battery) == BATTERY_SIZE
         assert digest == BATTERY_SHA256
+
+
+# the figure-eight knot's usual PD code as a hand-written link file: no
+# signs, so every edge direction comes from the derivation alone
+FIGURE_EIGHT_FILE = """{
+  "name": "hand_figure_eight",
+  "components": 1,
+  "crossings": [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]],
+  "component_of_edge": {"1": 0, "2": 0, "3": 0, "4": 0, "5": 0, "6": 0, "7": 0, "8": 0}
+}"""
+
+
+def _mesh_built() -> list[LinkDiagram]:
+    """Corpus links, their curls and their satellite rows of <= 12 crossings;
+    every one of them is made by a Mesh."""
+    out = []
+    for name in corpus_names():
+        d = load_corpus(name)
+        out.append(d)
+        for c in range(d.n_components):
+            out += [d.with_curl(c, 1), d.with_curl(c, -1)]
+            rows = [build_satellite_row(d, c, r) for r in range(4)]
+            out += [row for row in rows if len(row.crossings) <= 12]
+    return out
+
+
+def _is_in_slot(d: LinkDiagram, ci: int, slot: int) -> bool:
+    """The PD rule: slot 0 is in, slot 2 out, slot 3 in exactly when the
+    crossing is positive and slot 1 exactly when it is negative."""
+    return slot == 0 or slot == (3 if d.signs[ci] > 0 else 1)
+
+
+def _partner_from_signs(d: LinkDiagram) -> dict:
+    """The engine's arc matching as read from the signs alone, edge by edge
+    in increasing order, each arc entered from its out-port."""
+    ends: dict = {}
+    for ci, quad in enumerate(d.crossings):
+        for slot, edge in enumerate(quad):
+            ends.setdefault(edge, {})["in" if _is_in_slot(d, ci, slot) else "out"] = (ci, slot)
+    partner = {}
+    for edge in sorted(ends):
+        a, b = ends[edge]["out"], ends[edge]["in"]
+        partner[a] = b
+        partner[b] = a
+    return partner
+
+
+def _check_edge_ends(d: LinkDiagram):
+    assert list(d.edge_ends) == sorted(d.component_of_edge)
+    spots: dict = {}
+    for ci, quad in enumerate(d.crossings):
+        for slot, edge in enumerate(quad):
+            spots.setdefault(edge, []).append((ci, slot))
+    for edge, (tail, head) in d.edge_ends.items():
+        assert sorted([tail, head]) == sorted(spots[edge])
+        assert not _is_in_slot(d, *tail)
+        assert _is_in_slot(d, *head)
+    cross, partner = skein_eval._build_state(d)
+    assert list(partner.items()) == list(_partner_from_signs(d).items())
+
+
+class TestEdgeEnds:
+    """`edge_ends` is the one record of edge directions; the PD rule and the
+    engine's arcs read from the signs alone must agree with it."""
+
+    @pytest.mark.parametrize("d", _mesh_built(), ids=lambda d: d.name)
+    def test_mesh_built_diagrams(self, d):
+        _check_edge_ends(d)
+
+    @given(word=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_braid_closures(self, word):
+        _check_edge_ends(braid_closure(3, word, "w"))
+
+    def test_link_file_without_signs(self):
+        d = LinkDiagram.from_json(FIGURE_EIGHT_FILE)
+        assert d.signs == (1, 1, -1, -1)
+        _check_edge_ends(d)
+        # edge 1 leaves crossing 1 by its under-out slot and enters the
+        # positive crossing 0 by its over-in slot 3
+        assert d.edge_ends[1] == ((1, 2), (0, 3))
+        assert skein_eval.homfly(d) == skein_eval.homfly(figure_eight())
+
+    def test_curl_edge_runs_within_one_crossing(self):
+        d = unknot().with_curl(0, 1)
+        assert d.crossings == ((2, 2, 1, 1),)
+        assert d.edge_ends == {1: ((0, 2), (0, 3)), 2: ((0, 1), (0, 0))}
+
+    @pytest.mark.parametrize("d", _mesh_built(), ids=lambda d: d.name)
+    def test_mesh_round_trip(self, d):
+        assert Mesh.from_diagram(d).to_diagram(d.name).to_json() == d.to_json()
+
+    def test_read_only(self):
+        with pytest.raises(AttributeError):
+            trefoil().edge_ends = {}

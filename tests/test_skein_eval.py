@@ -171,6 +171,35 @@ class TestStructure:
         assert not skein_eval._MEMO and not skein_eval._VALUES
         assert counts[0] == counts[1] > 0
 
+    def test_adjoint_terms_sized_before_any_is_built(self, monkeypatch):
+        # the trefoil's doubled term would have 12 crossings: it is refused
+        # with the message its built diagram would get, and nothing is cabled
+        cabled = []
+        monkeypatch.setattr(skein_eval.Mesh, "cable", lambda mesh, *args: cabled.append(args))
+        with pytest.raises(SkeinBudgetError) as refusal:
+            adjoint_homfly(trefoil(), EvalConfig(max_crossings=11))
+        assert str(refusal.value) == "trefoil.cable(0,2).rev(1): 12 crossings exceed the budget of 11"
+        assert cabled == []
+
+    def test_adjoint_term_sizes_are_the_built_sizes(self, monkeypatch):
+        checked, built = [], []
+        monkeypatch.setattr(
+            skein_eval, "_check_size", lambda name, crossings, cfg: checked.append((name, crossings))
+        )
+
+        def record(term, flavor, config):
+            built.append((term.name, len(term.crossings)))
+            return skein_eval._ZFrac(LaurentPoly.zero())
+
+        monkeypatch.setattr(skein_eval, "_run", record)
+        for name in corpus_names():
+            d = load_corpus(name)
+            adjoint_homfly(d)
+            for comp in range(d.n_components):
+                for r in range(4):
+                    adjoint_homfly(build_satellite_row(d, comp, r))
+        assert checked == built
+
     @pytest.mark.parametrize("ci", [0, 1, 2])
     def test_relation_probe_trefoil(self, ci):
         assert skein_relation_probe(trefoil(), ci, "oriented")["holds"]

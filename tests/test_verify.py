@@ -13,14 +13,16 @@ from skeinkit.corpus import (
     trefoil,
     unknot,
 )
-from skeinkit.eigen import delta_kauffman
+from skeinkit.eigen import delta_kauffman, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition
+from skeinkit.ring import RingElem, vpow, z_poly
 from skeinkit.skein_eval import EvalConfig, SkeinBudgetError, adjoint_homfly
 from skeinkit.verify import (
     MAIN_CHECK_LABELS,
     VERIFY_CONFIG,
     CheckRecord,
     VerificationReport,
+    _solve,
     build_satellite_row,
     eigen_consistency,
     verify_main,
@@ -170,6 +172,32 @@ class TestMainUnknot:
         assert report.passed
         assert len(report.checks) == 1
         assert report.checks[0].label == "adjoint equals doubled unoriented value"
+
+
+class TestSolve:
+    """The exact linear solve behind the decorated cross-checks."""
+
+    def _vandermonde(self, shapes):
+        eig = [kauffman_meridian_eigenvalue(shape) for shape in shapes]
+        return [[e ** r for e in eig] for r in range(len(shapes))]
+
+    def test_vandermonde_over_distinct_eigenvalues(self):
+        rows = self._vandermonde([P(), P(1), P(2), P(1, 1)])
+        x = [RingElem.one(), delta_kauffman(), RingElem(vpow(1)), RingElem(z_poly()) - 3]
+        rhs = [sum((a * b for a, b in zip(row, x)), RingElem.zero()) for row in rows]
+        assert _solve(rows, rhs) == x
+
+    def test_equal_columns_are_singular(self):
+        rows = self._vandermonde([P(), P(2), P(1), P(2)])
+        with pytest.raises(ArithmeticError, match="eigenvalue collision: width-two system is singular"):
+            _solve(rows, [RingElem.one()] * 4)
+
+    def test_zero_pivot_takes_a_lower_row(self):
+        zero, one = RingElem.zero(), RingElem.one()
+        assert _solve([[zero, one], [one, zero]], [RingElem.from_int(2), RingElem.from_int(5)]) == [
+            RingElem.from_int(5),
+            RingElem.from_int(2),
+        ]
 
 
 class TestMainValidation:
