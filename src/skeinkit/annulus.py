@@ -56,9 +56,6 @@ class AnnulusVecK:
     def basis(cls, shape: Partition) -> "AnnulusVecK":
         return cls({shape: RingElem.one()})
 
-    def coefficient(self, shape: Partition) -> RingElem:
-        return self.coeffs.get(shape, RingElem.zero())
-
     def scale(self, factor: RingElem) -> "AnnulusVecK":
         return AnnulusVecK({shape: coeff * factor for shape, coeff in self.coeffs.items()})
 

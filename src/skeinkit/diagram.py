@@ -4,10 +4,12 @@ A diagram is stored in PD style: each crossing is a 4-tuple of edge labels
 listed counterclockwise starting from the incoming under-strand edge, so
 slot 0 is the under-in edge and slot 2 the under-out edge.  The over strand
 occupies slots 1 and 3; which of those is incoming is not part of the tuple
-and is derived by propagating edge directions globally.  A crossing is
-positive exactly when the over strand runs from slot 3 to slot 1.  Each
-edge's tail and head, the (crossing, slot) it leaves and enters, are
-derived once and kept as `LinkDiagram.edge_ends`.
+and is found by walking each strand once, in the direction given by the
+slots it must enter: every slot 0, and every over-in slot when the signs
+are stated.  A crossing is positive exactly when the over strand runs from
+slot 3 to slot 1.  Each edge's tail and head, the (crossing, slot) it
+leaves and enters, are found by that walk and kept as
+`LinkDiagram.edge_ends`.
 
 Surgery (cabling, meridian insertion, deletion, reversal, curls, mirror)
 runs on an internal mesh whose crossings hold arcs by role: UI/UO for the
@@ -32,7 +34,6 @@ like separate beads.
 from __future__ import annotations
 
 import json
-from itertools import product
 from typing import Optional
 
 ROLE_UI, ROLE_UO, ROLE_OI, ROLE_OO = "UI", "UO", "OI", "OO"
@@ -55,84 +56,80 @@ class AmbiguousOrientationError(DiagramError):
 
 
 # ----------------------------------------------------------------------
-# orientation derivation
+# strand directions
 
 
-def _derive_over_slots(crossings, edges, signs=None) -> tuple[list[int], dict]:
-    """Return each crossing's incoming over slot (1 or 3) and each edge's ends.
+def _trace_strands(crossings, component_of_edge, signs=None) -> tuple[tuple, dict, list]:
+    """Walk every strand once; return `(signs, edge_ends, strands)`.
 
-    Propagates in/out labels: slot 0 is incoming and slot 2 outgoing by
-    definition, each edge must be outgoing at one end and incoming at the
-    other, and slots 1/3 of a crossing carry one of each.  Each edge's
-    ends are its outgoing and incoming (crossing, slot), `(tail, head)`,
-    keyed in increasing edge order.
-
-    When `signs` is given it seeds the over-strand direction at every
-    crossing; propagation then acts as a consistency check.  Without it a
-    component that passes over at every transit leaves the labels
-    underdetermined (both directions close up, with opposite signs) and
-    the derivation refuses rather than guessing.
+    A strand leaves a crossing by the slot opposite the one it entered.
+    Slot 0 is always entered and so, when `signs` is given, is the over-in
+    slot: 3 at a positive crossing, 1 at a negative one.  Each walk starts
+    from the strand's lowest edge, takes the direction these slots give and
+    refuses a strand whose slots disagree.  Without `signs` a strand that
+    passes over at every transit enters none of them, and the walk refuses
+    rather than guess.  The signs are read from the over-in slots entered;
+    `strands` lists each strand's edges in order, by lowest edge.
     """
-    appearances: dict[int, list[tuple[int, int]]] = {e: [] for e in edges}
+    spots: dict[int, list[int]] = {}
     for ci, quad in enumerate(crossings):
         for slot, edge in enumerate(quad):
-            if edge not in appearances:
+            if edge not in component_of_edge:
                 raise DiagramError(f"edge {edge} missing from component map")
-            appearances[edge].append((ci, slot))
-    for edge, spots in appearances.items():
-        if len(spots) != 2:
-            raise DiagramError(f"edge {edge} appears {len(spots)} times; expected 2")
-
-    status: dict[tuple[int, int], str] = {}
-    work: list[tuple[int, int]] = []
-
-    def set_status(pos, value):
-        old = status.get(pos)
-        if old is None:
-            status[pos] = value
-            work.append(pos)
-        elif old != value:
-            raise DiagramError(f"inconsistent strand directions at crossing {pos[0]}")
-
-    for ci, quad in enumerate(crossings):
-        set_status((ci, 0), "in")
-        set_status((ci, 2), "out")
-    if signs is not None:
+            spots.setdefault(edge, []).append(4 * ci + slot)
+    edges = sorted(component_of_edge)
+    for edge in edges:
+        count = len(spots.get(edge, ()))
+        if count != 2:
+            raise DiagramError(f"edge {edge} appears {count} times; expected 2")
+    # a spot p is 4 * crossing + slot, so the slot opposite it is p ^ 2;
+    # need[p] is +1 where a strand must enter, -1 where it must leave and 0
+    # where either will do
+    if signs is None:
+        need = [1, 0, -1, 0] * len(crossings)
+    else:
         if len(signs) != len(crossings):
             raise DiagramError(f"{len(signs)} signs for {len(crossings)} crossings")
         for ci, sign in enumerate(signs):
             if sign not in (1, -1):
                 raise DiagramError(f"crossing {ci}: sign must be +1 or -1, got {sign}")
-            set_status((ci, 3), "in" if sign > 0 else "out")
-            set_status((ci, 1), "out" if sign > 0 else "in")
-    while work:
-        ci, slot = work.pop()
-        value = status[(ci, slot)]
-        edge = crossings[ci][slot]
-        for other in appearances[edge]:
-            if other != (ci, slot):
-                set_status(other, "out" if value == "in" else "in")
-        # an edge looping from a slot straight back to the same slot pair is
-        # covered because both appearances are distinct (ci, slot) positions
-        if slot in (1, 3):
-            mate = (ci, 4 - slot)
-            set_status(mate, "out" if value == "in" else "in")
+        need = [v for sign in signs for v in ((1, -1, -1, 1) if sign > 0 else (1, 1, -1, -1))]
 
-    over_slots = []
-    for ci in range(len(crossings)):
-        one = status.get((ci, 1))
-        if one is None:
-            raise AmbiguousOrientationError(
-                f"crossing {ci}: over-strand direction is not determined by the code; "
-                "a component passing over at every transit has no orientation anchor"
-            )
-        over_slots.append(1 if one == "in" else 3)
-    ends = {}
-    for edge, (a, b) in appearances.items():
-        if status[a] == status[b]:
-            raise DiagramError(f"edge {edge} is not traversed head to tail")
-        ends[edge] = (a, b) if status[a] == "out" else (b, a)
-    return over_slots, dict(sorted(ends.items()))
+    ends = dict.fromkeys(edges)
+    derived = [0] * len(crossings)
+    strands = []
+    for start in edges:
+        if ends[start] is not None:
+            continue
+        tail, head = spots[start]
+        edge, direction, walk = start, 0, []
+        while True:
+            walk.append((edge, tail, head))
+            vote = need[head]
+            if vote:
+                if direction == -vote:
+                    raise DiagramError(f"inconsistent strand directions at crossing {head >> 2}")
+                direction = vote
+            tail = head ^ 2
+            edge = crossings[tail >> 2][tail & 3]
+            if edge == start:
+                break
+            a, b = spots[edge]
+            head = a + b - tail
+        if direction < 0:  # turn the walk round, still from `start`
+            walk = [(e, h, t) for e, t, h in walk[:1] + walk[:0:-1]]
+        for e, t, h in walk:
+            ends[e] = (divmod(t, 4), divmod(h, 4))
+            if h & 1 and direction:
+                derived[h >> 2] = 1 if (h & 3) == 3 else -1
+        strands.append([e for e, _, _ in walk])
+    # a crossing whose over strand entered no needed slot has no sign
+    if 0 in derived:
+        raise AmbiguousOrientationError(
+            f"crossing {derived.index(0)}: over-strand direction is not determined by the code; "
+            "a component passing over at every transit has no orientation anchor"
+        )
+    return tuple(derived), ends, strands
 
 
 def _require_ints(what: str, values):
@@ -173,30 +170,28 @@ class LinkDiagram:
             raise DiagramError("each crossing needs exactly 4 edge labels")
         component_of_edge = {int(e): int(c) for e, c in component_of_edge.items()}
         free_loops = tuple(sorted(int(c) for c in free_loops))
-        edges = set(component_of_edge)
-        if any(e <= 0 for e in edges):
+        if any(e <= 0 for e in component_of_edge):
             raise DiagramError("edge labels must be positive integers")
 
         if signs is not None:
             signs = tuple(int(s) for s in signs)
-        over_slots, edge_ends = _derive_over_slots(crossings, edges, signs)
-        derived_signs = tuple(1 if o == 3 else -1 for o in over_slots)
+        signs, edge_ends, strands = _trace_strands(crossings, component_of_edge, signs)
 
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n_components", int(n_components))
         object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "signs", derived_signs)
+        object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "component_of_edge", component_of_edge)
         object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "edge_ends", edge_ends)
-        self._validate(edges)
+        self._validate(strands)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkDiagram is immutable")
 
     # ------------------------------------------------------------------
 
-    def _validate(self, edges):
+    def _validate(self, strands):
         n = self.n_components
         if n < 0:
             raise DiagramError(f"component count must be nonnegative, got {n}")
@@ -214,37 +209,17 @@ class LinkDiagram:
         # all indices lie in 0..n-1 and free loops are distinct and uncrossed
         if len(crossed) + len(self.free_loops) != n:
             raise DiagramError("every component must carry edges or be a free loop")
-        mentioned = {e for quad in self.crossings for e in quad}
-        if mentioned != edges:
-            raise DiagramError("component map and crossing labels disagree")
-        # each crossed component must be one closed cycle
-        for comp, cycle_edges in self._component_cycles().items():
-            if set(self.component_of_edge[e] for e in cycle_edges) != {comp}:
-                raise DiagramError(f"component {comp} mixes edges of other components")
-
-    def _component_cycles(self) -> dict[int, list[int]]:
-        """Ordered edge cycle per crossed component."""
-        cycles: dict[int, list[int]] = {}
+        # each crossed component must be one strand, a strand counting for
+        # the component of its lowest edge; any split is reported before a mix
+        comps = [self.component_of_edge[strand[0]] for strand in strands]
         seen = set()
-        for start in sorted(self.component_of_edge):
-            if start in seen:
-                continue
-            cycle = []
-            edge = start
-            while True:
-                cycle.append(edge)
-                seen.add(edge)
-                ci, slot = self.edge_ends[edge][1]
-                edge = self.crossings[ci][(slot + 2) % 4]
-                if edge == start:
-                    break
-                if edge in seen:
-                    raise DiagramError(f"edge {edge} reached from two different strands")
-            comp = self.component_of_edge[start]
-            if comp in cycles:
+        for comp in comps:
+            if comp in seen:
                 raise DiagramError(f"component {comp} splits into several circles")
-            cycles[comp] = cycle
-        return cycles
+            seen.add(comp)
+        for comp, strand in zip(comps, strands):
+            if any(self.component_of_edge[e] != comp for e in strand):
+                raise DiagramError(f"component {comp} mixes edges of other components")
 
     # ------------------------------------------------------------------
     # numeric summaries
@@ -256,26 +231,6 @@ class LinkDiagram:
 
     def writhe(self) -> int:
         return sum(self.signs)
-
-    def self_writhe(self, comp: int) -> int:
-        total = 0
-        for ci in range(len(self.crossings)):
-            under, over = self.crossing_components(ci)
-            if under == over == comp:
-                total += self.signs[ci]
-        return total
-
-    def linking_number(self, a: int, b: int) -> int:
-        if a == b:
-            raise ValueError("linking number needs two distinct components")
-        twice = 0
-        for ci in range(len(self.crossings)):
-            pair = set(self.crossing_components(ci))
-            if pair == {a, b}:
-                twice += self.signs[ci]
-        if twice % 2:
-            raise DiagramError("odd mutual crossing sum; diagram is inconsistent")
-        return twice // 2
 
     # ------------------------------------------------------------------
     # serialization
@@ -319,45 +274,6 @@ class LinkDiagram:
     @classmethod
     def from_json(cls, text: str) -> "LinkDiagram":
         return cls.from_dict(json.loads(text))
-
-    # ------------------------------------------------------------------
-    # canonical form
-
-    def canonical_code(self) -> tuple:
-        """Label-independent code; component order is preserved.
-
-        Minimizes the serialized form over all rotations of each component's
-        starting edge.  Free loops carry no labels and pass through as-is.
-        """
-        cycles = self._component_cycles()
-        comps = sorted(cycles)
-        choice_space = 1
-        for comp in comps:
-            choice_space *= len(cycles[comp])
-        if choice_space > 200000:
-            raise DiagramError("diagram too large for canonical code search")
-        best = None
-        for starts in product(*(range(len(cycles[c])) for c in comps)):
-            relabel = {}
-            counter = 1
-            for comp, start in zip(comps, starts):
-                cycle = cycles[comp]
-                for k in range(len(cycle)):
-                    relabel[cycle[(start + k) % len(cycle)]] = counter
-                    counter += 1
-            code = tuple(sorted(
-                (tuple(relabel[e] for e in quad), self.signs[ci])
-                for ci, quad in enumerate(self.crossings)
-            ))
-            candidate = (self.n_components, self.free_loops, code)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
-            best = (self.n_components, self.free_loops, ())
-        return best
-
-    def same_diagram_as(self, other: "LinkDiagram") -> bool:
-        return self.canonical_code() == other.canonical_code()
 
     # ------------------------------------------------------------------
     # surgery wrappers

@@ -63,18 +63,6 @@ def adjoint_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingE
     )
 
 
-def adjoint_matches_doubled_meridian(shape: Partition) -> bool:
-    """Mod-2 link between the two eigenvalue families on a diagonal pair.
-
-    The adjoint eigenvalue at (shape, shape), reduced mod 2, must equal the
-    image of the unoriented meridian eigenvalue under the exponent-doubling
-    map.  This is the eigenvalue-level shadow of the main verification.
-    """
-    left = adjoint_meridian_eigenvalue(shape, shape).to_mod2()
-    right = kauffman_meridian_eigenvalue(shape).to_mod2().doubling_map()
-    return left == right
-
-
 # ----------------------------------------------------------------------
 # isolating polynomials
 

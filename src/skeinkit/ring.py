@@ -110,9 +110,6 @@ class LaurentPoly:
             max(ds for _, ds in self._terms),
         )
 
-    def coefficient(self, dv: int, ds: int) -> int:
-        return self._terms.get((dv, ds), 0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

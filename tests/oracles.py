@@ -1,0 +1,120 @@
+"""Readings of skeinkit objects that only the tests need.
+
+Each one is an oracle or a convenience for assertions, built on the public
+attributes of the objects it reads; no code in `src/` calls them.
+"""
+
+from itertools import product
+
+from skeinkit.annulus import AnnulusVecK
+from skeinkit.diagram import DiagramError, LinkDiagram
+from skeinkit.eigen import adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
+from skeinkit.partition import Partition
+from skeinkit.ring import RingElem
+
+# ----------------------------------------------------------------------
+# diagram summaries
+
+
+def self_writhe(d: LinkDiagram, comp: int) -> int:
+    total = 0
+    for ci in range(len(d.crossings)):
+        under, over = d.crossing_components(ci)
+        if under == over == comp:
+            total += d.signs[ci]
+    return total
+
+
+def linking_number(d: LinkDiagram, a: int, b: int) -> int:
+    if a == b:
+        raise ValueError("linking number needs two distinct components")
+    twice = 0
+    for ci in range(len(d.crossings)):
+        pair = set(d.crossing_components(ci))
+        if pair == {a, b}:
+            twice += d.signs[ci]
+    if twice % 2:
+        raise DiagramError("odd mutual crossing sum; diagram is inconsistent")
+    return twice // 2
+
+
+# ----------------------------------------------------------------------
+# canonical form
+
+
+def component_cycles(d: LinkDiagram) -> dict[int, list[int]]:
+    """Ordered edge cycle per crossed component, read from `edge_ends`."""
+    cycles: dict[int, list[int]] = {}
+    seen = set()
+    for start in sorted(d.component_of_edge):
+        if start in seen:
+            continue
+        cycle = []
+        edge = start
+        while True:
+            cycle.append(edge)
+            seen.add(edge)
+            ci, slot = d.edge_ends[edge][1]
+            edge = d.crossings[ci][(slot + 2) % 4]
+            if edge == start:
+                break
+        cycles[d.component_of_edge[start]] = cycle
+    return cycles
+
+
+def canonical_code(d: LinkDiagram) -> tuple:
+    """Label-independent code; component order is preserved.
+
+    Minimizes the serialized form over all rotations of each component's
+    starting edge.  Free loops carry no labels and pass through as-is.
+    """
+    cycles = component_cycles(d)
+    comps = sorted(cycles)
+    choice_space = 1
+    for comp in comps:
+        choice_space *= len(cycles[comp])
+    if choice_space > 200000:
+        raise DiagramError("diagram too large for canonical code search")
+    best = None
+    for starts in product(*(range(len(cycles[c])) for c in comps)):
+        relabel = {}
+        counter = 1
+        for comp, start in zip(comps, starts):
+            cycle = cycles[comp]
+            for k in range(len(cycle)):
+                relabel[cycle[(start + k) % len(cycle)]] = counter
+                counter += 1
+        code = tuple(sorted(
+            (tuple(relabel[e] for e in quad), d.signs[ci])
+            for ci, quad in enumerate(d.crossings)
+        ))
+        candidate = (d.n_components, d.free_loops, code)
+        if best is None or candidate < best:
+            best = candidate
+    if best is None:
+        best = (d.n_components, d.free_loops, ())
+    return best
+
+
+def same_diagram_as(d: LinkDiagram, other: LinkDiagram) -> bool:
+    return canonical_code(d) == canonical_code(other)
+
+
+# ----------------------------------------------------------------------
+# annulus vectors and eigenvalues
+
+
+def coefficient(v: AnnulusVecK, shape: Partition) -> RingElem:
+    return v.coeffs.get(shape, RingElem.zero())
+
+
+def adjoint_matches_doubled_meridian(shape: Partition) -> bool:
+    """Mod-2 link between the two eigenvalue families on a diagonal pair.
+
+    The adjoint eigenvalue at (shape, shape), reduced mod 2, must equal the
+    image of the unoriented meridian eigenvalue under the exponent-doubling
+    map.  This is the eigenvalue-level shadow of the main verification.
+    """
+    left = adjoint_meridian_eigenvalue(shape, shape).to_mod2()
+    right = kauffman_meridian_eigenvalue(shape).to_mod2().doubling_map()
+    return left == right

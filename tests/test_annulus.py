@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from oracles import coefficient, same_diagram_as
 from skeinkit.annulus import (
     AnnulusVecK,
     ExpansionPlan,
@@ -69,8 +70,8 @@ class TestAnnulusVecK:
     def test_basis_and_zero(self):
         v = AnnulusVecK.basis(P(2))
         assert list(v.coeffs) == [P(2)]
-        assert v.coefficient(P(2)).is_one()
-        assert v.coefficient(P(1)).is_zero()
+        assert coefficient(v, P(2)).is_one()
+        assert coefficient(v, P(1)).is_zero()
         assert AnnulusVecK({}).coeffs == {}
 
     def test_zero_coefficients_are_dropped(self):
@@ -82,10 +83,10 @@ class TestAnnulusVecK:
         two = RingElem.from_int(2)
         assert AnnulusVecK.basis(P(1)).scale(two) == AnnulusVecK({P(1): two})
         v = AnnulusVecK({P(1): two, P(2): RingElem.one()})
-        assert v.coefficient(P(1)) == two
-        assert v.coefficient(P(2)).is_one()
+        assert coefficient(v, P(1)) == two
+        assert coefficient(v, P(2)).is_one()
         w = v.scale(vpow(1))
-        assert w.coefficient(P(2)) == vpow(1)
+        assert coefficient(w, P(2)) == vpow(1)
 
     def test_immutable(self):
         v = AnnulusVecK.basis(P(1))
@@ -112,7 +113,7 @@ class TestBranching:
         combined = branch_mul_y1(AnnulusVecK({P(2): two, P(): RingElem.one()}))
         a, b = branch_mul_y1(AnnulusVecK.basis(P(2))), branch_mul_y1(AnnulusVecK.basis(P()))
         expected = {
-            shape: two * a.coefficient(shape) + b.coefficient(shape)
+            shape: two * coefficient(a, shape) + coefficient(b, shape)
             for shape in {*a.coeffs, *b.coeffs}
         }
         assert combined == AnnulusVecK(expected)
@@ -302,7 +303,7 @@ class TestRealizeDiagrams:
         assert len(terms) == 1
         coeff, d = terms[0]
         assert coeff.is_one()
-        assert d.same_diagram_as(unknot())
+        assert same_diagram_as(d, unknot())
 
     def test_row_two_on_unknot_crossing_counts(self):
         plan = expand_ylambda(P(2))

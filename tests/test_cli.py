@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import re
 import tempfile
 import time
 import tracemalloc
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import same_diagram_as
 from skeinkit.cli import main as cli_main
 from skeinkit.cli import run
-from skeinkit.corpus import corpus_names, load_corpus, trefoil
+from skeinkit.corpus import corpus_names, hopf_plus, load_corpus, trefoil
 from skeinkit.diagram import LinkDiagram
 from skeinkit.eigen import (
     adjoint_meridian_eigenvalue,
@@ -27,7 +29,12 @@ from skeinkit.skein_eval import homfly
 
 def _trefoil_bytes(**changes) -> bytes:
     """The trefoil's link file with some fields replaced."""
-    data = trefoil().to_dict()
+    return _link_bytes(trefoil(), **changes)
+
+
+def _link_bytes(d: LinkDiagram, **changes) -> bytes:
+    """The link file of `d` with some fields replaced."""
+    data = d.to_dict()
     data.update(changes)
     return json.dumps(data).encode()
 
@@ -136,6 +143,40 @@ class TestSkeinCommand:
         assert code == 2
         assert text.startswith("error: bad link description")
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (_trefoil_bytes(component_of_edge={str(e): 0 for e in range(1, 6)}),
+             "edge 6 missing from component map"),
+            (_trefoil_bytes(crossings=[[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 1, 2]]),
+             "edge 1 appears 3 times; expected 2"),
+            (_trefoil_bytes(signs=[1, 2, 1]), r"crossing 1: sign must be \+1 or -1, got 2"),
+            (_trefoil_bytes(signs=[1, 1]), "2 signs for 3 crossings"),
+            (_trefoil_bytes(signs=[1, -1, 1]), r"inconsistent strand directions at crossing \d+"),
+            (b'{"components": 2, "crossings": [[1, 3, 2, 4], [2, 4, 1, 3]],'
+             b' "component_of_edge": {"1": 0, "2": 0, "3": 1, "4": 1}}',
+             "crossing 0: over-strand direction is not determined by the code; "
+             "a component passing over at every transit has no orientation anchor"),
+            (_link_bytes(hopf_plus(), component_of_edge={"1": 0, "2": 1, "3": 1, "4": 1}),
+             "component 0 mixes edges of other components"),
+            (_link_bytes(hopf_plus(), components=1,
+                         component_of_edge={"1": 0, "2": 0, "3": 0, "4": 0}),
+             "component 0 splits into several circles"),
+            (_link_bytes(hopf_plus(), component_of_edge={"1": 0, "2": 0, "3": 2, "4": 2}),
+             "component index 2 out of range"),
+        ],
+        ids=["missing-edge", "edge-thrice", "sign-two", "sign-count", "contradicting-sign",
+             "all-over-clasp", "mixed-component", "split-component", "component-range"],
+    )
+    def test_refusal_text(self, tmp_path, content, message):
+        # one fault per file, each refused with the constructor's own words;
+        # `message` is a pattern
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, text = run(["skein", "homfly", str(path)])
+        assert code == 2
+        assert re.fullmatch(re.escape(f"error: bad link description in {path}: ") + message, text)
 
 
 # values a mutation may put anywhere in a link file
@@ -375,7 +416,7 @@ class TestCorpusCommand:
     def test_show_round_trips(self):
         code, text = run(["corpus", "show", "figure_eight"])
         assert code == 0
-        assert LinkDiagram.from_json(text).same_diagram_as(load_corpus("figure_eight"))
+        assert same_diagram_as(LinkDiagram.from_json(text), load_corpus("figure_eight"))
 
     def test_show_unknown_name(self):
         code, text = run(["corpus", "show", "nope"])

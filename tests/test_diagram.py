@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import canonical_code, linking_number, same_diagram_as, self_writhe
 from skeinkit import skein_eval
 from skeinkit.annulus import build_satellite_row
 from skeinkit.corpus import (
@@ -34,20 +36,20 @@ class TestConstruction:
         assert len(d.crossings) == 2
         assert d.signs == (1, 1)
         assert d.writhe() == 2
-        assert d.linking_number(0, 1) == 1
-        assert d.self_writhe(0) == 0
+        assert linking_number(d, 0, 1) == 1
+        assert self_writhe(d, 0) == 0
 
     def test_hopf_minus_metadata(self):
         d = hopf_minus()
         assert d.signs == (-1, -1)
         assert d.writhe() == -2
-        assert d.linking_number(0, 1) == -1
+        assert linking_number(d, 0, 1) == -1
 
     def test_trefoil_metadata(self):
         d = trefoil()
         assert d.n_components == 1
         assert d.writhe() == 3
-        assert d.self_writhe(0) == 3
+        assert self_writhe(d, 0) == 3
 
     def test_figure_eight_metadata(self):
         d = figure_eight()
@@ -132,7 +134,7 @@ class TestSerialization:
     def test_roundtrip_preserves_structure(self, name):
         d = load_corpus(name)
         back = LinkDiagram.from_json(d.to_json())
-        assert back.same_diagram_as(d)
+        assert same_diagram_as(back, d)
         assert back.signs == d.signs
 
     def test_corpus_listing(self):
@@ -147,15 +149,15 @@ class TestCanonicalCode:
         # one meridian bead around an unknot core IS the positive hopf
         # diagram; this pins the handedness of the insertion
         beaded = unknot().with_meridians(0, 1)
-        assert beaded.canonical_code() == hopf_plus().canonical_code()
+        assert canonical_code(beaded) == canonical_code(hopf_plus())
 
     def test_distinguishes_mirror(self):
-        assert hopf_plus().canonical_code() != hopf_minus().canonical_code()
+        assert canonical_code(hopf_plus()) != canonical_code(hopf_minus())
 
     def test_stable_under_relabeling(self):
         d = trefoil()
         back = LinkDiagram.from_json(d.to_json())
-        assert back.canonical_code() == d.canonical_code()
+        assert canonical_code(back) == canonical_code(d)
 
 
 class TestSurgeries:
@@ -165,7 +167,7 @@ class TestSurgeries:
         assert len(d.crossings) == 4
         assert d.writhe() == 4
         lk = [
-            [0 if i == j else d.linking_number(i, j) for j in range(3)]
+            [0 if i == j else linking_number(d, i, j) for j in range(3)]
             for i in range(3)
         ]
         assert lk == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
@@ -175,8 +177,8 @@ class TestSurgeries:
         d = trefoil().cable(0, 2)
         assert len(d.crossings) == 12
         assert d.n_components == 2
-        assert d.self_writhe(0) == 3 and d.self_writhe(1) == 3
-        assert d.linking_number(0, 1) == 3
+        assert self_writhe(d, 0) == 3 and self_writhe(d, 1) == 3
+        assert linking_number(d, 0, 1) == 3
         assert d.writhe() == 12
 
     @pytest.mark.parametrize("name", corpus_names())
@@ -185,12 +187,12 @@ class TestSurgeries:
         for c in range(d.n_components):
             cabled = d.cable(c, 1)
             assert cabled.to_dict() == {**d.to_dict(), "name": cabled.name}
-            assert cabled.same_diagram_as(d)
+            assert same_diagram_as(cabled, d)
             assert skein_eval.homfly(cabled) == skein_eval.homfly(d)
             assert skein_eval.kauffman(cabled) == skein_eval.kauffman(d)
 
     def test_cable_takes_a_negative_index_from_the_end(self):
-        assert hopf_plus().cable(-1, 2).same_diagram_as(hopf_plus().cable(1, 2))
+        assert same_diagram_as(hopf_plus().cable(-1, 2), hopf_plus().cable(1, 2))
 
     def test_negative_index_is_named_from_zero(self):
         assert hopf_plus().delete_component(-1).name == "hopf_plus.drop(1)"
@@ -218,16 +220,16 @@ class TestSurgeries:
 
     def test_cable_then_delete_copy_restores(self):
         d = trefoil().cable(0, 2).delete_component(1)
-        assert d.same_diagram_as(trefoil())
+        assert same_diagram_as(d, trefoil())
 
     def test_meridian_beads(self):
         d = unknot().with_meridians(0, 2)
         assert d.n_components == 3
         assert len(d.crossings) == 4
         assert d.writhe() == 4
-        assert d.linking_number(0, 1) == 1
-        assert d.linking_number(0, 2) == 1
-        assert d.linking_number(1, 2) == 0
+        assert linking_number(d, 0, 1) == 1
+        assert linking_number(d, 0, 2) == 1
+        assert linking_number(d, 1, 2) == 0
 
     def test_delete_to_free_loops(self):
         d = hopf_plus().delete_component(1)
@@ -240,21 +242,21 @@ class TestSurgeries:
     def test_reverse_component(self):
         d = hopf_plus().reverse_component(0)
         assert d.writhe() == -2
-        assert d.linking_number(0, 1) == -1
+        assert linking_number(d, 0, 1) == -1
         # reversing one bead flips only its linking number with the core
         d = unknot().with_meridians(0, 2).reverse_component(1)
-        assert d.linking_number(0, 1) == -1
-        assert d.linking_number(0, 2) == 1
+        assert linking_number(d, 0, 1) == -1
+        assert linking_number(d, 0, 2) == 1
         assert d.writhe() == 0
 
     def test_double_reverse_is_identity(self):
         d = trefoil().reverse_component(0).reverse_component(0)
-        assert d.same_diagram_as(trefoil())
+        assert same_diagram_as(d, trefoil())
 
     def test_mirror(self):
         d = trefoil().mirror()
         assert d.writhe() == -3
-        assert d.mirror().same_diagram_as(trefoil())
+        assert same_diagram_as(d.mirror(), trefoil())
 
     def test_disjoint_union(self):
         d = hopf_plus().disjoint_union(unknot())
@@ -412,3 +414,209 @@ class TestEdgeEnds:
     def test_read_only(self):
         with pytest.raises(AttributeError):
             trefoil().edge_ends = {}
+
+
+# ----------------------------------------------------------------------
+# the constructor against the in/out propagation that `_trace_strands`
+# replaced, kept here as a reference
+
+
+def _reference_derive_over_slots(crossings, edges, signs=None):
+    """Each crossing's incoming over slot and each edge's `(tail, head)`,
+    by propagating in/out labels from the slots whose direction is known."""
+    appearances: dict[int, list[tuple[int, int]]] = {e: [] for e in edges}
+    for ci, quad in enumerate(crossings):
+        for slot, edge in enumerate(quad):
+            if edge not in appearances:
+                raise DiagramError(f"edge {edge} missing from component map")
+            appearances[edge].append((ci, slot))
+    for edge, spots in appearances.items():
+        if len(spots) != 2:
+            raise DiagramError(f"edge {edge} appears {len(spots)} times; expected 2")
+
+    status: dict[tuple[int, int], str] = {}
+    work: list[tuple[int, int]] = []
+
+    def set_status(pos, value):
+        old = status.get(pos)
+        if old is None:
+            status[pos] = value
+            work.append(pos)
+        elif old != value:
+            raise DiagramError(f"inconsistent strand directions at crossing {pos[0]}")
+
+    for ci, quad in enumerate(crossings):
+        set_status((ci, 0), "in")
+        set_status((ci, 2), "out")
+    if signs is not None:
+        if len(signs) != len(crossings):
+            raise DiagramError(f"{len(signs)} signs for {len(crossings)} crossings")
+        for ci, sign in enumerate(signs):
+            if sign not in (1, -1):
+                raise DiagramError(f"crossing {ci}: sign must be +1 or -1, got {sign}")
+            set_status((ci, 3), "in" if sign > 0 else "out")
+            set_status((ci, 1), "out" if sign > 0 else "in")
+    while work:
+        ci, slot = work.pop()
+        value = status[(ci, slot)]
+        edge = crossings[ci][slot]
+        for other in appearances[edge]:
+            if other != (ci, slot):
+                set_status(other, "out" if value == "in" else "in")
+        if slot in (1, 3):
+            set_status((ci, 4 - slot), "out" if value == "in" else "in")
+
+    over_slots = []
+    for ci in range(len(crossings)):
+        one = status.get((ci, 1))
+        if one is None:
+            raise AmbiguousOrientationError(
+                f"crossing {ci}: over-strand direction is not determined by the code; "
+                "a component passing over at every transit has no orientation anchor"
+            )
+        over_slots.append(1 if one == "in" else 3)
+    ends = {}
+    for edge, (a, b) in appearances.items():
+        if status[a] == status[b]:
+            raise DiagramError(f"edge {edge} is not traversed head to tail")
+        ends[edge] = (a, b) if status[a] == "out" else (b, a)
+    return over_slots, dict(sorted(ends.items()))
+
+
+def _reference_component_cycles(crossings, component_of_edge, edge_ends):
+    cycles: dict[int, list[int]] = {}
+    seen = set()
+    for start in sorted(component_of_edge):
+        if start in seen:
+            continue
+        cycle = []
+        edge = start
+        while True:
+            cycle.append(edge)
+            seen.add(edge)
+            ci, slot = edge_ends[edge][1]
+            edge = crossings[ci][(slot + 2) % 4]
+            if edge == start:
+                break
+            if edge in seen:
+                raise DiagramError(f"edge {edge} reached from two different strands")
+        comp = component_of_edge[start]
+        if comp in cycles:
+            raise DiagramError(f"component {comp} splits into several circles")
+        cycles[comp] = cycle
+    return cycles
+
+
+def _reference_construct(n, crossings, component_of_edge, free_loops, signs):
+    """The reference constructor's checks in their order; `(signs, edge_ends)`."""
+    crossings = tuple(tuple(quad) for quad in crossings)
+    edges = set(component_of_edge)
+    if any(e <= 0 for e in edges):
+        raise DiagramError("edge labels must be positive integers")
+    over_slots, edge_ends = _reference_derive_over_slots(crossings, edges, signs)
+    if n < 0:
+        raise DiagramError(f"component count must be nonnegative, got {n}")
+    crossed = set(component_of_edge.values())
+    for comp in crossed:
+        if not 0 <= comp < n:
+            raise DiagramError(f"component index {comp} out of range")
+    for comp in free_loops:
+        if not 0 <= comp < n:
+            raise DiagramError(f"free loop index {comp} out of range")
+        if comp in crossed:
+            raise DiagramError(f"component {comp} has edges and is marked crossingless")
+    if len(set(free_loops)) != len(free_loops):
+        raise DiagramError("duplicate free loop indices")
+    if len(crossed) + len(free_loops) != n:
+        raise DiagramError("every component must carry edges or be a free loop")
+    if {e for quad in crossings for e in quad} != edges:
+        raise DiagramError("component map and crossing labels disagree")
+    for comp, cycle in _reference_component_cycles(crossings, component_of_edge, edge_ends).items():
+        if set(component_of_edge[e] for e in cycle) != {comp}:
+            raise DiagramError(f"component {comp} mixes edges of other components")
+    return tuple(1 if o == 3 else -1 for o in over_slots), edge_ends
+
+
+def _code_of(d: LinkDiagram) -> tuple:
+    return (d.n_components, [list(quad) for quad in d.crossings], dict(d.component_of_edge),
+            list(d.free_loops), list(d.signs))
+
+
+_BASE_CODES = [_code_of(d) for d in _mesh_built()]
+_MUTATIONS = ("replace", "swap", "rotate", "reverse", "flip sign", "drop sign", "move edge", "count")
+
+
+@st.composite
+def _mutated_codes(draw):
+    """A corpus link, a curl, a satellite row of <= 12 crossings or a 3-braid
+    closure, with or without its signs, after 0-3 mutations."""
+    if draw(st.booleans()):
+        n, crossings, comp, loops, signs = draw(st.sampled_from(_BASE_CODES))
+    else:
+        word = draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8))
+        n, crossings, comp, loops, signs = _code_of(braid_closure(3, word, "w"))
+    crossings = [list(quad) for quad in crossings]
+    comp = dict(comp)
+    signs = list(signs) if draw(st.booleans()) else None
+    spots = [(ci, slot) for ci in range(len(crossings)) for slot in range(4)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        if kind == "count":
+            n += draw(st.sampled_from([-1, 1]))
+        elif kind == "move edge" and comp:
+            comp[draw(st.sampled_from(sorted(comp)))] = draw(st.integers(0, max(n, 0)))
+        elif kind in ("flip sign", "drop sign") and signs:
+            ci = draw(st.integers(0, len(signs) - 1))
+            if kind == "flip sign":
+                signs[ci] = -signs[ci]
+            else:
+                del signs[ci]
+        elif kind in ("replace", "swap") and spots:
+            ci, slot = draw(st.sampled_from(spots))
+            if kind == "replace":
+                crossings[ci][slot] = draw(st.integers(1, max(comp) + 1))
+            else:
+                cj, other = draw(st.sampled_from(spots))
+                crossings[ci][slot], crossings[cj][other] = crossings[cj][other], crossings[ci][slot]
+        elif kind in ("rotate", "reverse") and crossings:
+            quad = crossings[draw(st.integers(0, len(crossings) - 1))]
+            k = draw(st.integers(1, 3)) if kind == "rotate" else 0
+            quad[:] = quad[k:] + quad[:k] if k else quad[::-1]
+    return n, crossings, comp, loops, signs
+
+
+def _outcome(build) -> tuple:
+    """`build()`'s `(signs, edge_ends)` with the ends in order, or the class
+    and message of its refusal, an inconsistency's crossing number left out."""
+    try:
+        signs, ends = build()
+    except DiagramError as exc:
+        return type(exc), re.sub(r"(inconsistent strand directions at crossing) \d+", r"\1 N", str(exc))
+    return signs, list(ends.items())
+
+
+class TestConstructorDifferential:
+    """The strand walk accepts and refuses what the propagation did, with
+    the same signs, edge ends and messages."""
+
+    def _check(self, code) -> tuple:
+        n, crossings, comp, loops, signs = code
+
+        def walked():
+            d = LinkDiagram("m", n, crossings, comp, loops, signs=signs)
+            return d.signs, d.edge_ends
+
+        outcome = _outcome(walked)
+        assert outcome == _outcome(lambda: _reference_construct(*code))
+        return outcome
+
+    @given(code=_mutated_codes())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_codes(self, code):
+        self._check(code)
+
+    @pytest.mark.parametrize("d", _mesh_built(), ids=lambda d: d.name)
+    def test_base_codes_accepted(self, d):
+        n, crossings, comp, loops, _ = code = _code_of(d)
+        assert self._check(code)[0] == d.signs
+        assert self._check((n, crossings, comp, loops, None))[0] == d.signs

@@ -2,9 +2,9 @@
 
 import pytest
 
+from oracles import adjoint_matches_doubled_meridian
 from skeinkit.eigen import (
     DistinctnessReport,
-    adjoint_matches_doubled_meridian,
     adjoint_meridian_eigenvalue,
     check_eigenvalue_distinctness,
     delta_homfly,

@@ -1,9 +1,13 @@
-"""Source hygiene: every top-level import of a package module is used."""
+"""Source hygiene: every top-level import of a package module is used, and
+every function the package defines is read by the package or the bench."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import skeinkit
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skeinkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -35,3 +39,74 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# ----------------------------------------------------------------------
+# every function is read: a name that only tests call belongs in the tests
+
+ROOT = PACKAGE.parent.parent
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads: Name ids, attribute names and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+    return read
+
+
+def unread_functions(source: str, namespace: dict, read: set[str]) -> list[str]:
+    """Qualified names of the functions and methods a module defines that
+    are not in `read`, dunders and overrides of an inherited attribute left
+    out.  `namespace` is the module's, where its classes are looked up to see
+    what they inherit."""
+    unread = []
+    for top in ast.parse(source).body:
+        is_class = isinstance(top, ast.ClassDef)
+        bases = namespace[top.name].__mro__[1:] if is_class else ()
+        for node in ast.walk(top):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name in read or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(hasattr(base, name) for base in bases):
+                unread.append(f"{top.name}.{name}" if is_class else name)
+    return unread
+
+
+def test_detects_an_unread_function():
+    source = (
+        "import argparse\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"  # overrides a base attribute
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return helper()\n"
+        "    def shout(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    return inner\n"
+        "def unused():\n"
+        "    pass\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    assert unread_functions(source, namespace, read_names(source)) == ["Parser.shout", "unused"]
+
+
+def test_every_function_is_read():
+    read = set(skeinkit.__all__).union(*(read_names(path.read_text()) for path in READERS))
+    unread = []
+    for module in MODULES:
+        namespace = vars(importlib.import_module(f"skeinkit.{module[:-3]}"))
+        unread += unread_functions((PACKAGE / module).read_text(), namespace, read)
+    assert unread == []
