@@ -11,19 +11,26 @@ Both are regular-isotopy (framed) invariants: a positive kink multiplies
 the value by v^-1, a negative kink by v, the crossingless circle counts
 delta, and the empty diagram counts 1.
 
-The engine holds crossings as ports (crossing id, slot 0..3) with a perfect
-matching `partner` describing the arcs.  Slot numbering is inherited from
-the input diagram and never relabeled.  Each crossing carries one datum
-`(u, o)`, its under-in and over-in slots, in both flavors: the over strand
-occupies the slots of `o`'s parity, `u` and `o` always have opposite
-parity, and a switch is `(u, o) -> (o, u)`.  The unoriented flavor reads
-only that parity; the oriented one also reads the sign, positive when
-`o = u + 3 (mod 4)`.  Before branching, states are simplified
-(kink removal, parallel bigon cancellation, split into connected clusters,
-free circle harvesting) and looked up in a cache keyed by a relabeling
-invariant serialization.  Diagrams whose every crossing is first reached
-on its over strand evaluate in closed form, so the recursion only branches
-on the first crossing first reached on its under strand.
+The engine holds each port, slot s of crossing c, as one int `4 * c + s`:
+its slot is `p & 3`, its crossing `p >> 2`, and the port across the
+crossing `p ^ 2`.  Ints order as the (crossing, slot) pairs they pack.  A
+state is a dict `cross` of its crossings and a list `partner`, indexed by
+port, of length 4 x (input crossings): a perfect matching of the live
+crossings' ports describing the arcs.  Excised crossings leave stale
+entries that nothing reads, since only ports of crossings in `cross` are
+read; children copy the list, and clusters share their parent's.  Slot
+numbering is inherited from the input diagram and never relabeled.
+
+Each crossing carries one datum `(u, o)`, its under-in and over-in slots,
+in both flavors: the over strand occupies the slots of `o`'s parity, `u`
+and `o` always have opposite parity, and a switch is `(u, o) -> (o, u)`.
+The unoriented flavor reads only that parity; the oriented one also reads
+the sign, positive when `o = u + 3 (mod 4)`.  Before branching, states are
+simplified (kink removal, parallel bigon cancellation, split into
+connected clusters, free circle harvesting) and looked up in a cache keyed
+by a relabeling invariant serialization.  Diagrams whose every crossing is
+first reached on its over strand evaluate in closed form, so the recursion
+only branches on the first crossing first reached on its under strand.
 
 The cache key (`_canonical_key`) is one `bytes`: a flavor byte, then one
 unsigned 16-bit entry `id * 4 + offset` per port, row by row, as read by
@@ -127,10 +134,10 @@ UNORIENTED = "unoriented"
 def _build_state(d: LinkDiagram):
     # a positive crossing's over strand enters at slot 3, a negative one's at 1
     cross = {ci: (0, 3 if sign > 0 else 1) for ci, sign in enumerate(d.signs)}
-    partner = {}
-    for tail, head in d.edge_ends.values():
-        partner[tail] = head
-        partner[head] = tail
+    partner = [0] * (4 * len(d.crossings))
+    for (tc, ts), (hc, hs) in d.edge_ends.values():
+        partner[4 * tc + ts] = 4 * hc + hs
+        partner[4 * hc + hs] = 4 * tc + ts
     return cross, partner
 
 
@@ -139,41 +146,38 @@ def _sign(datum) -> int:
     return 1 if (o - u) % 4 == 3 else -1
 
 
-def _is_over(datum, slot) -> bool:
-    # over strand occupies the two slots of the over-entry's parity
-    return slot % 2 == datum[1] % 2
-
-
 # ----------------------------------------------------------------------
 # structural surgery on states
 
 
-def _excise(cross: dict, partner: dict, dead: set, through: dict) -> tuple[int, set]:
+def _excise(cross: dict, partner: list, dead: set, through: dict) -> tuple[int, set]:
     """Delete the crossings in `dead`, rerouting strands along `through`.
 
     `through` pairs the ports where a strand runs through the deleted
     region; ports of dead crossings missing from `through` must sit on arcs
     internal to the region.  Reads only the dead crossings' ports and their
-    partners.  Returns (circles freed, surviving crossings rerouted).
+    partners.  The dead crossings' entries of `partner` are left stale:
+    nothing reads a port of a crossing that is not in `cross`.  Returns
+    (circles freed, surviving crossings rerouted).
     """
     circles = 0
     consumed = set()
     touched = set()
     for c in dead:
-        for s in range(4):
-            a = partner[(c, s)]
-            if a[0] in dead:
+        for p in range(4 * c, 4 * c + 4):
+            a = partner[p]
+            if a >> 2 in dead:
                 continue
-            touched.add(a[0])
-            if partner[a][0] not in dead:
+            touched.add(a >> 2)
+            if partner[a] >> 2 not in dead:
                 continue  # already rerouted from the strand's other end
-            x = (c, s)
+            x = p
             while True:
                 y = through[x]
                 consumed.add(x)
                 consumed.add(y)
                 z = partner[y]
-                if z[0] in dead:
+                if z >> 2 in dead:
                     x = z
                 else:
                     partner[a] = z
@@ -193,18 +197,8 @@ def _excise(cross: dict, partner: dict, dead: set, through: dict) -> tuple[int, 
                 break
             x = z
     for c in dead:
-        for s in range(4):
-            del partner[(c, s)]
         del cross[c]
     return circles, touched
-
-
-def _sym(*pairs) -> dict:
-    out = {}
-    for a, b in pairs:
-        out[a] = b
-        out[b] = a
-    return out
 
 
 def _smooth_through(c, datum, positive: bool) -> dict:
@@ -214,17 +208,15 @@ def _smooth_through(c, datum, positive: bool) -> dict:
     positive crossing and the minus smoothing of a negative one.
     """
     k = datum[0] % 2 + (0 if positive else 1)
-    return _sym(
-        ((c, k % 4), (c, (k + 1) % 4)),
-        ((c, (k + 2) % 4), (c, (k + 3) % 4)),
-    )
+    a, b, x, y = (4 * c + (k + r) % 4 for r in range(4))
+    return {a: b, b: a, x: y, y: x}
 
 
 # ----------------------------------------------------------------------
 # simplification
 
 
-def _kink_move(cross: dict, partner: dict, c):
+def _kink_move(cross: dict, partner: list, c):
     """Return (v shift, through map) for a curl at c, or None.
 
     The curl is an arc joining adjacent slots i, i+1; it is positive (shift
@@ -232,42 +224,51 @@ def _kink_move(cross: dict, partner: dict, c):
     run from an out slot to an in slot, and the shift is minus the
     crossing sign.
     """
+    base = 4 * c
     for i in range(4):
-        if partner.get((c, i)) == (c, (i + 1) % 4):
-            positive = not _is_over(cross[c], i)
-            through = _sym(((c, (i + 2) % 4), (c, (i + 3) % 4)))
-            return (-1 if positive else 1), through
+        if partner[base + i] == base + (i + 1) % 4:
+            # an under slot has the parity opposite the over-in slot's
+            positive = (i ^ cross[c][1]) & 1
+            x, y = base + (i + 2) % 4, base + (i + 3) % 4
+            return (-1 if positive else 1), {x: y, y: x}
     return None
 
 
-def _parallel_arcs(cross: dict, partner: dict, c, same_levels: bool):
-    """First (i, c2, j) with slots i, i+1 of c running to slots j, j-1 of
-    another crossing c2, where both arcs keep their levels (a bigon,
+def _parallel_arcs(cross: dict, partner: list, c, same_levels: bool):
+    """First ports (p, p1) of c at slots i, i+1 whose arcs run to slots j,
+    j-1 of another crossing, where both arcs keep their levels (a bigon,
     `same_levels`) or swap them (a clasp); else None."""
+    base = 4 * c
+    o = cross[c][1]
     for i in range(4):
-        c2, j = partner[(c, i)]
-        if c2 == c or partner.get((c, (i + 1) % 4)) != (c2, (j - 1) % 4):
+        q = partner[base + i]
+        c2 = q >> 2
+        p1 = base + (i + 1) % 4
+        # q - 1 if q & 3 else q + 3: slot j - 1 of c2
+        if c2 == c or partner[p1] != (q - 1 if q & 3 else q + 3):
             continue
-        if (_is_over(cross[c], i) == _is_over(cross[c2], j)) == same_levels:
-            return i, c2, j
+        # a slot is over when it has the over-in slot's parity
+        if ((i ^ o ^ q ^ cross[c2][1]) & 1 == 0) == same_levels:
+            return base + i, p1
     return None
 
 
-def _bigon_move(cross: dict, partner: dict, c):
+def _bigon_move(cross: dict, partner: list, c):
     """Return (other crossing, through map) for a cancelling bigon at c, or None."""
     hit = _parallel_arcs(cross, partner, c, True)
     if hit is None:
         return None
-    i, c2, j = hit
-    through = _sym(
-        ((c, (i + 2) % 4), (c2, (j + 2) % 4)),
-        ((c, (i + 3) % 4), (c2, (j + 1) % 4)),
-    )
-    return c2, through
+    p, p1 = hit
+    q, q1 = partner[p], partner[p1]
+    # the strands run on through the slots opposite the bigon's corners
+    return q >> 2, {p ^ 2: q ^ 2, q ^ 2: p ^ 2, p1 ^ 2: q1 ^ 2, q1 ^ 2: p1 ^ 2}
 
 
-def _simplify(cross: dict, partner: dict, seeds) -> tuple[int, int]:
+def _simplify(cross: dict, partner: list, seeds) -> tuple[int, int]:
     """Harvest kinks and parallel bigons in place; returns (v shift, circles).
+
+    Moves delete crossings from `cross` and reroute the int ports of
+    `partner` around them; a deleted crossing's four entries go stale.
 
     Worklist-driven from `seeds`, which must hold every crossing where a
     move is possible: a pattern involving some crossing can only become
@@ -313,7 +314,7 @@ def _simplify(cross: dict, partner: dict, seeds) -> tuple[int, int]:
 # traversal: descending detection and branch point selection
 
 
-def _find_clasp(cross: dict, partner: dict):
+def _find_clasp(cross: dict, partner: list):
     """Find a crossing pair joined by two parallel arcs with opposite levels.
 
     Switching either crossing of such a clasp turns it into a bigon that
@@ -325,17 +326,18 @@ def _find_clasp(cross: dict, partner: dict):
     return None
 
 
-def _scan(cross: dict, partner: dict):
+def _scan(cross: dict, partner: list):
     """Walk every circle; report (first bad crossing, circle count, writhe sum).
 
     A crossing is good when its first visit runs along the over strand.
     The walk order is deterministic: circles start at the smallest
-    unvisited in-port (c, u) or (c, o), and a walk marks both directions
-    of each port it passes visited.  An oriented state's walks only ever
-    enter by in-ports, so there the marking changes nothing; an
-    unoriented state's circles may run against the strands' directions.
+    unvisited in-port 4c + u or 4c + o, and a walk marks both directions
+    of each port it passes visited: p and p ^ 2, the port across the
+    crossing.  An oriented state's walks only ever enter by in-ports, so
+    there the marking changes nothing; an unoriented state's circles may
+    run against the strands' directions.
     """
-    entry_ports = sorted((c, s) for c, (u, o) in cross.items() for s in (u, o))
+    entry_ports = sorted(4 * c + s for c, (u, o) in cross.items() for s in (u, o))
     visited = set()
     seen = set()
     n_circles = 0
@@ -347,20 +349,21 @@ def _scan(cross: dict, partner: dict):
         entries = {}
         p = start
         while p not in visited:
-            c, s = p
+            c = p >> 2
             visited.add(p)
-            visited.add((c, (s + 2) % 4))
-            over = _is_over(cross[c], s)
+            visited.add(p ^ 2)
+            # a port is over when its slot has the over-in slot's parity
+            over = not (p ^ cross[c][1]) & 1
             if c not in seen:
                 if not over:
                     return c, -1, -1
                 seen.add(c)
             if c in entries:
-                x, y = (s, entries[c]) if over else (entries[c], s)
+                x, y = (p, entries[c]) if over else (entries[c], p)
                 writhe_total += 1 if (x - y) % 4 == 3 else -1
             else:
-                entries[c] = s
-            p = partner[(c, (s + 2) % 4)]
+                entries[c] = p
+            p = partner[p ^ 2]
     return None, n_circles, writhe_total
 
 
@@ -383,7 +386,7 @@ def clear_caches():
     _VALUES.clear()
 
 
-def _clusters(cross: dict, partner: dict) -> list[set]:
+def _clusters(cross: dict, partner: list) -> list[set]:
     remaining = set(cross)
     out = []
     while remaining:
@@ -391,37 +394,44 @@ def _clusters(cross: dict, partner: dict) -> list[set]:
         stack = [seed]
         group = {seed}
         while stack:
-            c = stack.pop()
-            for s in range(4):
-                c2, _ = partner[(c, s)]
-                if c2 in group:
-                    continue
-                group.add(c2)
-                stack.append(c2)
+            at = 4 * stack.pop()
+            for q in partner[at:at + 4]:
+                c2 = q >> 2
+                if c2 not in group:
+                    group.add(c2)
+                    stack.append(c2)
         out.append(group)
         remaining -= group
     return out
 
 
-def _canonical_key(cross: dict, partner: dict, flavor: str) -> bytes:
+def _canonical_key(cross: dict, partner: list, flavor: str) -> bytes:
     """Relabeling-invariant memo key of a cluster state, packed into bytes.
 
-    One walk serves both flavors, which set only m: 4 oriented, 2
-    unoriented.  A port's offset is its slot minus its crossing's under-in
-    slot u, mod m, and a crossing's bases are range(u, u + 4, m): the
-    under-in slot oriented, either under slot unoriented.  A breadth-first
-    walk from each seed (crossing, base) numbers the crossings and writes
-    one row per crossing: for each slot from the base on, the entry
-    `id * 4 + offset` of the partner's number and slot offset from the
-    partner's base.  A newly reached crossing takes the base s2 - offset at
-    or before the reaching slot s2.  Offsets are below 4, so entries order
-    as the (id, offset) pairs they pack.  The smallest row sequence wins.
-    A base's signature is its row of neighbour offsets and self-loop flags,
-    `offset * 2 + self_loop`, read from that base; the seeds are the bases
-    whose signature is the lowest.  The seed set names no label, so it
-    decides which walk wins but not which states share a key.
+    `partner` may hold other clusters' ports too; the key reads only the
+    ports of crossings in `cross`, and numbers crossings in lists indexed
+    by crossing id.  One walk serves both flavors, which set only m: 4
+    oriented, 2 unoriented (`mask` is m - 1).  A port's offset is its slot
+    minus its crossing's under-in slot u, mod m, and a crossing's bases
+    are range(u, u + 4, m): the under-in slot oriented, either under slot
+    unoriented.  A breadth-first walk from each seed (crossing, base)
+    numbers the crossings and writes four entries per crossing: for each
+    slot from the base on, the entry `id * 4 + offset` of the partner's
+    number and slot offset from the partner's base.  A newly reached
+    crossing takes the base s2 - offset at or before the reaching slot
+    s2.  Offsets are below 4, so entries order as the (id, offset) pairs
+    they pack, and the flat entry list orders as its rows of four do.
+    Each walk is compared entry by entry with the best so far, stops at
+    its first entry above the best's, and the smallest walk wins.
 
-    The key is a flavor byte followed by the rows' entries, one unsigned
+    A base's signature is its row of neighbour offsets and self-loop
+    flags, `offset * 2 + self_loop`, read from that base and packed three
+    bits an entry into one int, which orders as the row does; the seeds
+    are the bases whose signature is the lowest.  The seed set names no
+    label, so it decides which walk wins but not which states share a
+    key.
+
+    The key is a flavor byte followed by the entries, one unsigned
     16-bit entry each; `_prepare` refuses diagrams of more than
     `_KEY_CROSSINGS` crossings, so no entry overflows.
 
@@ -434,52 +444,70 @@ def _canonical_key(cross: dict, partner: dict, flavor: str) -> bytes:
     `TestCanonicalKey` in tests/test_skein_eval.py checks both claims on
     the states the engine keys.
     """
-    m = 4 if flavor == ORIENTED else 2
-    sigs = []
+    mask = 3 if flavor == ORIENTED else 1  # offsets are taken mod mask + 1
+    n = len(partner) >> 2
+    under = [0] * n
     for c, (u, _) in cross.items():
-        row = []
+        under[c] = u
+    low = 1 << 12  # above every signature
+    seeds = []
+    turns = (0,) if mask == 3 else (0, 2)
+    for c, (u, _) in cross.items():
+        at = 4 * c
+        sig = 0
         for r in range(4):
-            c2, s2 = partner[(c, (u + r) % 4)]
-            row.append((s2 - cross[c2][0]) % m * 2 + (c2 == c))
-        row = tuple(row)
-        sigs.append((row, c, u))
-        if m == 2:
-            sigs.append((row[2:] + row[:2], c, u + 2))
-    low = min(row for row, _, _ in sigs)
-    seeds = sorted((c, base) for row, c, base in sigs if row == low)
+            q = partner[at + ((u + r) & 3)]
+            sig = sig * 8 + ((q - under[q >> 2]) & mask) * 2 + (q >> 2 == c)
+        for t in turns:
+            if sig <= low:
+                if sig < low:
+                    low = sig
+                    seeds = []
+                seeds.append((c, u + t))
+            sig = (sig & 63) << 6 | sig >> 6  # the row read two slots on
+    seeds.sort()
     best = None
     for seed, base in seeds:
-        ids = {seed: 0}
-        rots = {seed: base}
+        ids = [-1] * n
+        rots = [0] * n
+        ids[seed] = 0
+        rots[seed] = base
         queue = [seed]
-        rows = []
-        status = 0  # vs best: 0 tied so far, 1 strictly smaller at some row
+        entries = []
+        tied = best is not None  # equal to best so far, entry by entry
         for c in queue:  # the walk appends to the queue as it goes
             b = rots[c]
-            row = []
+            at = 4 * c
             for r in range(4):
-                c2, s2 = partner[(c, (b + r) % 4)]
-                if c2 not in ids:
-                    ids[c2] = len(queue)
-                    rots[c2] = s2 - (s2 - cross[c2][0]) % m
+                q = partner[at + ((b + r) & 3)]
+                c2 = q >> 2
+                i2 = ids[c2]
+                if i2 < 0:
+                    i2 = ids[c2] = len(queue)
+                    rots[c2] = q - ((q - under[c2]) & mask)
                     queue.append(c2)
-                row.append(ids[c2] * 4 + (s2 - rots[c2]) % 4)
-            rowt = tuple(row)
-            if best is not None and status == 0:
-                ref = best[len(rows)]
-                if rowt > ref:
-                    rows = None
-                    break
-                if rowt < ref:
-                    status = 1
-            rows.append(rowt)
-        if rows is not None and (best is None or status == 1):
-            best = rows
-    return _FLAVOR_BYTE[flavor] + array("H", [x for row in best for x in row]).tobytes()
+                entry = i2 * 4 + ((q - rots[c2]) & 3)
+                if tied:
+                    ref = best[len(entries)]
+                    if entry > ref:
+                        break
+                    tied = entry == ref
+                entries.append(entry)
+            else:
+                continue
+            break  # the walk passed the best so far
+        else:
+            if not tied:
+                best = entries
+    return _FLAVOR_BYTE[flavor] + array("H", best).tobytes()
 
 
-def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool, seeds) -> _ZFrac:
-    """Value of a state after simplifying it from `seeds` (see `_simplify`)."""
+def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> _ZFrac:
+    """Value of a state after simplifying it from `seeds` (see `_simplify`).
+
+    The clusters of a split state share its `partner` list: each is
+    valued from its own crossings, and none writes to the list.
+    """
     vshift, circles = _simplify(cross, partner, seeds)
     if not cross:
         return _ZFrac(vpow(vshift), 0).times_circles(circles, flavor)
@@ -489,11 +517,7 @@ def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool, seeds) -> _ZF
     else:
         value = None
         for group in groups:
-            sub_cross = {c: cross[c] for c in group}
-            sub_partner = {
-                (c, s): partner[(c, s)] for c in group for s in range(4)
-            }
-            part = _cluster_value(sub_cross, sub_partner, flavor, memo)
+            part = _cluster_value({c: cross[c] for c in group}, partner, flavor, memo)
             value = part if value is None else value * part
     value = value.times_circles(circles, flavor)
     if vshift:
@@ -501,7 +525,7 @@ def _evaluate(cross: dict, partner: dict, flavor: str, memo: bool, seeds) -> _ZF
     return value
 
 
-def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFrac:
+def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool) -> _ZFrac:
     if memo:
         key = _canonical_key(cross, partner, flavor)
         hit = _MEMO.get(key)
@@ -524,7 +548,7 @@ def _cluster_value(cross: dict, partner: dict, flavor: str, memo: bool) -> _ZFra
     return result
 
 
-def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
+def _resolve(cross: dict, partner: list, flavor: str, c, memo: bool):
     """Apply the flavor's skein relation at crossing c, leaving the state intact.
 
     Returns (switched value, smoothing values, z-term); the state's value
@@ -540,11 +564,11 @@ def _resolve(cross: dict, partner: dict, flavor: str, c, memo: bool):
         throughs = (_smooth_through(c, cross[c], sign > 0),)
     else:
         throughs = (_smooth_through(c, cross[c], True), _smooth_through(c, cross[c], False))
-    switched = _evaluate(sw_cross, dict(partner), flavor, memo, (c,))
+    switched = _evaluate(sw_cross, list(partner), flavor, memo, (c,))
     smoothings = []
     for through in throughs:
         sm_cross = dict(cross)
-        sm_partner = dict(partner)
+        sm_partner = list(partner)
         freed, touched = _excise(sm_cross, sm_partner, {c}, through)
         smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo, touched).times_circles(freed, flavor))
     if flavor == ORIENTED:
@@ -664,7 +688,7 @@ def skein_relation_probe(
         raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
     cross, partner, memo = _prepare(d, config)
     with _recursion_room():
-        here = _evaluate(dict(cross), dict(partner), flavor, memo, cross)
+        here = _evaluate(dict(cross), list(partner), flavor, memo, cross)
         switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
     loops = len(d.free_loops)
     out = {"flavor": flavor}

@@ -101,6 +101,27 @@ def same_diagram_as(d: LinkDiagram, other: LinkDiagram) -> bool:
 
 
 # ----------------------------------------------------------------------
+# skein engine states
+
+
+def port_pairs(cross: dict, partner: list) -> dict:
+    """An engine state's arcs with each int port `4 * c + s` read as the pair
+    (c, s): every port of a crossing in `cross` to its partner, in port
+    order.  Stale entries of excised crossings are left out."""
+    return {divmod(p, 4): divmod(partner[p], 4) for c in sorted(cross) for p in range(4 * c, 4 * c + 4)}
+
+
+def port_list(pairs: dict, n_crossings: int) -> list:
+    """The engine's port list for arcs given as (c, s) pairs, the inverse of
+    `port_pairs`, for crossing ids below `n_crossings`; ports no pair names
+    hold None."""
+    partner = [None] * (4 * n_crossings)
+    for (c, s), (c2, s2) in pairs.items():
+        partner[4 * c + s] = 4 * c2 + s2
+    return partner
+
+
+# ----------------------------------------------------------------------
 # annulus vectors and eigenvalues
 
 

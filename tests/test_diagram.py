@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_code, linking_number, same_diagram_as, self_writhe
+from oracles import canonical_code, linking_number, port_list, same_diagram_as, self_writhe
 from skeinkit import skein_eval
 from skeinkit.annulus import build_satellite_row
 from skeinkit.corpus import (
@@ -351,8 +351,8 @@ def _is_in_slot(d: LinkDiagram, ci: int, slot: int) -> bool:
     return slot == 0 or slot == (3 if d.signs[ci] > 0 else 1)
 
 
-def _partner_from_signs(d: LinkDiagram) -> dict:
-    """The engine's arc matching as read from the signs alone, edge by edge
+def _partner_from_signs(d: LinkDiagram) -> list:
+    """The engine's port list as read from the signs alone, edge by edge
     in increasing order, each arc entered from its out-port."""
     ends: dict = {}
     for ci, quad in enumerate(d.crossings):
@@ -363,7 +363,7 @@ def _partner_from_signs(d: LinkDiagram) -> dict:
         a, b = ends[edge]["out"], ends[edge]["in"]
         partner[a] = b
         partner[b] = a
-    return partner
+    return port_list(partner, len(d.crossings))
 
 
 def _check_edge_ends(d: LinkDiagram):
@@ -377,7 +377,7 @@ def _check_edge_ends(d: LinkDiagram):
         assert not _is_in_slot(d, *tail)
         assert _is_in_slot(d, *head)
     cross, partner = skein_eval._build_state(d)
-    assert list(partner.items()) == list(_partner_from_signs(d).items())
+    assert partner == _partner_from_signs(d)
 
 
 class TestEdgeEnds:

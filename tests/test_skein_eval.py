@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import port_list, port_pairs
 from skeinkit.corpus import (
     braid_closure,
     corpus_names,
@@ -28,6 +29,7 @@ from skeinkit.eigen import (
     homfly_meridian_eigenvalue,
     kauffman_meridian_eigenvalue,
 )
+from skeinkit.diagram import LinkDiagram
 from skeinkit.partition import Partition
 from skeinkit.ring import LaurentPoly, RingElem, vpow, z_poly
 from skeinkit import skein_eval
@@ -341,6 +343,7 @@ def _signs_from_key_ports(rows):
 def _all_over_crossings(cross, partner):
     """Crossings of a state whose over strand no under port reaches: those
     on components that pass over at every crossing."""
+    partner = port_pairs(cross, partner)
     fixed = {}
     for c, (u, _) in cross.items():
         fixed[(c, u)], fixed[(c, (u + 2) % 4)] = True, False
@@ -372,6 +375,7 @@ def _key_numbering(cross, partner, key):
     Walks breadth-first from every crossing, reading each crossing's slots
     from its under-in slot on, until one walk writes the key's rows.
     """
+    partner = port_pairs(cross, partner)
     rows = _key_rows(key)
     for seed in sorted(cross):
         ids = {seed: 0}
@@ -397,7 +401,7 @@ def _record_keyed_states(monkeypatch, flavor, links):
     real = skein_eval._canonical_key
 
     def recording(cross, partner, flavor):
-        states.append((dict(cross), dict(partner)))
+        states.append((dict(cross), list(partner)))
         return real(cross, partner, flavor)
 
     monkeypatch.setattr(skein_eval, "_canonical_key", recording)
@@ -452,7 +456,7 @@ class TestCanonicalKey:
             keys = [skein_eval._canonical_key(state, partner, ORIENTED) for state in (cross, reversed_cross)]
             assert keys[0] == keys[1]
             values = [
-                skein_eval._evaluate(dict(state), dict(partner), ORIENTED, False, state).to_ring_elem()
+                skein_eval._evaluate(dict(state), list(partner), ORIENTED, False, state).to_ring_elem()
                 for state in (cross, reversed_cross)
             ]
             assert values[0] == values[1]
@@ -466,6 +470,7 @@ def _reference_sign(datum):
 
 
 def _reference_local_sig(cross, partner, flavor, c):
+    # `partner` as (crossing, slot) pairs, see `port_pairs`
     if flavor == ORIENTED:
         u = cross[c][0]
         row = [_reference_sign(cross[c])]
@@ -492,6 +497,7 @@ def reference_canonical_key(cross, partner, flavor):
     it must induce: one signature call per crossing, each sign recomputed
     where it is read, and both bases of every unoriented crossing of lowest
     signature seeded."""
+    partner = port_pairs(cross, partner)
     sigs = {c: _reference_local_sig(cross, partner, flavor, c) for c in cross}
     low = min(sigs.values())
     cids = sorted(c for c in cross if sigs[c] == low)
@@ -602,7 +608,7 @@ class TestEngineRewritesExact:
             nonlocal keyed
             key = real(cross, partner, flavor)
             ref = reference_canonical_key(cross, partner, flavor)
-            classes.setdefault(key, {}).setdefault(ref, (dict(cross), dict(partner)))
+            classes.setdefault(key, {}).setdefault(ref, (dict(cross), list(partner)))
             keyed += 1
             return key
 
@@ -615,7 +621,7 @@ class TestEngineRewritesExact:
         merged = [group for group in classes.values() if len(group) > 1]
         for group in merged:
             values = [
-                skein_eval._evaluate(dict(cross), dict(partner), flavor, False, cross).to_ring_elem()
+                skein_eval._evaluate(dict(cross), list(partner), flavor, False, cross).to_ring_elem()
                 for cross, partner in group.values()
             ]
             assert all(value == values[0] for value in values)
@@ -642,7 +648,8 @@ class TestEngineRewritesExact:
                     name[c]: ((u + turn[c] + flip[c]) % 4, (o + turn[c] + flip[c]) % 4)
                     for c, (u, o) in cross.items()
                 }
-                moved = {port(a): port(b) for a, b in partner.items()}
+                moved = {port(a): port(b) for a, b in port_pairs(cross, partner).items()}
+                moved = port_list(moved, len(partner) // 4)
                 assert skein_eval._canonical_key(relabeled, moved, flavor) == want
         assert len(states) > 100
 
@@ -656,12 +663,12 @@ class TestEngineRewritesExact:
         def checking(cross, partner, seeds):
             if set(seeds) >= set(cross):
                 return real(cross, partner, seeds)
-            full_cross, full_partner = dict(cross), dict(partner)
+            full_cross, full_partner = dict(cross), list(partner)
             want = real(full_cross, full_partner, list(full_cross))
             got = real(cross, partner, seeds)
             assert got == want
             assert cross == full_cross
-            assert partner == full_partner
+            assert port_pairs(cross, partner) == port_pairs(full_cross, full_partner)
             seeded.append(len(seeds))
             return got
 
@@ -812,6 +819,54 @@ class TestBraidRelations:
     def test_memo_off_agrees(self, n, data):
         word = data.draw(_long_word(n))
         assert _both(word, n, EvalConfig(memo=False)) == _both(word, n)
+
+
+def _relabeled(d, order):
+    """`d` with its crossings renumbered: crossing k is `d`'s crossing order[k]."""
+    crossings = [d.crossings[i] for i in order]
+    signs = [d.signs[i] for i in order]
+    return LinkDiagram(d.name, d.n_components, crossings, d.component_of_edge, d.free_loops, signs)
+
+
+class TestSplitClusters:
+    """The clusters of a split state share its port list, and each must be
+    valued from its own crossings alone.
+
+    A 4-strand closure of a word whose letters are σ1^±1 and σ3^±1 only is
+    the split union of two 2-strand closures, so its values are the
+    products of theirs.  Renumbering the crossings interleaves the two
+    clusters' crossing ids.
+    """
+
+    def check(self, a, b, order):
+        d = _relabeled(braid_closure(4, a + b, "split"), order)
+        parts = (braid_closure(2, a, "left"), braid_closure(2, [x // 3 for x in b], "right"))
+        for memo in (True, False):
+            cfg = EvalConfig(memo=memo)
+            for run in (homfly, kauffman):
+                clear_caches()
+                try:
+                    got = run(d, cfg)
+                    want = run(parts[0], cfg) * run(parts[1], cfg)
+                finally:
+                    clear_caches()
+                assert got == want
+
+    def test_two_trefoils(self):
+        a, b, order = [1, 1, 1], [3, 3, 3], [0, 3, 1, 4, 5, 2]
+        cross, partner = skein_eval._build_state(_relabeled(braid_closure(4, a + b), order))
+        groups = skein_eval._clusters(cross, partner)
+        assert sorted(sorted(group) for group in groups) == [[0, 2, 5], [1, 3, 4]]
+        self.check(a, b, order)
+
+    @given(
+        a=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=8),
+        b=st.lists(st.sampled_from([3, -3]), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_values_are_products_of_the_parts(self, a, b, data):
+        self.check(a, b, data.draw(st.permutations(range(len(a) + len(b)))))
 
 
 def _two_cabled_word(word):
@@ -1074,3 +1129,47 @@ class TestEngineWork:
         assert second == first
         memo_off = EvalConfig(memo=False)
         assert [run(d, memo_off).render() for d in words[:4]] == second[:4]
+
+
+def _memo_keys_sha256():
+    """sha256 of the memo's keys in sorted order, each after its length."""
+    digest = hashlib.sha256()
+    for key in sorted(skein_eval._MEMO):
+        digest.update(len(key).to_bytes(4, "little") + key)
+    return digest.hexdigest()
+
+
+class TestKeyBytesPinned:
+    """Every memo key's bytes, pinned by hash.
+
+    Key bytes are a function of the state alone, so a change to how the
+    engine stores or walks states must leave every hash as it is; a
+    change to the key format changes them on purpose.
+    """
+
+    @pytest.mark.parametrize("flavor, sha", [
+        (ORIENTED, "a8c298d2234017ab875005d5bf87f50ee01f47b8cd1f3717a64d6be13e449a14"),
+        (UNORIENTED, "31712e1b9d60fc158e41c4d3397b4a5c33383efc7b8d326bbdc9f8bf6f74eab6"),
+    ])
+    def test_braid_family_words(self, flavor, sha):
+        # the benchmark's first 20 braid_family closures, sharing one memo
+        run = homfly if flavor == ORIENTED else kauffman
+        clear_caches()
+        try:
+            for d in _seeded_braids(20, seed=1):
+                run(d)
+            got = _memo_keys_sha256()
+        finally:
+            clear_caches()
+        assert got == sha
+
+    def test_satellite_rows_up_to_6_crossings(self):
+        # both flavors' keys from the 7 rows' checks, in one memo
+        clear_caches()
+        try:
+            for row in TestEngineWork().rows():
+                assert verify_rudolph(row).passed
+            got = _memo_keys_sha256()
+        finally:
+            clear_caches()
+        assert got == "d13cbc4d2033c1c95330c027349bc893cbfd51e64fe4791ab06b84d9ab6950e3"
