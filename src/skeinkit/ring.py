@@ -13,12 +13,19 @@ term is constant; exponent 1 renders bare ("v", not "v^1"); other
 exponents render as "v^3" or "s^-2"; factors are joined with "*"; the
 zero polynomial renders as "0"; a fraction renders as "(num)/(den)"
 only when the reduced denominator is not 1.
+
+Fractions (``RingElem``) are always stored reduced, and their arithmetic
+skips the work that invariant makes redundant: a sum with a unit
+denominator on one side is not reduced again, a sum over a shared
+denominator forms no denominator product, and a product forms no product
+with a denominator of 1 (see ``RingElem``).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import index
 from typing import Iterable, Mapping, Optional, Union
 
 Exponents = tuple[int, int]
@@ -41,8 +48,17 @@ class LaurentPoly:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for (dv, ds), coeff in items:
-                key = (int(dv), int(ds))
-                merged[key] = merged.get(key, 0) + int(coeff)
+                # exact input only: a float or other non-integer is refused,
+                # never truncated
+                try:
+                    key = (index(dv), index(ds))
+                    coeff = index(coeff)
+                except TypeError:
+                    raise TypeError(
+                        f"non-integer term {(dv, ds)!r}: {coeff!r}; exponents and "
+                        "coefficients must be integers"
+                    ) from None
+                merged[key] = merged.get(key, 0) + coeff
         clean = {}
         for key, coeff in merged.items():
             if char == 2:
@@ -76,7 +92,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value: int, char: int = 0) -> "LaurentPoly":
-        return cls({(0, 0): int(value)}, char)
+        return cls({(0, 0): value}, char)
 
     @classmethod
     def monomial(cls, dv: int, ds: int, coeff: int = 1, char: int = 0) -> "LaurentPoly":
@@ -371,6 +387,32 @@ class RingElem:
     factors are cancelled, the denominator is shifted to nonnegative
     corner exponents, its leading coefficient is made positive, and a
     denominator that divides the numerator exactly is cleared to 1.
+
+    Every RingElem is built reduced: either through the constructor, whose
+    ``_reduce_fraction`` is the one normaliser, or through ``_make`` from a
+    pair that normaliser would return unchanged.  Arithmetic relies on this
+    to do only the work its operands need:
+
+    - A sum or difference with a unit denominator on one side, a/d +- p, is
+      (a +- p*d)/d with no reduction.  It is the pair ``_reduce_fraction``
+      would return: an integer content, an exact division or an
+      s^(2r) - 1 fold shared by a +- p*d and d would also be shared by a
+      and d, which were reduced, and d already has corner (0, 0) and a
+      positive leading coefficient.  For the same reason a +- p*d is zero
+      only when d is 1, so zero comes out as 0/1.  A negation is reduced
+      for the same reason.
+    - Over a shared denominator, a/d +- b/d is reduced from (a +- b)/d, with
+      no denominator product and no division by d^2.
+    - A product forms no product with a denominator of 1, and a product of
+      two polynomials over 1 is returned unreduced.
+    - Every other case uses the cross-multiplied formula.
+
+    The fast paths give the cross-multiplied formula's (num, den) exactly
+    when a denominator is 1 and when the shared denominator is a unit times
+    a monomial times a power of s - s^-1.  A shared denominator with a
+    factor reduction cannot cancel, such as v + 1, used to stay squared in
+    the sum's denominator; now the sum keeps it once.  That representative
+    is smaller and has the same value and the same hash.
     """
 
     __slots__ = ("num", "den")
@@ -397,6 +439,15 @@ class RingElem:
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
 
+    @classmethod
+    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "RingElem":
+        # internal fast path: (num, den) must already be a pair that
+        # _reduce_fraction returns unchanged (see the class docstring)
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
     # ------------------------------------------------------------------
 
     @property
@@ -413,7 +464,7 @@ class RingElem:
 
     @classmethod
     def from_int(cls, value: int, char: int = 0) -> "RingElem":
-        return cls(LaurentPoly.constant(value, char))
+        return cls._make(LaurentPoly.constant(value, char), LaurentPoly.one(char))
 
     def _coerce(self, other) -> Optional["RingElem"]:
         if isinstance(other, RingElem):
@@ -423,7 +474,7 @@ class RingElem:
         if isinstance(other, LaurentPoly):
             if other.char != self.char:
                 raise ValueError("characteristic mismatch")
-            return RingElem(other)
+            return RingElem._make(other, LaurentPoly.one(self.char))
         if isinstance(other, int):
             return RingElem.from_int(other, self.char)
         return None
@@ -431,22 +482,36 @@ class RingElem:
     # ------------------------------------------------------------------
     # field operations
 
+    def _sum(self, other: "RingElem", sign: int) -> "RingElem":
+        """self + sign * other for sign 1 or -1, by the cheapest case that applies."""
+        a, d1 = self.num, self.den
+        b = other.num if sign > 0 else -other.num
+        d2 = other.den
+        if d2.is_one():
+            return RingElem._make(a + b if d1.is_one() else a + b * d1, d1)
+        if d1.is_one():
+            return RingElem._make(a * d2 + b, d2)
+        if d1 == d2:
+            return RingElem(a + b, d1)
+        return RingElem(a * d2 + b * d1, d1 * d2)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(-self.num, self.den)
+        # negating the numerator keeps every condition of a reduced pair
+        return RingElem._make(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -458,7 +523,14 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(self.num * other.num, self.den * other.den)
+        num = self.num * other.num
+        if self.den.is_one():
+            if other.den.is_one():
+                return RingElem._make(num, self.den)
+            return RingElem(num, other.den)
+        if other.den.is_one():
+            return RingElem(num, self.den)
+        return RingElem(num, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -217,6 +217,15 @@ class TestRenderingPinned:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "034d5413320f4949f0758f75239afcf980e873e55bac2b8bb839b6f41242400e"
 
+    def test_plans_up_to_size_6(self):
+        # plans are where a shared denominator with a factor other than a
+        # z-power could first reach a rendered byte; hash taken before sums
+        # over a shared denominator stopped cross-multiplying
+        lines = [json.dumps(plan.to_dict(), sort_keys=True) for plan in plans_up_to(6)]
+        assert len(lines) == 73
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "17f8b87c150297b99e159aa2a61022b16c73d2dbe234221ca2c499e635112061"
+
     def test_eigenvalue_table_to_size_8(self):
         rows = eigenvalue_table(8)
         text = "\n".join(f"{p}\t{value.render()}\t{value.to_mod2().render()}" for p, value in rows)

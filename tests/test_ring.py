@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinkit import ring
 from skeinkit.ring import (
     LaurentPoly,
     RingElem,
@@ -242,6 +243,28 @@ class TestLaurentPoly:
         assert str(LaurentPoly({(2, 0): 3, (0, 0): -1})) == "-1 + 3*v^2"
         assert str(LaurentPoly({(1, 1): -1, (-1, 1): 1})) == "v^-1*s + -v*s"
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LaurentPoly({(0, 0): 1.5}),
+            lambda: LaurentPoly({(0, 0): 2.0}),
+            lambda: LaurentPoly([((1, 0), Fraction(1, 2))]),
+            lambda: LaurentPoly({(0.5, 1): 2}),
+            lambda: LaurentPoly({(1, 2.0): 2}),
+            lambda: LaurentPoly.constant(2.9),
+            lambda: LaurentPoly.monomial(1, 2, 1.5),
+            lambda: LaurentPoly.monomial(1.0, 2),
+        ],
+        ids=[
+            "float-coeff", "integral-float-coeff", "fraction-coeff", "float-v-exponent",
+            "float-s-exponent", "constant", "monomial-coeff", "monomial-exponent",
+        ],
+    )
+    def test_inexact_input_is_refused(self, build):
+        # exact values only: a non-integer is refused by name, never truncated
+        with pytest.raises(TypeError, match="non-integer term"):
+            build()
+
 
 class TestRingElem:
     def test_reduction_to_polynomial(self):
@@ -367,3 +390,139 @@ class TestRingElem:
         assert str(delta) == "(v^-1*s + -v*s)/(-1 + s^2)"
         assert str(RingElem.zero()) == "0"
         assert str(RingElem(spow(2) - spow(-2), z_poly())) == "s^-1 + s"
+
+
+def cross_multiplied_sum(a, b, sign):
+    """a + sign*b by cross-multiplication, the general formula."""
+    return RingElem(a.num * b.den + sign * (b.num * a.den), a.den * b.den)
+
+
+def z_denominators(char):
+    """Unit x monomial x (s - s^-1)^k, the shared denominators of sums over z-powers."""
+    return st.builds(
+        lambda sign, dv, ds, k: LaurentPoly.monomial(dv, ds, sign, char) * z_poly(char) ** k,
+        st.sampled_from([1, -1]),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.integers(0, 4),
+    )
+
+
+def any_denominators(char):
+    """Arbitrary nonzero denominators, some with the factor v + 1 that reduction keeps."""
+    nonzero = polys(char).filter(lambda p: not p.is_zero())
+    return st.one_of(nonzero, nonzero.map(lambda p: p * (vpow(1, char) + LaurentPoly.one(char))))
+
+
+class TestFractionFastPaths:
+    """Sums over a unit or a shared denominator against the general formula.
+
+    Every RingElem is built reduced, so a unit-denominator sum and a sum over
+    a shared unit x monomial x z^k denominator keep the general formula's
+    (num, den) exactly; any other shared denominator may give a smaller
+    representative of the same value, with the same hash.
+    """
+
+    @staticmethod
+    def check(a, b, identical):
+        for got, want in (
+            (a + b, cross_multiplied_sum(a, b, 1)),
+            (a - b, cross_multiplied_sum(a, b, -1)),
+            (a * b, RingElem(a.num * b.num, a.den * b.den)),
+        ):
+            assert got == want
+            assert hash(got) == hash(want)
+            if identical:
+                assert (got.num, got.den) == (want.num, want.den)
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_unit_denominator_on_one_side(self, char, data):
+        a = RingElem(data.draw(polys(char)), data.draw(any_denominators(char)))
+        p = RingElem(data.draw(polys(char)))
+        self.check(a, p, identical=True)
+        self.check(p, a, identical=True)
+        self.check(p, RingElem(data.draw(polys(char))), identical=True)
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_shared_z_power_denominator(self, char, data):
+        den = data.draw(z_denominators(char))
+        a = RingElem(data.draw(polys(char)), den)
+        b = RingElem(data.draw(polys(char)), den)
+        self.check(a, b, identical=True)
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_arbitrary_denominators(self, char, data):
+        den = data.draw(any_denominators(char))
+        a = RingElem(data.draw(polys(char)), den)
+        other = data.draw(st.one_of(st.just(den), any_denominators(char)))
+        b = RingElem(data.draw(polys(char)), other)
+        self.check(a, b, identical=False)
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_shared_uncancelled_factor_gives_smaller_representative(self, char):
+        one = LaurentPoly.one(char)
+        den = vpow(1, char) + one
+        a, b = RingElem(vpow(2, char), den), RingElem(spow(1, char), den)
+        want = cross_multiplied_sum(a, b, 1)
+        assert want.den == den * den
+        got = a + b
+        assert (got.num, got.den) == (vpow(2, char) + spow(1, char), den)
+        assert got == want
+        assert hash(got) == hash(want)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"reduce": 0, "mul": 0}
+        reduce, mul = ring._reduce_fraction, LaurentPoly.__mul__
+
+        def counting_reduce(num, den):
+            calls["reduce"] += 1
+            return reduce(num, den)
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(ring, "_reduce_fraction", counting_reduce)
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        return calls
+
+    @staticmethod
+    def counted(calls, compute):
+        calls.update(reduce=0, mul=0)
+        compute()
+        return calls["reduce"], calls["mul"]
+
+    def test_unit_denominator_sum_skips_reduction(self, counts):
+        a = RingElem(vpow(1) + spow(3), z_poly() ** 2)
+        p = vpow(-1) - spow(2)
+        pe = RingElem(p)
+        for operand in (pe, p, 3):
+            for compute in (
+                lambda: a + operand,
+                lambda: operand + a,
+                lambda: a - operand,
+                lambda: operand - a,
+            ):
+                assert self.counted(counts, compute) == (0, 1)
+        assert self.counted(counts, lambda: pe + p) == (0, 0)
+
+    def test_equal_denominator_sum_multiplies_nothing(self, counts):
+        den = z_poly() ** 3
+        a, b = RingElem(vpow(1) + spow(3), den), RingElem(vpow(2) - spow(-1), den)
+        assert self.counted(counts, lambda: a + b) == (1, 0)
+        assert self.counted(counts, lambda: a - b) == (1, 0)
+
+    def test_product_over_unit_denominators(self, counts):
+        a = RingElem(vpow(1) + spow(3), z_poly())
+        p, q = RingElem(vpow(-1) - spow(2)), RingElem(spow(1) + 2)
+        assert self.counted(counts, lambda: p * q) == (0, 1)
+        assert self.counted(counts, lambda: a * p) == (1, 1)
+        assert self.counted(counts, lambda: p * a) == (1, 1)
+        assert self.counted(counts, lambda: a * a) == (1, 2)

@@ -953,7 +953,7 @@ def bracket(d) -> LaurentPoly:
 
 def _specialise(poly: LaurentPoly, v_to: int, s_to: int) -> LaurentPoly:
     """v -> -t^v_to, s -> t^s_to, with t stored as the s variable."""
-    return LaurentPoly(((0, v_to * a + s_to * b), c * (-1) ** a) for (a, b), c in poly.terms().items())
+    return LaurentPoly(((0, v_to * a + s_to * b), -c if a % 2 else c) for (a, b), c in poly.terms().items())
 
 
 def _agrees(value: RingElem, want: LaurentPoly, v_to: int, s_to: int) -> bool:
