@@ -18,7 +18,9 @@ Fractions (``RingElem``) are always stored reduced, and their arithmetic
 skips the work that invariant makes redundant: a sum with a unit
 denominator on one side is not reduced again, a sum over a shared
 denominator forms no denominator product, and a product forms no product
-with a denominator of 1 (see ``RingElem``).
+with a denominator of 1 (see ``RingElem``).  Normalisation tries no
+division when s^2 - 1 divides the denominator but not the numerator, as
+for a power of z = s - s^-1 over a numerator that z does not divide.
 """
 
 from __future__ import annotations
@@ -676,6 +678,11 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         if char == 0 and den._terms[max(den._terms)] < 0:
             num, den = -num, -den
         if den.is_one():
+            return num, den
+        # s^2 - 1 divides every s^(2r) - 1, so when it divides den but not
+        # num, neither den nor any fold candidate below divides num, and the
+        # loop would return this pair; this holds over Z and over GF(2)
+        if _divisible_by_s_period(den, 2) and not _divisible_by_s_period(num, 2):
             return num, den
         # full cancellation
         quotient = num.try_div(den)

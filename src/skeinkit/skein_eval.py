@@ -11,6 +11,15 @@ Both are regular-isotopy (framed) invariants: a positive kink multiplies
 the value by v^-1, a negative kink by v, the crossingless circle counts
 delta, and the empty diagram counts 1.
 
+Both relations have coefficients in z = s - s^-1 alone: a switch differs
+by z times smoothings, and a circle is (v^-1 - v)/z oriented or
+(v^-1 - v + z)/z unoriented.  So the engine holds every value as a
+`LaurentPoly` whose second exponent counts powers of z, not of s: a
+product by z is an exponent shift, a sum is a plain sum, and a negative z
+exponent stands for a power of z in the denominator.  Each evaluation
+converts its value to a `RingElem` in v and s once, at the end
+(`_to_ring_elem`).
+
 The engine holds each port, slot s of crossing c, as one int `4 * c + s`:
 its slot is `p & 3`, its crossing `p >> 2`, and the port across the
 crossing `p ^ 2`.  Ints order as the (crossing, slot) pairs they pack.  A
@@ -71,57 +80,43 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
-_DELTA_NUM = vpow(-1) - vpow(1)           # oriented circle: (v^-1 - v)/z
-_DELTA_K_NUM = _DELTA_NUM + z_poly()      # unoriented circle: (v^-1 - v + z)/z
+# The second exponent of an engine value counts powers of z = s - s^-1.
+_DELTA = LaurentPoly({(-1, -1): 1, (1, -1): -1})  # oriented circle: (v^-1 - v)/z
+_DELTA_K = _DELTA + LaurentPoly.one()  # unoriented circle: (v^-1 - v + z)/z
 _Z = z_poly()
 _Z_POWERS = {0: LaurentPoly.one()}
 
 
 def _zpow_poly(k: int) -> LaurentPoly:
+    """z^k written in s."""
     while k not in _Z_POWERS:
         top = max(_Z_POWERS)
         _Z_POWERS[top + 1] = _Z_POWERS[top] * _Z
     return _Z_POWERS[k]
 
 
-class _ZFrac:
-    """num / z^zpow with num a Laurent polynomial; closed under the engine ops."""
+def _times_circles(value: LaurentPoly, k: int, flavor: str) -> LaurentPoly:
+    if k == 0:
+        return value
+    return value * ((_DELTA if flavor == ORIENTED else _DELTA_K) ** k)
 
-    __slots__ = ("num", "zpow")
 
-    def __init__(self, num: LaurentPoly, zpow: int = 0):
-        self.num = num
-        self.zpow = zpow
+def _to_ring_elem(value: LaurentPoly) -> RingElem:
+    """An engine value, a polynomial in v and z, as a fraction in v and s.
 
-    def __add__(self, other: "_ZFrac") -> "_ZFrac":
-        # bring only the operand with the lower z-power up to the other's
-        gap = self.zpow - other.zpow
-        if gap == 0:
-            return _ZFrac(self.num + other.num, self.zpow)
-        if gap > 0:
-            return _ZFrac(self.num + other.num * _zpow_poly(gap), self.zpow)
-        return _ZFrac(self.num * _zpow_poly(-gap) + other.num, other.zpow)
-
-    def __sub__(self, other: "_ZFrac") -> "_ZFrac":
-        return self + other.negate()
-
-    def __mul__(self, other: "_ZFrac") -> "_ZFrac":
-        return _ZFrac(self.num * other.num, self.zpow + other.zpow)
-
-    def times_z(self) -> "_ZFrac":
-        return _ZFrac(self.num * _Z, self.zpow)
-
-    def times_circles(self, k: int, flavor: str) -> "_ZFrac":
-        if k == 0:
-            return self
-        num = _DELTA_NUM if flavor == ORIENTED else _DELTA_K_NUM
-        return _ZFrac(self.num * (num ** k), self.zpow + k)
-
-    def negate(self) -> "_ZFrac":
-        return _ZFrac(-self.num, self.zpow)
-
-    def to_ring_elem(self) -> RingElem:
-        return RingElem(self.num, _zpow_poly(self.zpow))
+    The denominator is z^k for k = -(lowest z exponent) when that is
+    positive, else 1, and each term c*v^a*z^j adds c*v^a*z^(j + k), written
+    in s, to the numerator.  The denominator is then the value's
+    z-valuation, so z does not divide the numerator: neither does s - 1 or
+    s + 1, and the fraction needs no cancellation but its normalisation.
+    """
+    terms = value.terms()
+    k = max([0] + [-j for _, j in terms])
+    num: dict = {}
+    for (a, j), c in terms.items():
+        for (_, b), d in _zpow_poly(j + k).terms().items():
+            num[a, b] = num.get((a, b), 0) + c * d
+    return RingElem(LaurentPoly(num), _zpow_poly(k))
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +373,7 @@ _KEY_CROSSINGS = 16383
 _FLAVOR_BYTE = {ORIENTED: b"o", UNORIENTED: b"u"}
 
 _MEMO: dict = {}
-_VALUES: dict = {}  # (zpow, num) -> the one memo value of that fraction
+_VALUES: dict = {}  # value -> the one memo object of that value
 
 
 def clear_caches():
@@ -502,7 +497,7 @@ def _canonical_key(cross: dict, partner: list, flavor: str) -> bytes:
     return _FLAVOR_BYTE[flavor] + array("H", best).tobytes()
 
 
-def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> _ZFrac:
+def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> LaurentPoly:
     """Value of a state after simplifying it from `seeds` (see `_simplify`).
 
     The clusters of a split state share its `partner` list: each is
@@ -510,7 +505,7 @@ def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> _ZF
     """
     vshift, circles = _simplify(cross, partner, seeds)
     if not cross:
-        return _ZFrac(vpow(vshift), 0).times_circles(circles, flavor)
+        return _times_circles(vpow(vshift), circles, flavor)
     groups = _clusters(cross, partner)
     if len(groups) == 1:
         value = _cluster_value(cross, partner, flavor, memo)
@@ -519,13 +514,13 @@ def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> _ZF
         for group in groups:
             part = _cluster_value({c: cross[c] for c in group}, partner, flavor, memo)
             value = part if value is None else value * part
-    value = value.times_circles(circles, flavor)
+    value = _times_circles(value, circles, flavor)
     if vshift:
-        value = _ZFrac(value.num.shift(vshift, 0), value.zpow)
+        value = value.shift(vshift, 0)
     return value
 
 
-def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool) -> _ZFrac:
+def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool) -> LaurentPoly:
     if memo:
         key = _canonical_key(cross, partner, flavor)
         hit = _MEMO.get(key)
@@ -537,13 +532,13 @@ def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool) -> _ZFra
         if clasp is not None:
             first_bad = clasp
     if first_bad is None:
-        result = _ZFrac(vpow(-writhe), 0).times_circles(n_circles, flavor)
+        result = _times_circles(vpow(-writhe), n_circles, flavor)
     else:
         switched, _, z_term = _resolve(cross, partner, flavor, first_bad, memo)
         result = switched + z_term
     if memo:
         # values are immutable, so entries of equal value share one object
-        result = _VALUES.setdefault((result.zpow, result.num), result)
+        result = _VALUES.setdefault(result, result)
         _MEMO[key] = result
     return result
 
@@ -570,13 +565,13 @@ def _resolve(cross: dict, partner: list, flavor: str, c, memo: bool):
         sm_cross = dict(cross)
         sm_partner = list(partner)
         freed, touched = _excise(sm_cross, sm_partner, {c}, through)
-        smoothings.append(_evaluate(sm_cross, sm_partner, flavor, memo, touched).times_circles(freed, flavor))
+        smoothings.append(_times_circles(_evaluate(sm_cross, sm_partner, flavor, memo, touched), freed, flavor))
     if flavor == ORIENTED:
-        z_term = smoothings[0].times_z()
+        z_term = smoothings[0].shift(0, 1)
         if sign < 0:
-            z_term = z_term.negate()
+            z_term = -z_term
     else:
-        z_term = (smoothings[0] - smoothings[1]).times_z()
+        z_term = (smoothings[0] - smoothings[1]).shift(0, 1)
     return switched, smoothings, z_term
 
 
@@ -615,21 +610,21 @@ def _recursion_room():
         sys.setrecursionlimit(old)
 
 
-def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> _ZFrac:
+def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> LaurentPoly:
     cross, partner, memo = _prepare(d, config)
     with _recursion_room():
         value = _evaluate(cross, partner, flavor, memo, cross)
-    return value.times_circles(len(d.free_loops), flavor)
+    return _times_circles(value, len(d.free_loops), flavor)
 
 
 def homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
     """Framed oriented polynomial; empty diagram 1, crossingless circle delta."""
-    return _run(d, ORIENTED, config).to_ring_elem()
+    return _to_ring_elem(_run(d, ORIENTED, config))
 
 
 def kauffman(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
     """Framed unoriented polynomial; same normalization, orientation ignored."""
-    return _run(d, UNORIENTED, config).to_ring_elem()
+    return _to_ring_elem(_run(d, UNORIENTED, config))
 
 
 def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
@@ -643,8 +638,8 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
     wrappers would name it, e.g. `hopf_plus.drop(1).cable(0,2).rev(1)`.
     Every term's size is checked before any term is built: a crossing
     survives when both its strands are kept, as a grid of 2 x 2.  The
-    terms are summed exactly as num / z^k fractions and the total is
-    normalised once.
+    terms are summed exactly as polynomials in v and z, and the total is
+    converted once.
     """
     n = d.n_components
     cfg = config or DEFAULT_CONFIG
@@ -657,7 +652,7 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
         both = sum(1 for u, o in strands if mask & (1 << u) and mask & (1 << o))
         _check_size(name, 4 * both, cfg)
         terms.append((mask, kept, name))
-    total = _ZFrac(LaurentPoly.zero())
+    total = LaurentPoly.zero()
     for mask, kept, name in terms:
         mesh = Mesh.from_diagram(d)
         for i in reversed(range(n)):
@@ -668,7 +663,7 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
             mesh.reverse_component(pos + 1)
         term = _run(mesh.to_diagram(name), ORIENTED, config)
         total = total - term if (n - kept) % 2 else total + term
-    return total.to_ring_elem()
+    return _to_ring_elem(total)
 
 
 def skein_relation_probe(
@@ -698,6 +693,6 @@ def skein_relation_probe(
     else:
         names = ("value", "switched", "smoothed_plus", "smoothed_minus")
     for name, part in zip(names, [here, switched] + smoothings):
-        out[name] = part.times_circles(loops, flavor).to_ring_elem()
-    out["holds"] = (here - switched - z_term).to_ring_elem().is_zero()
+        out[name] = _to_ring_elem(_times_circles(part, loops, flavor))
+    out["holds"] = (here - switched - z_term).is_zero()
     return out

@@ -5,12 +5,13 @@ attributes of the objects it reads; no code in `src/` calls them.
 """
 
 from itertools import product
+from math import gcd
 
 from skeinkit.annulus import AnnulusVecK
 from skeinkit.diagram import DiagramError, LinkDiagram
 from skeinkit.eigen import adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition
-from skeinkit.ring import RingElem
+from skeinkit.ring import LaurentPoly, RingElem, spow
 
 # ----------------------------------------------------------------------
 # diagram summaries
@@ -139,3 +140,45 @@ def adjoint_matches_doubled_meridian(shape: Partition) -> bool:
     left = adjoint_meridian_eigenvalue(shape, shape).to_mod2()
     right = kauffman_meridian_eigenvalue(shape).to_mod2().doubling_map()
     return left == right
+
+
+# ----------------------------------------------------------------------
+# fractions
+
+
+def reference_reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The fraction normaliser without its s^2 - 1 pre-test or fold tests,
+    kept as the reference for `ring._reduce_fraction`: every pair it does
+    not return at once goes through the full cancellation, then divides by
+    the largest s^(2r) - 1 that divides both parts, and starts again."""
+    char = num.char
+    one = LaurentPoly.one(char)
+    if num.is_zero():
+        return LaurentPoly.zero(char), one
+    while True:
+        if char == 0:
+            g = gcd(num.content(), den.content())
+            if g > 1:
+                num = LaurentPoly({k: c // g for k, c in num.terms().items()})
+                den = LaurentPoly({k: c // g for k, c in den.terms().items()})
+        dmin = den.min_exponents()
+        if dmin != (0, 0):
+            num = num.shift(-dmin[0], -dmin[1])
+            den = den.shift(-dmin[0], -dmin[1])
+        den_terms = den.terms()
+        if char == 0 and den_terms[max(den_terms)] < 0:
+            num, den = -num, -den
+        if den.is_one():
+            return num, den
+        quotient = num.try_div(den)
+        if quotient is not None:
+            return quotient, one
+        span = den.max_exponents()[1] - den.min_exponents()[1]
+        for r in range(span // 2, 0, -1):
+            candidate = spow(2 * r, char) - one
+            num_q, den_q = num.try_div(candidate), den.try_div(candidate)
+            if num_q is not None and den_q is not None:
+                num, den = num_q, den_q
+                break
+        else:
+            return num, den

@@ -301,7 +301,7 @@ def _surgery_battery(monkeypatch) -> list[LinkDiagram]:
 
     def record(term, flavor, config):
         out.append(term)
-        return skein_eval._ZFrac(LaurentPoly.zero())
+        return LaurentPoly.zero()
 
     monkeypatch.setattr(skein_eval, "_run", record)
     for d in adjoint_inputs:

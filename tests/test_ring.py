@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_reduce_fraction
 from skeinkit import ring
 from skeinkit.ring import (
     LaurentPoly,
@@ -526,3 +527,41 @@ class TestFractionFastPaths:
         assert self.counted(counts, lambda: a * p) == (1, 1)
         assert self.counted(counts, lambda: p * a) == (1, 1)
         assert self.counted(counts, lambda: a * a) == (1, 2)
+
+
+class TestReduceFraction:
+    """The normaliser against a reference without its s^2 - 1 pre-test."""
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_matches_reference(self, char, data):
+        one = LaurentPoly.one(char)
+        v_plus_one = vpow(1, char) + one
+        den = data.draw(z_denominators(char)) * data.draw(st.sampled_from([one, v_plus_one]))
+        shared = st.sampled_from(
+            [one, spow(2, char) - one, spow(4, char) - one, z_poly(char), z_poly(char) ** 2, v_plus_one, den]
+        )
+        num = data.draw(polys(char)) * data.draw(shared)
+        assert ring._reduce_fraction(num, den) == reference_reduce_fraction(num, den)
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_no_division_over_z_powers_z_does_not_divide(self, char, monkeypatch):
+        calls = []
+        try_div = LaurentPoly.try_div
+
+        def counting(self, divisor):
+            calls.append(divisor)
+            return try_div(self, divisor)
+
+        monkeypatch.setattr(LaurentPoly, "try_div", counting)
+        z = z_poly(char)
+        nums = [vpow(1, char) + spow(3, char), vpow(-1, char) + spow(-2, char) + 1, vpow(2, char) * spow(5, char)]
+        for num in nums:
+            assert not _divisible_by_s_period(num, 2)
+            for k in range(1, 6):
+                RingElem(num, z ** k)
+        assert calls == []
+        # a numerator z divides still cancels by division
+        assert RingElem(nums[0] * z, z ** 2) == RingElem(nums[0], z)
+        assert calls
