@@ -150,18 +150,28 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            c = out.get(key, 0) + coeff
-            if self.char == 2:
-                c %= 2
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return LaurentPoly._make(out, self.char)
+        return self._merge(other, 1)
 
     __radd__ = __add__
+
+    def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other in one pass over other's terms (sign is +-1)."""
+        out = dict(self._terms)
+        if self.char == 2:  # every coefficient is 1, and -1 = 1
+            for key in other._terms:
+                if key in out:
+                    del out[key]
+                else:
+                    out[key] = 1
+        else:
+            get = out.get
+            for key, coeff in other._terms.items():
+                c = get(key, 0) + sign * coeff
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return LaurentPoly._make(out, self.char)
 
     def __neg__(self):
         if self.char == 2:
@@ -172,13 +182,13 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._merge(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -35,17 +35,20 @@ in both flavors: the over strand occupies the slots of `o`'s parity, `u`
 and `o` always have opposite parity, and a switch is `(u, o) -> (o, u)`.
 The unoriented flavor reads only that parity; the oriented one also reads
 the sign, positive when `o = u + 3 (mod 4)`.  Before branching, states are
-simplified (kink removal, parallel bigon cancellation, split into
-connected clusters, free circle harvesting) and looked up in a cache keyed
-by a relabeling invariant serialization.  Diagrams whose every crossing is
-first reached on its over strand evaluate in closed form, so the recursion
-only branches on the first crossing first reached on its under strand.
+simplified (kink removal, parallel bigon cancellation, free circle
+harvesting), split into connected clusters, and each cluster is looked up
+in a cache keyed by a relabeling invariant serialization.  Diagrams whose
+every crossing is first reached on its over strand evaluate in closed
+form, so the recursion only branches on the first crossing first reached
+on its under strand.
 
-The cache key (`_canonical_key`) is one `bytes`: a flavor byte, then one
-unsigned 16-bit entry `id * 4 + offset` per port, row by row, as read by
-a walk from each base of lowest local signature; the smallest walk wins.
-The 16-bit entries limit a diagram to 16,383 crossings, whatever the
-budget.  Cached values are immutable, and equal ones share one object.
+One pass finds a state's clusters and keys them (`_keyed_clusters`): the
+walk that writes a cluster's key also reaches exactly its crossings.  A
+key is one `bytes`: a flavor byte, then one unsigned 16-bit entry
+`id * 4 + offset` per port, row by row, as read by a walk from each base
+of lowest local signature; the smallest walk wins.  The 16-bit entries
+limit a diagram to 16,383 crossings, whatever the budget.  Cached values
+are immutable, and equal ones share one object.
 
 Every state the engine branches on is already simplified, and a resolved
 child differs from it only at the resolved crossing c: the switched child
@@ -74,6 +77,14 @@ class SkeinBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Evaluation settings.
+
+    `max_crossings` bounds the input diagram's crossings.  With `memo`
+    False no cluster value is looked up in or stored to the cache; states
+    are still split into clusters by the walk that keys them, and their
+    keys go unused.
+    """
+
     max_crossings: int = 24
     memo: bool = True
 
@@ -98,7 +109,12 @@ def _zpow_poly(k: int) -> LaurentPoly:
 def _times_circles(value: LaurentPoly, k: int, flavor: str) -> LaurentPoly:
     if k == 0:
         return value
-    return value * ((_DELTA if flavor == ORIENTED else _DELTA_K) ** k)
+    circles = (_DELTA if flavor == ORIENTED else _DELTA_K) ** k
+    if len(value) == 1:
+        (exponents, coeff), = value.terms().items()
+        if coeff == 1:  # a monomial, such as a crossingless state's v-power
+            return circles.shift(*exponents)
+    return value * circles
 
 
 def _to_ring_elem(value: LaurentPoly) -> RingElem:
@@ -381,50 +397,45 @@ def clear_caches():
     _VALUES.clear()
 
 
-def _clusters(cross: dict, partner: list) -> list[set]:
-    remaining = set(cross)
-    out = []
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        group = {seed}
-        while stack:
-            at = 4 * stack.pop()
-            for q in partner[at:at + 4]:
-                c2 = q >> 2
-                if c2 not in group:
-                    group.add(c2)
-                    stack.append(c2)
-        out.append(group)
-        remaining -= group
-    return out
+# A seed, base `base` of crossing c, packs as `c << 3 | base` below its
+# signature: c < 2**14 and base < 6, so ints order as (signature, c, base).
+_SEED_BITS = 17
+_SEED_MASK = (1 << _SEED_BITS) - 1
+_ROWS = tuple(tuple((b + r) & 3 for r in range(4)) for b in range(4))  # slots from base b
 
 
-def _canonical_key(cross: dict, partner: list, flavor: str) -> bytes:
-    """Relabeling-invariant memo key of a cluster state, packed into bytes.
+def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict, bytes]]:
+    """The connected clusters of a state, each with its relabeling-invariant
+    memo key packed into bytes.
 
-    `partner` may hold other clusters' ports too; the key reads only the
-    ports of crossings in `cross`, and numbers crossings in lists indexed
-    by crossing id.  One walk serves both flavors, which set only m: 4
-    oriented, 2 unoriented (`mask` is m - 1).  A port's offset is its slot
-    minus its crossing's under-in slot u, mod m, and a crossing's bases
-    are range(u, u + 4, m): the under-in slot oriented, either under slot
-    unoriented.  A breadth-first walk from each seed (crossing, base)
-    numbers the crossings and writes four entries per crossing: for each
-    slot from the base on, the entry `id * 4 + offset` of the partner's
-    number and slot offset from the partner's base.  A newly reached
-    crossing takes the base s2 - offset at or before the reaching slot
-    s2.  Offsets are below 4, so entries order as the (id, offset) pairs
-    they pack, and the flat entry list orders as its rows of four do.
-    Each walk is compared entry by entry with the best so far, stops at
-    its first entry above the best's, and the smallest walk wins.
+    A state of one cluster is returned as itself, the others as dicts of
+    their own crossings; all of them keep reading the state's `partner`.
+    The key reads only the ports of crossings in `cross`, and numbers
+    crossings in lists indexed by crossing id.  One walk serves both
+    flavors, which set only m: 4 oriented, 2 unoriented (`mask` is m - 1).
+    A port's offset is its slot minus its crossing's under-in slot u, mod
+    m, and a crossing's bases are range(u, u + 4, m): the under-in slot
+    oriented, either under slot unoriented.  A breadth-first walk from a
+    seed (crossing, base) numbers the crossings it reaches and writes four
+    entries per crossing: for each slot from the base on, the entry
+    `id * 4 + offset` of the partner's number and slot offset from the
+    partner's base.  A newly reached crossing takes the base s2 - offset
+    at or before the reaching slot s2.  Offsets are below 4, so entries
+    order as the (id, offset) pairs they pack, and the flat entry list
+    orders as its rows of four do.
 
     A base's signature is its row of neighbour offsets and self-loop
     flags, `offset * 2 + self_loop`, read from that base and packed three
-    bits an entry into one int, which orders as the row does; the seeds
-    are the bases whose signature is the lowest.  The seed set names no
+    bits an entry into one int, which orders as the row does; one pass
+    computes every base's signature.  A cluster's seeds are its bases of
+    lowest signature.  The walk from the lowest seed left reaches exactly
+    that seed's cluster: when it reaches every crossing the state is one
+    cluster, else the crossings it reached are one, and the rest are split
+    the same way.  Each later seed of the cluster is walked and compared
+    entry by entry with the best walk so far, stops at its first entry
+    above the best's, and the smallest walk wins.  The seed set names no
     label, so it decides which walk wins but not which states share a
-    key.
+    key, and a cluster's key is the one it has as a state on its own.
 
     The key is a flavor byte followed by the entries, one unsigned
     16-bit entry each; `_prepare` refuses diagrams of more than
@@ -444,85 +455,113 @@ def _canonical_key(cross: dict, partner: list, flavor: str) -> bytes:
     under = [0] * n
     for c, (u, _) in cross.items():
         under[c] = u
-    low = 1 << 12  # above every signature
-    seeds = []
-    turns = (0,) if mask == 3 else (0, 2)
+    packed = []  # every base as its signature, crossing and base, see _SEED_BITS
     for c, (u, _) in cross.items():
         at = 4 * c
-        sig = 0
-        for r in range(4):
-            q = partner[at + ((u + r) & 3)]
-            sig = sig * 8 + ((q - under[q >> 2]) & mask) * 2 + (q >> 2 == c)
-        for t in turns:
-            if sig <= low:
-                if sig < low:
-                    low = sig
-                    seeds = []
-                seeds.append((c, u + t))
-            sig = (sig & 63) << 6 | sig >> 6  # the row read two slots on
-    seeds.sort()
-    best = None
-    for seed, base in seeds:
-        ids = [-1] * n
-        rots = [0] * n
-        ids[seed] = 0
-        rots[seed] = base
+        q = partner[at + u]
+        sig = ((q - under[q >> 2]) & mask) << 10 | (q >> 2 == c) << 9
+        q = partner[at + ((u + 1) & 3)]
+        sig |= ((q - under[q >> 2]) & mask) << 7 | (q >> 2 == c) << 6
+        q = partner[at + (u ^ 2)]
+        sig |= ((q - under[q >> 2]) & mask) << 4 | (q >> 2 == c) << 3
+        q = partner[at + ((u + 3) & 3)]
+        sig |= ((q - under[q >> 2]) & mask) << 1 | (q >> 2 == c)
+        packed.append(sig << _SEED_BITS | c << 3 | u)
+        if mask == 1:  # the row read two slots on, from base u + 2
+            packed.append(((sig & 63) << 6 | sig >> 6) << _SEED_BITS | c << 3 | (u + 2))
+    rots = [0] * n  # each walk sets a crossing's base before it reads it
+    tag = _FLAVOR_BYTE[flavor]
+    out = []
+    while True:
+        top = (min(packed) >> _SEED_BITS) + 1 << _SEED_BITS  # above every seed
+        seeds = [x & _SEED_MASK for x in packed if x < top]
+        seeds.sort()
+        # the first walk: its cluster, and the best walk so far
+        seed = seeds[0] >> 3
+        reached = [-1] * n
+        reached[seed] = 0
+        rots[seed] = seeds[0] & 7
         queue = [seed]
-        entries = []
-        tied = best is not None  # equal to best so far, entry by entry
+        best = []
         for c in queue:  # the walk appends to the queue as it goes
-            b = rots[c]
             at = 4 * c
-            for r in range(4):
-                q = partner[at + ((b + r) & 3)]
+            for slot in _ROWS[rots[c] & 3]:
+                q = partner[at + slot]
                 c2 = q >> 2
-                i2 = ids[c2]
+                i2 = reached[c2]
                 if i2 < 0:
-                    i2 = ids[c2] = len(queue)
+                    i2 = reached[c2] = len(queue)
                     rots[c2] = q - ((q - under[c2]) & mask)
                     queue.append(c2)
-                entry = i2 * 4 + ((q - rots[c2]) & 3)
-                if tied:
-                    ref = best[len(entries)]
-                    if entry > ref:
-                        break
-                    tied = entry == ref
-                entries.append(entry)
+                best.append(i2 * 4 + ((q - rots[c2]) & 3))
+        for s in seeds[1:]:
+            seed = s >> 3
+            if reached[seed] < 0:
+                continue  # another cluster's seed
+            ids = [-1] * n
+            ids[seed] = 0
+            rots[seed] = s & 7
+            walk = [seed]
+            entries = []
+            k = 0  # entries equal to best's so far
+            tied = True
+            for c in walk:
+                at = 4 * c
+                for slot in _ROWS[rots[c] & 3]:
+                    q = partner[at + slot]
+                    c2 = q >> 2
+                    i2 = ids[c2]
+                    if i2 < 0:
+                        i2 = ids[c2] = len(walk)
+                        rots[c2] = q - ((q - under[c2]) & mask)
+                        walk.append(c2)
+                    entry = i2 * 4 + ((q - rots[c2]) & 3)
+                    if tied:
+                        ref = best[k]
+                        if entry > ref:
+                            break
+                        k += 1
+                        tied = entry == ref
+                    entries.append(entry)
+                else:
+                    continue
+                break  # the walk passed the best so far
             else:
-                continue
-            break  # the walk passed the best so far
-        else:
-            if not tied:
-                best = entries
-    return _FLAVOR_BYTE[flavor] + array("H", best).tobytes()
+                if not tied:
+                    best = entries
+        key = tag + array("H", best).tobytes()
+        if len(queue) == len(cross):
+            return [(cross, key)]
+        out.append(({c: cross[c] for c in queue}, key))
+        packed = [x for x in packed if reached[(x & _SEED_MASK) >> 3] < 0]
+        if not packed:
+            return out
 
 
 def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> LaurentPoly:
     """Value of a state after simplifying it from `seeds` (see `_simplify`).
 
-    The clusters of a split state share its `partner` list: each is
-    valued from its own crossings, and none writes to the list.
+    The simplified state is split into its clusters and each is keyed in
+    one call (`_keyed_clusters`), with or without the memo; the value is
+    the product of the clusters' values.  The clusters share the state's
+    `partner` list: each is valued from its own crossings, and none
+    writes to the list.
     """
     vshift, circles = _simplify(cross, partner, seeds)
     if not cross:
         return _times_circles(vpow(vshift), circles, flavor)
-    groups = _clusters(cross, partner)
-    if len(groups) == 1:
-        value = _cluster_value(cross, partner, flavor, memo)
-    else:
-        value = None
-        for group in groups:
-            part = _cluster_value({c: cross[c] for c in group}, partner, flavor, memo)
-            value = part if value is None else value * part
+    value = None
+    for part, key in _keyed_clusters(cross, partner, flavor):
+        part_value = _cluster_value(part, partner, flavor, memo, key)
+        value = part_value if value is None else value * part_value
     value = _times_circles(value, circles, flavor)
     if vshift:
         value = value.shift(vshift, 0)
     return value
 
 
-def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool) -> LaurentPoly:
+def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool, key: bytes) -> LaurentPoly:
     if memo:
-        key = _canonical_key(cross, partner, flavor)
         hit = _MEMO.get(key)
         if hit is not None:
             return hit

@@ -112,6 +112,28 @@ def port_pairs(cross: dict, partner: list) -> dict:
     return {divmod(p, 4): divmod(partner[p], 4) for c in sorted(cross) for p in range(4 * c, 4 * c + 4)}
 
 
+def reference_clusters(cross: dict, partner: list) -> list[set]:
+    """The connected clusters of an engine state by a plain depth-first
+    search from each lowest crossing left, kept as the reference for the
+    clusters that `skein_eval._keyed_clusters` finds while keying."""
+    remaining = set(cross)
+    out = []
+    while remaining:
+        seed = min(remaining)
+        stack = [seed]
+        group = {seed}
+        while stack:
+            at = 4 * stack.pop()
+            for q in partner[at:at + 4]:
+                c2 = q >> 2
+                if c2 not in group:
+                    group.add(c2)
+                    stack.append(c2)
+        out.append(group)
+        remaining -= group
+    return out
+
+
 def port_list(pairs: dict, n_crossings: int) -> list:
     """The engine's port list for arcs given as (c, s) pairs, the inverse of
     `port_pairs`, for crossing ids below `n_crossings`; ports no pair names

@@ -179,6 +179,21 @@ class TestLaurentPoly:
         assert a * LaurentPoly.one() == a
         assert a - a == LaurentPoly.zero()
 
+    @pytest.mark.parametrize("char", [0, 2])
+    @given(data=st.data())
+    def test_sums_and_differences_merge_exactly(self, char, data):
+        # the one-pass merge against the negate-then-add form it replaced
+        # and the constructor's own merge; b = a or -a cancels every term
+        a = data.draw(polys(char))
+        b = data.draw(st.one_of(polys(char), st.just(a), st.just(-a)))
+        k = data.draw(st.integers(-3, 3))
+        both = list(a.terms().items())
+        assert (a - b).terms() == (a + (-b)).terms()
+        assert (a - b).terms() == LaurentPoly(both + [(e, -c) for e, c in b.terms().items()], char).terms()
+        assert (a + b).terms() == LaurentPoly(both + list(b.terms().items()), char).terms()
+        assert (k - a).terms() == (LaurentPoly.constant(k, char) + (-a)).terms()
+        assert (a - k).terms() == (a + LaurentPoly.constant(-k, char)).terms()
+
     @given(small_polys, small_polys, sample_points)
     @settings(max_examples=60)
     def test_arithmetic_matches_rational_evaluation(self, a, b, point):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import port_list, port_pairs
+from oracles import port_list, port_pairs, reference_clusters
 from skeinkit.corpus import (
     braid_closure,
     corpus_names,
@@ -431,16 +431,24 @@ def _key_numbering(cross, partner, key):
     raise AssertionError("no walk writes the key's rows")
 
 
+def _cluster_key(cross, partner, flavor):
+    """The memo key of a state of one cluster."""
+    [(part, key)] = skein_eval._keyed_clusters(cross, partner, flavor)
+    assert part is cross
+    return key
+
+
 def _record_keyed_states(monkeypatch, flavor, links):
     """Every cluster state the engine keys while evaluating `links`."""
     states = []
-    real = skein_eval._canonical_key
+    real = skein_eval._keyed_clusters
 
     def recording(cross, partner, flavor):
-        states.append((dict(cross), list(partner)))
-        return real(cross, partner, flavor)
+        parts = real(cross, partner, flavor)
+        states.extend((dict(part), list(partner)) for part, _ in parts)
+        return parts
 
-    monkeypatch.setattr(skein_eval, "_canonical_key", recording)
+    monkeypatch.setattr(skein_eval, "_keyed_clusters", recording)
     try:
         _evaluate_all(flavor, links)
     finally:
@@ -472,7 +480,7 @@ class TestCanonicalKey:
     def test_port_entries_imply_the_sign(self, monkeypatch):
         implied = 0
         for cross, partner in _keyed_states(monkeypatch):
-            key = skein_eval._canonical_key(cross, partner, ORIENTED)
+            key = _cluster_key(cross, partner, ORIENTED)
             all_over = _all_over_crossings(cross, partner)
             order = _key_numbering(cross, partner, key)
             for c, sign in zip(order, _signs_from_key_ports(_key_rows(key)), strict=True):
@@ -489,7 +497,7 @@ class TestCanonicalKey:
             if not flip:
                 continue
             reversed_cross = {c: (u, (o + 2) % 4) if c in flip else (u, o) for c, (u, o) in cross.items()}
-            keys = [skein_eval._canonical_key(state, partner, ORIENTED) for state in (cross, reversed_cross)]
+            keys = [_cluster_key(state, partner, ORIENTED) for state in (cross, reversed_cross)]
             assert keys[0] == keys[1]
             values = [
                 skein_eval._to_ring_elem(skein_eval._evaluate(dict(state), list(partner), ORIENTED, False, state))
@@ -529,10 +537,10 @@ def _reference_local_sig(cross, partner, flavor, c):
 
 
 def reference_canonical_key(cross, partner, flavor):
-    """`skein_eval._canonical_key` in an earlier form, unpacked, whose classes
-    it must induce: one signature call per crossing, each sign recomputed
-    where it is read, and both bases of every unoriented crossing of lowest
-    signature seeded."""
+    """The key of `skein_eval._keyed_clusters` in an earlier form, unpacked,
+    whose classes it must induce: one signature call per crossing, each sign
+    recomputed where it is read, and both bases of every unoriented crossing
+    of lowest signature seeded."""
     partner = port_pairs(cross, partner)
     sigs = {c: _reference_local_sig(cross, partner, flavor, c) for c in cross}
     low = min(sigs.values())
@@ -636,19 +644,20 @@ class TestEngineRewritesExact:
         # unoriented keys are equal exactly when the reference's are;
         # oriented keys hold no sign, so they may merge reference classes,
         # but only ones of one value
-        real = skein_eval._canonical_key
+        real = skein_eval._keyed_clusters
         classes = {}  # key -> {reference key: one state keyed so}
         keyed = 0
 
         def comparing(cross, partner, flavor):
             nonlocal keyed
-            key = real(cross, partner, flavor)
-            ref = reference_canonical_key(cross, partner, flavor)
-            classes.setdefault(key, {}).setdefault(ref, (dict(cross), list(partner)))
-            keyed += 1
-            return key
+            parts = real(cross, partner, flavor)
+            for part, key in parts:
+                ref = reference_canonical_key(part, partner, flavor)
+                classes.setdefault(key, {}).setdefault(ref, (dict(part), list(partner)))
+                keyed += 1
+            return parts
 
-        monkeypatch.setattr(skein_eval, "_canonical_key", comparing)
+        monkeypatch.setattr(skein_eval, "_keyed_clusters", comparing)
         _evaluate_all(flavor, _satellite_rows_to_12() + _seeded_braids(6))
         monkeypatch.undo()
         assert keyed > 1000
@@ -670,7 +679,7 @@ class TestEngineRewritesExact:
         rng = random.Random(11)
         states = _record_keyed_states(monkeypatch, flavor, _satellite_rows_to_12())
         for cross, partner in states:
-            want = skein_eval._canonical_key(cross, partner, flavor)
+            want = _cluster_key(cross, partner, flavor)
             for _ in range(4):
                 name = dict(zip(cross, rng.sample(list(cross), len(cross))))
                 turn = {c: rng.randrange(4) for c in cross}
@@ -686,7 +695,7 @@ class TestEngineRewritesExact:
                 }
                 moved = {port(a): port(b) for a, b in port_pairs(cross, partner).items()}
                 moved = port_list(moved, len(partner) // 4)
-                assert skein_eval._canonical_key(relabeled, moved, flavor) == want
+                assert _cluster_key(relabeled, moved, flavor) == want
         assert len(states) > 100
 
     @pytest.mark.parametrize("flavor", [ORIENTED, UNORIENTED])
@@ -871,7 +880,8 @@ class TestSplitClusters:
     A 4-strand closure of a word whose letters are σ1^±1 and σ3^±1 only is
     the split union of two 2-strand closures, so its values are the
     products of theirs.  Renumbering the crossings interleaves the two
-    clusters' crossing ids.
+    clusters' crossing ids.  The walk that keys a state also splits it, so
+    its parts are checked against `reference_clusters`.
     """
 
     def check(self, a, b, order):
@@ -891,8 +901,8 @@ class TestSplitClusters:
     def test_two_trefoils(self):
         a, b, order = [1, 1, 1], [3, 3, 3], [0, 3, 1, 4, 5, 2]
         cross, partner = skein_eval._build_state(_relabeled(braid_closure(4, a + b), order))
-        groups = skein_eval._clusters(cross, partner)
-        assert sorted(sorted(group) for group in groups) == [[0, 2, 5], [1, 3, 4]]
+        parts = skein_eval._keyed_clusters(cross, partner, ORIENTED)
+        assert sorted(sorted(part) for part, _ in parts) == [[0, 2, 5], [1, 3, 4]]
         self.check(a, b, order)
 
     @given(
@@ -903,6 +913,73 @@ class TestSplitClusters:
     @settings(max_examples=40, deadline=None)
     def test_values_are_products_of_the_parts(self, a, b, data):
         self.check(a, b, data.draw(st.permutations(range(len(a) + len(b)))))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_parts_are_the_reference_clusters(self, data):
+        # a disjoint union of 2-3 closures of 2-3 strands each, crossings
+        # renumbered: the union and every state the engine keys while
+        # evaluating it split into the reference clusters, and each part
+        # has the key it has as a state on its own
+        word, strands, closures = [], 0, 0
+        for n in data.draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3)):
+            letters = data.draw(st.lists(_letters(n), min_size=1, max_size=5))
+            word += [x + strands if x > 0 else x - strands for x in letters]
+            strands += n
+            closures += 1
+        d = _relabeled(braid_closure(strands, word, "union"), data.draw(st.permutations(range(len(word)))))
+        real = skein_eval._keyed_clusters
+
+        def checking(cross, partner, flavor):
+            parts = real(cross, partner, flavor)
+            want = reference_clusters(cross, partner)
+            assert sorted(sorted(part) for part, _ in parts) == sorted(sorted(group) for group in want)
+            for part, key in parts:
+                [(alone, own)] = real(part, partner, flavor)
+                assert alone is part and own == key
+            return parts
+
+        cross, partner = skein_eval._build_state(d)
+        for flavor in (ORIENTED, UNORIENTED):
+            assert len(checking(cross, partner, flavor)) >= closures
+        skein_eval._keyed_clusters = checking
+        try:
+            _evaluate_all(ORIENTED, [d])
+            _evaluate_all(UNORIENTED, [d])
+        finally:
+            skein_eval._keyed_clusters = real
+
+    def test_one_keying_call_per_state(self, monkeypatch):
+        # three trefoils, crossings interleaved: the state of three clusters
+        # is split and keyed in one call, as is every state with crossings
+        # left after simplification
+        d = _relabeled(braid_closure(6, [1, 1, 1, 3, 3, 3, 5, 5, 5]), [0, 3, 6, 1, 4, 7, 2, 5, 8])
+        counts = {"states": 0, "keyings": 0}
+        sizes = []
+        evaluate, keyed = skein_eval._evaluate, skein_eval._keyed_clusters
+
+        def evaluating(cross, *args):
+            value = evaluate(cross, *args)
+            counts["states"] += bool(cross)  # simplified in place
+            return value
+
+        def keying(*args):
+            parts = keyed(*args)
+            counts["keyings"] += 1
+            sizes.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(skein_eval, "_evaluate", evaluating)
+        monkeypatch.setattr(skein_eval, "_keyed_clusters", keying)
+        for memo in (True, False):
+            for run in (homfly, kauffman):
+                clear_caches()
+                try:
+                    run(d, EvalConfig(memo=memo))
+                finally:
+                    clear_caches()
+        assert counts["keyings"] == counts["states"]
+        assert sizes.count(3) == 4  # the whole state, in each of the four runs
 
 
 def _two_cabled_word(word):
@@ -1090,6 +1167,16 @@ class TestEngineWork:
                 return _inner(*args)
 
             monkeypatch.setattr(skein_eval, name, counting)
+        keyed = 0
+        real = skein_eval._keyed_clusters
+
+        def keying(*args):
+            nonlocal keyed
+            parts = real(*args)
+            keyed += len(parts)
+            return parts
+
+        monkeypatch.setattr(skein_eval, "_keyed_clusters", keying)
         try:
             for row in self.rows():
                 clear_caches()
@@ -1098,6 +1185,7 @@ class TestEngineWork:
             clear_caches()
         assert counts["_resolve"] <= 117
         assert counts["_cluster_value"] <= 226
+        assert keyed == 226  # every cluster state keyed, one per `_cluster_value` call
         # sites examined: a resolved child is re-simplified only where it changed
         assert counts["_kink_move"] <= 1315
         assert counts["_bigon_move"] <= 1185
@@ -1124,7 +1212,7 @@ class TestEngineWork:
                 adjoint_homfly(row)
         finally:
             clear_caches()
-        assert products <= 276
+        assert products <= 178
 
     @pytest.mark.parametrize("flavor, resolves, entries", [(ORIENTED, 1725, 1737), (UNORIENTED, 2652, 2656)])
     def test_braid_family_words(self, flavor, resolves, entries, monkeypatch):
