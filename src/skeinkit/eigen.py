@@ -4,7 +4,7 @@ A circle in the annulus that encircles a decorated core acts diagonally on
 the standard skein bases; the eigenvalues are explicit Laurent expressions
 in the content polynomial of the indexing partition(s).  This module holds
 those closed forms, the isolating polynomials built from them, and the
-pairwise-distinctness scan that the satellite verification relies on.
+mod-2 distinctness scan that the satellite verification relies on.
 
 All values here live in characteristic 0; callers reduce mod 2 when needed.
 """
@@ -12,14 +12,21 @@ All values here live in characteristic 0; callers reduce mod 2 when needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .partition import Partition, partitions_up_to
-from .ring import RingElem, vpow, z_poly
+from .ring import LaurentPoly, RingElem, vpow, z_poly
+
+
+_Z = z_poly()
+_Z2 = _Z * _Z
+_V_GAP = vpow(-1) - vpow(1)  # z times the oriented unknot value
+_V_GAP_Z = _V_GAP + _Z  # z times the unoriented unknot value
 
 
 def delta_homfly() -> RingElem:
     """Framed value of the 0-framed unknot in the oriented skein."""
-    return RingElem(vpow(-1) - vpow(1), z_poly())
+    return RingElem(_V_GAP, _Z)
 
 
 def delta_kauffman() -> RingElem:
@@ -27,9 +34,16 @@ def delta_kauffman() -> RingElem:
     return delta_homfly() + 1
 
 
-def _content_at(shape: Partition, power: int) -> RingElem:
-    """Content polynomial of the shape evaluated at s^power."""
-    return RingElem(shape.content_polynomial().scale_exponents(1, power))
+def _meridian_fraction(forward: Partition, reverse: Partition, unknot: LaurentPoly) -> RingElem:
+    """z * (v^-1 C_f(s^2) - v C_r(s^-2)) + unknot / z, built over z with one normalisation.
+
+    C_f and C_r are the content polynomials of `forward` and `reverse`, and
+    `unknot` is z times the unknot value of the skein.
+    """
+    inner = forward.content_polynomial().scale_exponents(1, 2).shift(-1, 0) - (
+        reverse.content_polynomial().scale_exponents(1, -2).shift(1, 0)
+    )
+    return RingElem(_Z2 * inner + unknot, _Z)
 
 
 def kauffman_meridian_eigenvalue(shape: Partition) -> RingElem:
@@ -37,9 +51,7 @@ def kauffman_meridian_eigenvalue(shape: Partition) -> RingElem:
 
     Evaluates to the unoriented unknot value on the empty shape.
     """
-    z = RingElem(z_poly())
-    inner = RingElem(vpow(-1)) * _content_at(shape, 2) - RingElem(vpow(1)) * _content_at(shape, -2)
-    return z * inner + delta_homfly() + 1
+    return _meridian_fraction(shape, shape, _V_GAP_Z)
 
 
 def homfly_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingElem:
@@ -49,9 +61,7 @@ def homfly_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingEl
     `reverse` strands against it.  Evaluates to the oriented unknot value
     on the pair of empty shapes.
     """
-    z = RingElem(z_poly())
-    inner = RingElem(vpow(-1)) * _content_at(forward, 2) - RingElem(vpow(1)) * _content_at(reverse, -2)
-    return z * inner + delta_homfly()
+    return _meridian_fraction(forward, reverse, _V_GAP)
 
 
 def adjoint_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingElem:
@@ -127,6 +137,14 @@ def isolating_polynomial(target: Partition, anchor: Partition | None = None) -> 
 
 @dataclass(frozen=True)
 class DistinctnessReport:
+    """Outcome of the mod-2 distinctness scan over all shapes up to max_size.
+
+    `comparisons` is the number of shape pairs decided, n(n-1)/2 for n
+    shapes, whichever way each pair was decided.  `collisions` lists every
+    pair (p, q) of equal values, p before q in canonical shape order, sorted
+    by the positions of p and then q.
+    """
+
     max_size: int
     shape_count: int
     comparisons: int
@@ -138,24 +156,36 @@ class DistinctnessReport:
 
 
 def check_eigenvalue_distinctness(max_size: int = 8) -> DistinctnessReport:
-    """Pairwise-compare unoriented meridian eigenvalues over all small shapes.
+    """Find every pair of shapes whose unoriented meridian eigenvalues agree mod 2.
 
-    Comparisons happen after mod-2 reduction: distinctness there is the
+    Values are compared after mod-2 reduction: distinctness there is the
     load-bearing property (the verifier inverts differences of these
     values in the mod-2 ring) and it implies distinctness over the
-    integers.  Returns the number of shapes, the number of comparisons
-    performed, and any collisions.
+    integers.  The scan decides every pair exactly without comparing every
+    pair.  Values are grouped by their denominator representative; in a
+    group, two values are equal exactly when their numerators are, since
+    the ring is a domain, so one dict keyed by numerator finds the group's
+    collisions.  Values in different groups are compared with `==`.  The
+    eigenvalues to size 12 all share one denominator, so the scan is linear
+    there.
     """
     shapes = partitions_up_to(max_size)
-    values = [(p, kauffman_meridian_eigenvalue(p).to_mod2()) for p in shapes]
-    collisions = []
-    comparisons = 0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            comparisons += 1
-            if values[i][1] == values[j][1]:
-                collisions.append((values[i][0], values[j][0]))
-    return DistinctnessReport(max_size, len(values), comparisons, tuple(collisions))
+    values = [kauffman_meridian_eigenvalue(p).to_mod2() for p in shapes]
+    groups: dict[LaurentPoly, dict[LaurentPoly, list[int]]] = {}
+    for i, value in enumerate(values):
+        groups.setdefault(value.den, {}).setdefault(value.num, []).append(i)
+    pairs = []
+    members = []  # the shape indices of each group
+    for by_num in groups.values():
+        for same in by_num.values():
+            pairs += combinations(same, 2)
+        members.append([i for same in by_num.values() for i in same])
+    for g, first in enumerate(members):
+        for second in members[g + 1:]:
+            pairs += [(min(i, j), max(i, j)) for i in first for j in second if values[i] == values[j]]
+    n = len(shapes)
+    collisions = tuple((shapes[i], shapes[j]) for i, j in sorted(pairs))
+    return DistinctnessReport(max_size, n, n * (n - 1) // 2, collisions)
 
 
 def eigenvalue_table(max_size: int) -> list[tuple[Partition, RingElem]]:

@@ -91,11 +91,17 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
+ORIENTED = "oriented"
+UNORIENTED = "unoriented"
+
 # The second exponent of an engine value counts powers of z = s - s^-1.
 _DELTA = LaurentPoly({(-1, -1): 1, (1, -1): -1})  # oriented circle: (v^-1 - v)/z
 _DELTA_K = _DELTA + LaurentPoly.one()  # unoriented circle: (v^-1 - v + z)/z
 _Z = z_poly()
+# Powers by exponent, grown on demand and kept across runs: a table holds
+# powers up to the largest exponent any evaluated state needed.
 _Z_POWERS = {0: LaurentPoly.one()}
+_CIRCLE_POWERS = {ORIENTED: [LaurentPoly.one(), _DELTA], UNORIENTED: [LaurentPoly.one(), _DELTA_K]}
 
 
 def _zpow_poly(k: int) -> LaurentPoly:
@@ -109,7 +115,10 @@ def _zpow_poly(k: int) -> LaurentPoly:
 def _times_circles(value: LaurentPoly, k: int, flavor: str) -> LaurentPoly:
     if k == 0:
         return value
-    circles = (_DELTA if flavor == ORIENTED else _DELTA_K) ** k
+    powers = _CIRCLE_POWERS[flavor]
+    while len(powers) <= k:
+        powers.append(powers[-1] * powers[1])
+    circles = powers[k]
     if len(value) == 1:
         (exponents, coeff), = value.terms().items()
         if coeff == 1:  # a monomial, such as a crossingless state's v-power
@@ -137,10 +146,6 @@ def _to_ring_elem(value: LaurentPoly) -> RingElem:
 
 # ----------------------------------------------------------------------
 # state construction
-
-ORIENTED = "oriented"
-UNORIENTED = "unoriented"
-
 
 def _build_state(d: LinkDiagram):
     # a positive crossing's over strand enters at slot 3, a negative one's at 1

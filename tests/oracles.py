@@ -7,11 +7,12 @@ attributes of the objects it reads; no code in `src/` calls them.
 from itertools import product
 from math import gcd
 
+from skeinkit import eigen
 from skeinkit.annulus import AnnulusVecK
 from skeinkit.diagram import DiagramError, LinkDiagram
-from skeinkit.eigen import adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
-from skeinkit.partition import Partition
-from skeinkit.ring import LaurentPoly, RingElem, spow
+from skeinkit.eigen import DistinctnessReport, adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
+from skeinkit.partition import Partition, partitions_up_to
+from skeinkit.ring import LaurentPoly, RingElem, spow, vpow, z_poly
 
 # ----------------------------------------------------------------------
 # diagram summaries
@@ -162,6 +163,43 @@ def adjoint_matches_doubled_meridian(shape: Partition) -> bool:
     left = adjoint_meridian_eigenvalue(shape, shape).to_mod2()
     right = kauffman_meridian_eigenvalue(shape).to_mod2().doubling_map()
     return left == right
+
+
+def _content_at(shape: Partition, power: int) -> RingElem:
+    """Content polynomial of the shape evaluated at s^power."""
+    return RingElem(shape.content_polynomial().scale_exponents(1, power))
+
+
+def reference_homfly_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingElem:
+    """The oriented meridian eigenvalue composed from normalised `RingElem`
+    operations, z * (v^-1 C_f(s^2) - v C_r(s^-2)) + delta, kept as the
+    reference for `eigen.homfly_meridian_eigenvalue`."""
+    z = RingElem(z_poly())
+    inner = RingElem(vpow(-1)) * _content_at(forward, 2) - RingElem(vpow(1)) * _content_at(reverse, -2)
+    return z * inner + RingElem(vpow(-1) - vpow(1), z_poly())
+
+
+def reference_kauffman_meridian_eigenvalue(shape: Partition) -> RingElem:
+    """The unoriented meridian eigenvalue composed the same way, with + 1,
+    kept as the reference for `eigen.kauffman_meridian_eigenvalue`."""
+    return reference_homfly_meridian_eigenvalue(shape, shape) + 1
+
+
+def reference_distinctness(max_size: int) -> DistinctnessReport:
+    """The mod-2 distinctness scan as a double loop that compares every pair
+    with `==`, kept as the reference for `eigen.check_eigenvalue_distinctness`.
+    It reads `eigen.kauffman_meridian_eigenvalue` at call time, so a test
+    that replaces that function changes both scans' inputs."""
+    shapes = partitions_up_to(max_size)
+    values = [(p, eigen.kauffman_meridian_eigenvalue(p).to_mod2()) for p in shapes]
+    collisions = []
+    comparisons = 0
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            comparisons += 1
+            if values[i][1] == values[j][1]:
+                collisions.append((values[i][0], values[j][0]))
+    return DistinctnessReport(max_size, len(values), comparisons, tuple(collisions))
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,18 @@
 """Eigenvalue closed forms, isolating polynomials, distinctness scan."""
 
-import pytest
+import hashlib
 
-from oracles import adjoint_matches_doubled_meridian
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    adjoint_matches_doubled_meridian,
+    reference_distinctness,
+    reference_homfly_meridian_eigenvalue,
+    reference_kauffman_meridian_eigenvalue,
+)
+from skeinkit import eigen
 from skeinkit.eigen import (
     DistinctnessReport,
     adjoint_meridian_eigenvalue,
@@ -63,6 +73,41 @@ class TestClosedForms:
             assert adjoint_matches_doubled_meridian(shape)
 
 
+class TestOneFractionForms:
+    """The one-fraction eigenvalues keep the representatives, not only the
+    values, of the forms composed from normalised `RingElem` operations."""
+
+    def test_kauffman_representatives_to_size_8(self):
+        for shape in partitions_up_to(8):
+            new = kauffman_meridian_eigenvalue(shape)
+            old = reference_kauffman_meridian_eigenvalue(shape)
+            assert (new.num, new.den) == (old.num, old.den), shape
+
+    def test_homfly_representatives_to_size_4(self):
+        shapes = partitions_up_to(4)
+        for forward in shapes:
+            for reverse in shapes:
+                new = homfly_meridian_eigenvalue(forward, reverse)
+                old = reference_homfly_meridian_eigenvalue(forward, reverse)
+                assert (new.num, new.den) == (old.num, old.den), (forward, reverse)
+
+    def test_eigenvalue_table_to_size_10_pinned(self):
+        # hash taken from the composed forms
+        rows = eigenvalue_table(10)
+        text = "\n".join(f"{p}\t{value.render()}\t{value.to_mod2().render()}" for p, value in rows)
+        assert len(rows) == 139
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "9941d5382ab83607b2cdad997c09c309fa2d77805545c78f2c33eb44f678856f"
+
+    def test_adjoint_pairs_to_size_3_pinned(self):
+        # hash taken from the composed forms
+        shapes = partitions_up_to(3)
+        lines = [f"{f}\t{r}\t{adjoint_meridian_eigenvalue(f, r).render()}" for f in shapes for r in shapes]
+        assert len(lines) == 49
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "c1c253cff778f03fa1640037dc9459e404b22d4b6ac96ec919a5c424a3db583f"
+
+
 class TestIsolatingPolynomial:
     def test_single_cell_target_has_no_siblings(self):
         iso = isolating_polynomial(ONE)
@@ -104,7 +149,62 @@ class TestDistinctness:
         assert report.all_distinct
         assert report.collisions == ()
 
+    def test_scan_equals_pairwise_reference(self):
+        for max_size in (0, 1, 6):
+            assert check_eigenvalue_distinctness(max_size) == reference_distinctness(max_size)
+
+    def test_eigenvalues_to_size_12_share_one_denominator(self):
+        # the case the grouping makes linear
+        dens = {kauffman_meridian_eigenvalue(p).to_mod2().den for p in partitions_up_to(12)}
+        assert dens == {spow(2, char=2) + 1}
+
     def test_table_rows_in_canonical_order(self):
         table = eigenvalue_table(3)
         assert [shape for shape, _ in table] == partitions_up_to(3)
         assert table[0][1] == delta_kauffman()
+
+
+# values the collision tests assign to shapes: eigenvalues, a polynomial and
+# a constant, each also held with a factor that normalisation keeps, so an
+# equal pair can have different denominator representatives
+_POOL = [kauffman_meridian_eigenvalue(p) for p in partitions_up_to(1)] + [RingElem(vpow(1)), RingElem.one()]
+_FACTORS = [LaurentPoly.one(), vpow(1) + 1, vpow(2) + vpow(1) + 1]
+
+
+def _held_with(value: RingElem, factor: LaurentPoly) -> RingElem:
+    return RingElem(value.num * factor, value.den * factor)
+
+
+class TestDistinctnessCollisions:
+    """The grouped scan against the pairwise reference where values collide."""
+
+    SHAPES = partitions_up_to(4)
+
+    def _assign(self, monkeypatch, values):
+        table = dict(zip(self.SHAPES, values))
+        monkeypatch.setattr(eigen, "kauffman_meridian_eigenvalue", table.__getitem__)
+
+    def test_equal_values_with_different_denominators(self, monkeypatch):
+        one_cell = kauffman_meridian_eigenvalue(ONE)
+        held = _held_with(one_cell, vpow(1) + 1)
+        assert held == one_cell and held.to_mod2().den != one_cell.to_mod2().den
+        values = [kauffman_meridian_eigenvalue(p) for p in self.SHAPES]
+        values[3] = values[9] = one_cell  # the value of (1) at 1, 3 and 9 in one group
+        values[5] = held  # and at 5, in a group of its own
+        values[7] = values[8] = RingElem(vpow(1))
+        self._assign(monkeypatch, values)
+        report = check_eigenvalue_distinctness(4)
+        assert report == reference_distinctness(4)
+        indices = [(self.SHAPES.index(p), self.SHAPES.index(q)) for p, q in report.collisions]
+        assert indices == [(1, 3), (1, 5), (1, 9), (3, 5), (3, 9), (5, 9), (7, 8)]
+        assert report.comparisons == 66
+
+    PICK = st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, len(_FACTORS) - 1))
+
+    @given(st.lists(PICK, min_size=12, max_size=12))
+    @settings(max_examples=60)
+    def test_scan_equals_reference(self, picks):
+        values = [_held_with(_POOL[v], _FACTORS[f]) for v, f in picks]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assign(monkeypatch, values)
+            assert check_eigenvalue_distinctness(4) == reference_distinctness(4)
