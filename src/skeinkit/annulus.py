@@ -9,7 +9,9 @@ that family and ``realize_diagrams`` builds the actual link diagrams.
 Because the meridians act diagonally, a plan's weighted sum of meridian
 powers is its isolating polynomial applied to the meridian map:
 ``realize_symbolic`` multiplies each branched coefficient by that
-polynomial evaluated once at the shape's eigenvalue.
+polynomial evaluated once at the shape's eigenvalue.  The evaluation
+(``eigen.eval_polynomial``) runs on numerators over one power of
+z = s - s^-1 and normalises the value once.
 
 The oriented side is kept formal: basis symbols are partition pairs,
 products with the width-one generators expand by the one-cell branching

@@ -236,10 +236,14 @@ class LaurentPoly:
     # substitutions and coefficient-ring changes
 
     def scale_exponents(self, v_mult: int, s_mult: int) -> "LaurentPoly":
-        """Substitute v -> v^v_mult and s -> s^s_mult (both nonzero)."""
+        """Substitute v -> v^v_mult and s -> s^s_mult (both nonzero).
+
+        Nonzero multipliers map distinct exponents to distinct exponents, so
+        no terms merge and the clean terms stay clean.
+        """
         if v_mult == 0 or s_mult == 0:
             raise ValueError("exponent multipliers must be nonzero")
-        return LaurentPoly(
+        return LaurentPoly._make(
             {(dv * v_mult, ds * s_mult): c for (dv, ds), c in self._terms.items()},
             self.char,
         )

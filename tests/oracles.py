@@ -185,11 +185,34 @@ def reference_kauffman_meridian_eigenvalue(shape: Partition) -> RingElem:
     return reference_homfly_meridian_eigenvalue(shape, shape) + 1
 
 
+def reference_eval_polynomial(coefficients, value: RingElem) -> RingElem:
+    """Horner's rule in normalised `RingElem` steps, ascending powers, kept
+    as the reference for `eigen.eval_polynomial`."""
+    total = RingElem.zero()
+    for coeff in reversed(coefficients):
+        total = total * value + coeff
+    return total
+
+
+def reference_isolating_coefficients(eigenvalues) -> tuple[RingElem, ...]:
+    """The coefficients of the product of (t - e) over `eigenvalues`,
+    ascending, composed from normalised `RingElem` operations, kept as the
+    reference for the coefficients `eigen.isolating_polynomial` builds."""
+    coefficients = [RingElem.one()]
+    for eigenvalue in eigenvalues:
+        extended = [RingElem.zero()] + coefficients
+        for i, old in enumerate(coefficients):
+            extended[i] = extended[i] - old * eigenvalue
+        coefficients = extended
+    return tuple(coefficients)
+
+
 def reference_distinctness(max_size: int) -> DistinctnessReport:
     """The mod-2 distinctness scan as a double loop that compares every pair
     with `==`, kept as the reference for `eigen.check_eigenvalue_distinctness`.
-    It reads `eigen.kauffman_meridian_eigenvalue` at call time, so a test
-    that replaces that function changes both scans' inputs."""
+    It reduces `eigen.kauffman_meridian_eigenvalue`, read at call time, with
+    `to_mod2`, where the scan reads `eigen._mod2_meridian_eigenvalue`; a test
+    that injects values replaces both."""
     shapes = partitions_up_to(max_size)
     values = [(p, eigen.kauffman_meridian_eigenvalue(p).to_mod2()) for p in shapes]
     collisions = []

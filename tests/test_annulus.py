@@ -16,8 +16,14 @@ from skeinkit.annulus import (
     realize_diagrams,
     realize_symbolic,
 )
+from skeinkit import ring
 from skeinkit.corpus import hopf_plus, unknot
-from skeinkit.eigen import eigenvalue_table, isolating_polynomial, kauffman_meridian_eigenvalue
+from skeinkit.eigen import (
+    check_eigenvalue_distinctness,
+    eigenvalue_table,
+    isolating_polynomial,
+    kauffman_meridian_eigenvalue,
+)
 from skeinkit.partition import Partition, partitions_up_to
 from skeinkit.ring import RingElem, vpow
 from skeinkit.skein_eval import kauffman
@@ -31,13 +37,18 @@ def nonempty_shapes(max_size):
     return [p for p in partitions_up_to(max_size) if not p.is_empty()]
 
 
+def anchored_targets(max_size):
+    """Every (target, anchor) up to max_size cells, the default anchor None first."""
+    return [
+        (target, anchor)
+        for target in nonempty_shapes(max_size)
+        for anchor in [None] + (target.cells_removable() if target.size() > 1 else [])
+    ]
+
+
 def plans_up_to(max_size):
     """Every plan of a target up to max_size cells, default and forced anchors."""
-    plans = []
-    for target in nonempty_shapes(max_size):
-        anchors = [None] + (target.cells_removable() if target.size() > 1 else [])
-        plans.extend(expand_ylambda(target, anchor) for anchor in anchors)
-    return plans
+    return [expand_ylambda(target, anchor) for target, anchor in anchored_targets(max_size)]
 
 
 def reference_meridian_act(coeffs: dict, r: int) -> dict:
@@ -226,12 +237,54 @@ class TestRenderingPinned:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "17f8b87c150297b99e159aa2a61022b16c73d2dbe234221ca2c499e635112061"
 
+    def test_realized_plans_up_to_size_6(self):
+        # hash taken before isolating polynomials were evaluated over one
+        # z-power denominator
+        lines = [repr(realize_symbolic(plan)) for plan in plans_up_to(6)]
+        assert len(lines) == 73
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "310e8682ca55a8f0aedfebc224ee5158c55d21bce40ece979def6a2849a08152"
+
+    def test_isolating_polynomials_up_to_size_6(self):
+        # hashes taken before the coefficients were built on numerators
+        isos = [isolating_polynomial(target, anchor) for target, anchor in anchored_targets(6)]
+        assert len(isos) == 73
+        digest = hashlib.sha256("\n".join(repr(iso) for iso in isos).encode()).hexdigest()
+        assert digest == "15fe7d9b6a1649a5104c89559cbedaca20ecd85e7be1ea46a2b18a9359f60050"
+        values = "\n".join(repr(iso.separation_value()) for iso in isos)
+        digest = hashlib.sha256(values.encode()).hexdigest()
+        assert digest == "090e3283771946c08a728d73294e847ddfdd75fb8eea536cbfa8bf2717fbc844"
+
     def test_eigenvalue_table_to_size_8(self):
         rows = eigenvalue_table(8)
         text = "\n".join(f"{p}\t{value.render()}\t{value.to_mod2().render()}" for p, value in rows)
         assert len(rows) == 67
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "fbd4ef995eec98e8b561245070fb10bdf88e4058d3100eee3ac392a9f30730e6"
+
+
+class TestAnnulusWork:
+    """Fraction normalisations in the annulus layer, pinned as an upper bound.
+
+    Eigenvalues, isolating coefficients and their values are each
+    normalised once; a change that normalises per arithmetic step again
+    shows here.
+    """
+
+    def test_normalisations_per_plan_pass(self, monkeypatch):
+        calls = 0
+        real = ring._reduce_fraction
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(ring, "_reduce_fraction", counting)
+        for target, anchor in anchored_targets(4):
+            realize_symbolic(expand_ylambda(target, anchor))
+        check_eigenvalue_distinctness(9)
+        assert calls <= 1036  # 2,659 when every step was normalised
 
 
 class TestRealizeSymbolic:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import (
     adjoint_matches_doubled_meridian,
     reference_distinctness,
+    reference_eval_polynomial,
     reference_homfly_meridian_eigenvalue,
+    reference_isolating_coefficients,
     reference_kauffman_meridian_eigenvalue,
 )
 from skeinkit import eigen
@@ -20,6 +22,7 @@ from skeinkit.eigen import (
     delta_homfly,
     delta_kauffman,
     eigenvalue_table,
+    eval_polynomial,
     homfly_meridian_eigenvalue,
     isolating_polynomial,
     kauffman_meridian_eigenvalue,
@@ -133,6 +136,15 @@ class TestIsolatingPolynomial:
             assert iso.eval_at(eigenvalue).is_zero()
         assert not iso.separation_value().is_zero()
 
+    def test_coefficients_match_composed_reference_to_size_6(self):
+        # every target and anchor: the coefficients built on numerators over
+        # z-powers keep the representatives of the normalised product
+        for target in partitions_up_to(6):
+            for anchor in target.cells_removable():
+                iso = isolating_polynomial(target, anchor)
+                want = reference_isolating_coefficients([e for _, e in iso.roots])
+                assert repr(iso.coefficients) == repr(want), (target, anchor)
+
     def test_explicit_anchor_and_validation(self):
         iso = isolating_polynomial(Partition((2, 1)), anchor=TWO)
         assert iso.anchor == TWO
@@ -152,6 +164,14 @@ class TestDistinctness:
     def test_scan_equals_pairwise_reference(self):
         for max_size in (0, 1, 6):
             assert check_eigenvalue_distinctness(max_size) == reference_distinctness(max_size)
+
+    def test_mod2_values_keep_the_reduced_representatives(self):
+        # one char-2 normalisation of the numerator gives the representative
+        # of the char-0 value reduced by `to_mod2`
+        for shape in partitions_up_to(12):
+            new = eigen._mod2_meridian_eigenvalue(shape)
+            old = kauffman_meridian_eigenvalue(shape).to_mod2()
+            assert (new.num, new.den) == (old.num, old.den), shape
 
     def test_eigenvalues_to_size_12_share_one_denominator(self):
         # the case the grouping makes linear
@@ -181,8 +201,11 @@ class TestDistinctnessCollisions:
     SHAPES = partitions_up_to(4)
 
     def _assign(self, monkeypatch, values):
+        # the reference reads the char-0 values, the scan the mod-2 ones
         table = dict(zip(self.SHAPES, values))
+        mod2 = {shape: value.to_mod2() for shape, value in table.items()}
         monkeypatch.setattr(eigen, "kauffman_meridian_eigenvalue", table.__getitem__)
+        monkeypatch.setattr(eigen, "_mod2_meridian_eigenvalue", mod2.__getitem__)
 
     def test_equal_values_with_different_denominators(self, monkeypatch):
         one_cell = kauffman_meridian_eigenvalue(ONE)
@@ -208,3 +231,62 @@ class TestDistinctnessCollisions:
         with pytest.MonkeyPatch.context() as monkeypatch:
             self._assign(monkeypatch, values)
             assert check_eigenvalue_distinctness(4) == reference_distinctness(4)
+
+
+# coefficients and values for the evaluation tests: numerators over
+# z-powers, some with a factor v + 1 or s^4 + 1 that normalisation keeps
+_NUMERATORS = st.builds(
+    lambda pairs: LaurentPoly(dict(pairs)),
+    st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3)), max_size=4),
+)
+_EXTRA_FACTORS = [LaurentPoly.one(), vpow(1) + 1, spow(4) + 1]
+_FRACTIONS = st.builds(
+    lambda num, k, f: (RingElem(num, z_poly() ** k * _EXTRA_FACTORS[f]), f == 0),
+    _NUMERATORS,
+    st.integers(0, 3),
+    st.sampled_from([0, 0, 1, 2]),
+)
+
+
+class TestEvalPolynomial:
+    """One normalisation over a common denominator against Horner's rule in
+    normalised steps."""
+
+    @given(st.lists(_FRACTIONS, min_size=1, max_size=5), _FRACTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stepwise_reference(self, drawn, drawn_value):
+        coefficients = [c for c, _ in drawn]
+        value, value_over_z_power = drawn_value
+        got = eval_polynomial(coefficients, value)
+        want = reference_eval_polynomial(coefficients, value)
+        assert got == want
+        if value_over_z_power and all(plain for _, plain in drawn):
+            # a fraction over a power of z has one reduced representative
+            assert repr(got) == repr(want)
+
+    def test_single_coefficient_is_itself(self):
+        coeff = RingElem(vpow(1) + spow(3), z_poly() ** 2)
+        value = kauffman_meridian_eigenvalue(TWO)
+        assert repr(eval_polynomial([coeff], value)) == repr(coeff)
+
+    def test_zero_value_gives_constant_coefficient(self):
+        iso = isolating_polynomial(Partition((2, 1)), anchor=TWO)
+        got = eval_polynomial(iso.coefficients, RingElem.zero())
+        assert repr(got) == repr(iso.coefficients[0])
+        assert repr(got) == repr(reference_eval_polynomial(iso.coefficients, RingElem.zero()))
+
+    def test_no_coefficients_is_zero(self):
+        assert eval_polynomial((), kauffman_meridian_eigenvalue(ONE)).is_zero()
+
+    def test_isolating_values_over_z_power(self):
+        # the package's case: degree k at an eigenvalue lies over z^k, and
+        # each value keeps the stepwise representative
+        for target in partitions_up_to(5):
+            for anchor in target.cells_removable():
+                iso = isolating_polynomial(target, anchor)
+                for shape in anchor.cells_addable() + anchor.cells_removable():
+                    value = kauffman_meridian_eigenvalue(shape)
+                    got = eval_polynomial(iso.coefficients, value)
+                    want = reference_eval_polynomial(iso.coefficients, value)
+                    assert repr(got) == repr(want), (target, anchor, shape)
+                    assert got.is_zero() == (shape != target)

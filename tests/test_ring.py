@@ -168,6 +168,26 @@ class TestLaurentPoly:
         p = vpow(1) + spow(-2)
         assert p.scale_exponents(2, 2) == vpow(2) + spow(-4)
 
+    @pytest.mark.parametrize("mults", [(0, 1), (1, 0), (0, 0)])
+    def test_scale_exponents_refuses_a_zero_multiplier(self, mults):
+        with pytest.raises(ValueError, match="nonzero"):
+            (vpow(1) + spow(-2)).scale_exponents(*mults)
+
+    @given(data=st.data())
+    def test_scale_exponents_matches_constructor_form(self, data):
+        # the substitution built through the merging, cleaning constructor:
+        # an injective exponent map leaves it nothing to merge or drop
+        char = data.draw(st.sampled_from([0, 2]))
+        p = data.draw(polys(char, max_size=6))
+        mults = st.integers(-3, 3).filter(bool)
+        v_mult, s_mult = data.draw(mults), data.draw(mults)
+        want = LaurentPoly(
+            {(dv * v_mult, ds * s_mult): c for (dv, ds), c in p.terms().items()}, char
+        )
+        got = p.scale_exponents(v_mult, s_mult)
+        assert got == want and got.char == char
+        assert got.terms() == want.terms() and hash(got) == hash(want)
+
     @given(small_polys, small_polys, small_polys)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
