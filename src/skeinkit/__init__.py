@@ -6,7 +6,7 @@ Subpackages are organized bottom-up:
 - partition: integer partitions, content polynomials, hook corner data
 - eigen: closed-form eigenvalues of the meridian maps on annulus skeins
 - diagram: planar link diagrams and the satellite surgery toolbox
-- skein_eval: recursive framed polynomial evaluators with budgets and memo
+- skein_eval: framed polynomial evaluators with budgets and memo
 - annulus: decorated-unknot expansion plans and branching rules
 - verify: end-to-end checks tying the evaluators to the eigenvalue tables
 - cli: command line front end

@@ -71,10 +71,6 @@ class Partition:
     def is_empty(self) -> bool:
         return not self.parts
 
-    def row(self, i: int) -> int:
-        """Length of 1-based row i (0 when the row is absent)."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())

@@ -39,8 +39,9 @@ simplified (kink removal, parallel bigon cancellation, free circle
 harvesting), split into connected clusters, and each cluster is looked up
 in a cache keyed by a relabeling invariant serialization.  Diagrams whose
 every crossing is first reached on its over strand evaluate in closed
-form, so the recursion only branches on the first crossing first reached
-on its under strand.
+form, so the engine only branches on the first crossing first reached
+on its under strand, in one loop over a task stack (`_evaluate`): it never
+recurses, so the interpreter's recursion limit bounds no tree.
 
 One pass finds a state's clusters and keys them (`_keyed_clusters`): the
 walk that writes a cluster's key also reaches exactly its crossings.  A
@@ -49,20 +50,12 @@ key is one `bytes`: a flavor byte, then one unsigned 16-bit entry
 of lowest local signature; the smallest walk wins.  The 16-bit entries
 limit a diagram to 16,383 crossings, whatever the budget.  Cached values
 are immutable, and equal ones share one object.
-
-Every state the engine branches on is already simplified, and a resolved
-child differs from it only at the resolved crossing c: the switched child
-in c's levels, a smoothed child in the arcs through c.  So a child's
-simplification examines c (switched) or the crossings the smoothing
-rerouted, not every crossing, and ends in the same state.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -384,7 +377,7 @@ def _scan(cross: dict, partner: list):
 
 
 # ----------------------------------------------------------------------
-# the recursive engine
+# the engine: memo keys and the evaluation loop
 
 
 # A memo key packs each entry `id * 4 + offset` into 16 bits, which holds
@@ -543,80 +536,92 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
             return out
 
 
+_STATE, _CLUSTER, _PRODUCT, _RESOLVED = range(4)
+
+
 def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> LaurentPoly:
     """Value of a state after simplifying it from `seeds` (see `_simplify`).
 
-    The simplified state is split into its clusters and each is keyed in
-    one call (`_keyed_clusters`), with or without the memo; the value is
-    the product of the clusters' values.  The clusters share the state's
-    `partner` list: each is valued from its own crossings, and none
-    writes to the list.
+    Tasks run depth first from a stack, and values wait on a second stack
+    for the task that combines them: a state's clusters (`_keyed_clusters`,
+    never writing its `partner` list) or a crossing's children (`_resolve`).
     """
-    vshift, circles = _simplify(cross, partner, seeds)
-    if not cross:
-        return _times_circles(vpow(vshift), circles, flavor)
-    value = None
-    for part, key in _keyed_clusters(cross, partner, flavor):
-        part_value = _cluster_value(part, partner, flavor, memo, key)
-        value = part_value if value is None else value * part_value
-    value = _times_circles(value, circles, flavor)
-    if vshift:
-        value = value.shift(vshift, 0)
-    return value
+    tasks = [(_STATE, cross, partner, seeds, 0)]
+    values = []
+    while tasks:
+        task = tasks.pop()
+        kind = task[0]
+        if kind == _PRODUCT:
+            _, n, circles, vshift = task
+            parts = values[-n:]
+            del values[-n:]
+            value = parts[0]
+            for part_value in parts[1:]:
+                value = value * part_value
+            value = _times_circles(value, circles, flavor)
+            values.append(value.shift(vshift, 0) if vshift else value)
+            continue
+        if kind == _RESOLVED:
+            _, key, sign, n = task
+            result = _skein_sum(values[-n:], sign)
+            del values[-n:]
+        else:
+            if kind == _STATE:
+                _, cross, partner, seeds, circles = task
+                vshift, freed = _simplify(cross, partner, seeds)
+                circles += freed
+                if not cross:
+                    values.append(_times_circles(vpow(vshift), circles, flavor))
+                    continue
+                parts = _keyed_clusters(cross, partner, flavor)
+                if len(parts) > 1 or circles or vshift:  # else the value is the cluster's
+                    tasks.append((_PRODUCT, len(parts), circles, vshift))
+                    tasks.extend((_CLUSTER, p, partner, k) for p, k in reversed(parts[1:]))
+                cross, key = parts[0]  # its task would run next, so it runs now
+            else:
+                _, cross, partner, key = task
+            hit = _MEMO.get(key) if memo else None
+            if hit is not None:
+                values.append(hit)
+                continue
+            first_bad, n_circles, writhe = _scan(cross, partner)
+            if first_bad is not None:
+                clasp = _find_clasp(cross, partner)
+                c = first_bad if clasp is None else clasp
+                children = _resolve(cross, partner, c, flavor)
+                tasks.append((_RESOLVED, key, _sign(cross[c]), len(children)))
+                tasks += children[::-1]
+                continue
+            result = _times_circles(vpow(-writhe), n_circles, flavor)
+        if memo:
+            # values are immutable, so entries of equal value share one object
+            result = _VALUES.setdefault(result, result)
+            _MEMO[key] = result
+        values.append(result)
+    return values[0]
 
 
-def _cluster_value(cross: dict, partner: list, flavor: str, memo: bool, key: bytes) -> LaurentPoly:
-    if memo:
-        hit = _MEMO.get(key)
-        if hit is not None:
-            return hit
-    first_bad, n_circles, writhe = _scan(cross, partner)
-    if first_bad is not None:
-        clasp = _find_clasp(cross, partner)
-        if clasp is not None:
-            first_bad = clasp
-    if first_bad is None:
-        result = _times_circles(vpow(-writhe), n_circles, flavor)
-    else:
-        switched, _, z_term = _resolve(cross, partner, flavor, first_bad, memo)
-        result = switched + z_term
-    if memo:
-        # values are immutable, so entries of equal value share one object
-        result = _VALUES.setdefault(result, result)
-        _MEMO[key] = result
-    return result
-
-
-def _resolve(cross: dict, partner: list, flavor: str, c, memo: bool):
-    """Apply the flavor's skein relation at crossing c, leaving the state intact.
-
-    Returns (switched value, smoothing values, z-term); the state's value
-    is the switched value plus the z-term.  Oriented: one smoothing and
-    z-term +-z*smoothing by the crossing sign.  Unoriented: the two planar
-    smoothings and z-term z*(plus - minus).
-    """
-    u, o = cross[c]
-    sign = _sign(cross[c])
-    sw_cross = dict(cross)
-    sw_cross[c] = (o, u)
-    if flavor == ORIENTED:
-        throughs = (_smooth_through(c, cross[c], sign > 0),)
-    else:
-        throughs = (_smooth_through(c, cross[c], True), _smooth_through(c, cross[c], False))
-    switched = _evaluate(sw_cross, list(partner), flavor, memo, (c,))
-    smoothings = []
-    for through in throughs:
+def _resolve(cross: dict, partner: list, c, flavor: str) -> list:
+    """The children of the flavor's skein relation at crossing c, as state
+    tasks (`_STATE`, cross, partner, seeds, circles freed), leaving the state
+    intact: switched, then the oriented or the plus and minus smoothings."""
+    children = [(_STATE, {**cross, c: cross[c][::-1]}, list(partner), (c,), 0)]
+    for positive in ((_sign(cross[c]) > 0,) if flavor == ORIENTED else (True, False)):
         sm_cross = dict(cross)
         sm_partner = list(partner)
-        freed, touched = _excise(sm_cross, sm_partner, {c}, through)
-        smoothings.append(_times_circles(_evaluate(sm_cross, sm_partner, flavor, memo, touched), freed, flavor))
-    if flavor == ORIENTED:
-        z_term = smoothings[0].shift(0, 1)
-        if sign < 0:
-            z_term = -z_term
-    else:
-        z_term = (smoothings[0] - smoothings[1]).shift(0, 1)
-    return switched, smoothings, z_term
+        freed, touched = _excise(sm_cross, sm_partner, {c}, _smooth_through(c, cross[c], positive))
+        children.append((_STATE, sm_cross, sm_partner, touched, freed))
+    return children
+
+
+def _skein_sum(values: list, sign: int) -> LaurentPoly:
+    """The switched value plus the z-term, from the values of `_resolve`'s
+    children: +-z*smoothing by the crossing sign, or z*(plus - minus)."""
+    switched, *smoothed = values
+    if len(smoothed) == 2:
+        return switched + (smoothed[0] - smoothed[1]).shift(0, 1)
+    z_term = smoothed[0].shift(0, 1)
+    return switched + z_term if sign > 0 else switched - z_term
 
 
 # ----------------------------------------------------------------------
@@ -643,21 +648,9 @@ def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
     return cross, partner, cfg.memo
 
 
-@contextmanager
-def _recursion_room():
-    """Raise the recursion limit for one evaluation and restore it after."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> LaurentPoly:
     cross, partner, memo = _prepare(d, config)
-    with _recursion_room():
-        value = _evaluate(cross, partner, flavor, memo, cross)
+    value = _evaluate(cross, partner, flavor, memo, cross)
     return _times_circles(value, len(d.free_loops), flavor)
 
 
@@ -671,22 +664,11 @@ def kauffman(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
     return _to_ring_elem(_run(d, UNORIENTED, config))
 
 
-def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
-    """Alternating sum over components of antiparallel double satellites.
-
-    Every component is either deleted or replaced by a reversed parallel
-    pair (2 copies, second reversed), with sign (-1)^(deleted count).
-    The crossing budget applies to each term separately.
-
-    Each term is built in one mesh pass and named as the chain of surgery
-    wrappers would name it, e.g. `hopf_plus.drop(1).cable(0,2).rev(1)`.
-    Every term's size is checked before any term is built: a crossing
-    survives when both its strands are kept, as a grid of 2 x 2.  The
-    terms are summed exactly as polynomials in v and z, and the total is
-    converted once.
-    """
+def _adjoint_terms(d: LinkDiagram, config: Optional[EvalConfig]) -> list[tuple[int, int, str]]:
+    """Each adjoint term of `d` as (kept-components mask, kept count, name),
+    sized before any is built: a crossing whose strands are both kept becomes
+    a 2 x 2 grid.  Names follow the surgery chain, e.g. `hopf_plus.drop(1).cable(0,2).rev(1)`."""
     n = d.n_components
-    cfg = config or DEFAULT_CONFIG
     strands = [d.crossing_components(ci) for ci in range(len(d.crossings))]
     terms = []
     for mask in range(1 << n):
@@ -694,10 +676,24 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
         name = d.name + "".join(f".drop({i})" for i in reversed(range(n)) if not mask & (1 << i))
         name += "".join(f".cable({pos},2).rev({pos + 1})" for pos in reversed(range(kept)))
         both = sum(1 for u, o in strands if mask & (1 << u) and mask & (1 << o))
-        _check_size(name, 4 * both, cfg)
+        _check_size(name, 4 * both, config or DEFAULT_CONFIG)
         terms.append((mask, kept, name))
+    return terms
+
+
+def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
+    """Alternating sum over components of antiparallel double satellites.
+
+    Every component is either deleted or replaced by a reversed parallel
+    pair (2 copies, second reversed), with sign (-1)^(deleted count).
+    The crossing budget applies to each term separately, and every term
+    is sized before any is built (`_adjoint_terms`).  Each term is built
+    in one mesh pass.  The terms are summed exactly as polynomials in v
+    and z, and the total is converted once.
+    """
+    n = d.n_components
     total = LaurentPoly.zero()
-    for mask, kept, name in terms:
+    for mask, kept, name in _adjoint_terms(d, config):
         mesh = Mesh.from_diagram(d)
         for i in reversed(range(n)):
             if not mask & (1 << i):
@@ -726,17 +722,20 @@ def skein_relation_probe(
     if flavor not in (ORIENTED, UNORIENTED):
         raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
     cross, partner, memo = _prepare(d, config)
-    with _recursion_room():
-        here = _evaluate(dict(cross), list(partner), flavor, memo, cross)
-        switched, smoothings, z_term = _resolve(cross, partner, flavor, crossing, memo)
+    sign = _sign(cross[crossing])
+    states = [(_STATE, dict(cross), list(partner), cross, 0)]
+    states += _resolve(cross, partner, crossing, flavor)
     loops = len(d.free_loops)
+    values = [
+        _times_circles(_evaluate(c_cross, c_partner, flavor, memo, seeds), freed + loops, flavor)
+        for _, c_cross, c_partner, seeds, freed in states
+    ]
     out = {"flavor": flavor}
     if flavor == ORIENTED:
-        out["sign"] = _sign(cross[crossing])
+        out["sign"] = sign
         names = ("value", "switched", "smoothed")
     else:
         names = ("value", "switched", "smoothed_plus", "smoothed_minus")
-    for name, part in zip(names, [here, switched] + smoothings):
-        out[name] = _to_ring_elem(_times_circles(part, loops, flavor))
-    out["holds"] = (here - switched - z_term).is_zero()
+    out.update((name, _to_ring_elem(value)) for name, value in zip(names, values, strict=True))
+    out["holds"] = (values[0] - _skein_sum(values[1:], sign)).is_zero()
     return out

@@ -29,7 +29,7 @@ from .eigen import (
 )
 from .partition import Partition
 from .ring import RingElem
-from .skein_eval import EvalConfig, adjoint_homfly, homfly, kauffman
+from .skein_eval import EvalConfig, _adjoint_terms, _check_size, adjoint_homfly, homfly, kauffman
 
 # largest row of the decorated family: the full antiparallel double of a
 # 4-crossing base with 3 meridians lands on 64 crossings
@@ -224,13 +224,22 @@ def verify_main(
     if shape.size() == 1:
         return _finish("main", d.name, assignments, verify_rudolph(d, config).checks, started)
     if shape.size() != 2:
-        raise ValueError("assignments must be width-one except one two-cell shape")
+        raise ValueError(f"verify main takes a one- or two-cell shape, got one of size {shape.size()}")
 
     plan = expand_ylambda(shape)
     rows = [build_satellite_row(d, comp, r) for r in range(len(plan.terms) + 1)]
+    deleted = d.delete_component(comp)
+    # size every evaluation below before making any, in the order they are
+    # made: an over-budget run is refused at once, with the message its
+    # first refused evaluation would give
+    for row in rows:
+        _check_size(row.name, len(row.crossings), config)
+    for row in rows:
+        _adjoint_terms(row, config)
+    _check_size(deleted.name, len(deleted.crossings), config)
+    _adjoint_terms(deleted, config)
     unoriented = [kauffman(row, config) for row in rows]
     adjoint = [adjoint_homfly(row, config).to_mod2() for row in rows]
-    deleted = d.delete_component(comp)
     # characteristic zero on the unoriented side, mod 2 throughout on the
     # adjoint side
     assembled_unoriented, unoriented_outcomes = _assemble_and_solve(

@@ -24,6 +24,7 @@ from skeinkit.eigen import (
     homfly_meridian_eigenvalue,
 )
 from skeinkit.partition import Partition
+from skeinkit import skein_eval
 from skeinkit.skein_eval import homfly
 
 
@@ -392,7 +393,24 @@ class TestVerifyCommand:
     def test_main_rejects_shapes_other_than_one_or_two_cells(self, partition):
         assert run(
             ["verify", "main", "corpus:unknot", "--component", "1", "--partition", partition]
-        ) == (2, "error: assignments must be width-one except one two-cell shape")
+        ) == (2, f"error: verify main takes a one- or two-cell shape, got one of size {int(partition)}")
+
+    @pytest.mark.parametrize("link, term", [
+        ("trefoil", "trefoil.mer(0,2).cable(0,2).cable(3,2).rev(4).cable(2,2).rev(3)"
+                    ".cable(1,2).rev(2).cable(0,2).rev(1)"),
+        ("figure_eight", "figure_eight.mer(0,1).cable(0,2).cable(2,2).rev(3)"
+                         ".cable(1,2).rev(2).cable(0,2).rev(1)"),
+    ], ids=["trefoil", "figure_eight"])
+    def test_main_refused_before_any_evaluation(self, link, term, monkeypatch):
+        # an adjoint term of a later row is over the budget, so the whole
+        # run is refused before its first resolution
+        resolves = []
+        inner = skein_eval._resolve
+        monkeypatch.setattr(skein_eval, "_resolve", lambda *args: resolves.append(args) or inner(*args))
+        assert run(
+            ["verify", "main", f"corpus:{link}", "--component", "1", "--partition", "2"]
+        ) == (1, f"budget exceeded: {term}: 80 crossings exceed the budget of 64")
+        assert resolves == []
 
     def test_main_component_index_is_one_based(self):
         code, text = run(

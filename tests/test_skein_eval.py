@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import port_list, port_pairs, reference_clusters
+from skeinkit.cli import run as cli_run
 from skeinkit.corpus import (
     braid_closure,
     corpus_names,
@@ -211,17 +212,37 @@ class TestStructure:
         with pytest.raises(ValueError):
             skein_relation_probe(trefoil(), 5)
 
-    def test_recursion_limit_restored(self):
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(3000)
+    def test_recursion_limit_never_set(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"the recursion limit was set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        homfly(trefoil())
+        kauffman(trefoil())
+        adjoint_homfly(hopf_plus())
+        skein_relation_probe(figure_eight(), 0, "unoriented")
+
+    def test_deep_tree_within_a_low_recursion_limit(self, monkeypatch):
+        # T(2,100) nests 50 resolutions: ~150 frames for an evaluator that
+        # recurses three calls a level.  One loop fits in a limit a few
+        # dozen frames above this test's own depth, which no run may raise
+        d = braid_closure(2, [1] * 100)
+        cfg = EvalConfig(max_crossings=100)
+        clear_caches()
+        want = homfly(d, cfg)
+        clear_caches()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
+        set_limit(depth + 40)
+        monkeypatch.setattr(sys, "setrecursionlimit", lambda limit: None)
         try:
-            homfly(trefoil())
-            kauffman(trefoil())
-            adjoint_homfly(hopf_plus())
-            skein_relation_probe(figure_eight(), 0, "unoriented")
-            assert sys.getrecursionlimit() == 3000
+            got = homfly(d, cfg)
         finally:
-            sys.setrecursionlimit(old)
+            set_limit(old)
+            clear_caches()
+        assert got == want
 
     def test_probe_rejects_unknown_flavor(self):
         with pytest.raises(ValueError):
@@ -956,12 +977,12 @@ class TestSplitClusters:
         d = _relabeled(braid_closure(6, [1, 1, 1, 3, 3, 3, 5, 5, 5]), [0, 3, 6, 1, 4, 7, 2, 5, 8])
         counts = {"states": 0, "keyings": 0}
         sizes = []
-        evaluate, keyed = skein_eval._evaluate, skein_eval._keyed_clusters
+        simplify, keyed = skein_eval._simplify, skein_eval._keyed_clusters
 
-        def evaluating(cross, *args):
-            value = evaluate(cross, *args)
-            counts["states"] += bool(cross)  # simplified in place
-            return value
+        def simplifying(cross, *args):
+            moves = simplify(cross, *args)  # once per state, in place
+            counts["states"] += bool(cross)
+            return moves
 
         def keying(*args):
             parts = keyed(*args)
@@ -969,7 +990,7 @@ class TestSplitClusters:
             sizes.append(len(parts))
             return parts
 
-        monkeypatch.setattr(skein_eval, "_evaluate", evaluating)
+        monkeypatch.setattr(skein_eval, "_simplify", simplifying)
         monkeypatch.setattr(skein_eval, "_keyed_clusters", keying)
         for memo in (True, False):
             for run in (homfly, kauffman):
@@ -1158,7 +1179,7 @@ class TestEngineWork:
         return rows
 
     def test_rows_up_to_6_crossings(self, monkeypatch):
-        counts = {"_resolve": 0, "_cluster_value": 0, "_kink_move": 0, "_bigon_move": 0}
+        counts = {"_resolve": 0, "_kink_move": 0, "_bigon_move": 0}
         for name in counts:
             inner = getattr(skein_eval, name)
 
@@ -1184,8 +1205,7 @@ class TestEngineWork:
         finally:
             clear_caches()
         assert counts["_resolve"] <= 117
-        assert counts["_cluster_value"] <= 226
-        assert keyed == 226  # every cluster state keyed, one per `_cluster_value` call
+        assert keyed == 226  # every cluster keyed: one memo lookup or valuation each
         # sites examined: a resolved child is re-simplified only where it changed
         assert counts["_kink_move"] <= 1315
         assert counts["_bigon_move"] <= 1185
@@ -1217,6 +1237,24 @@ class TestEngineWork:
         finally:
             clear_caches()
         assert products <= 68
+
+    def test_verify_main_on_the_unknot(self, monkeypatch):
+        # the width-two decorated unknot check from empty caches: its
+        # resolutions, memo entries and distinct memo values
+        resolves = _count_resolves(monkeypatch)
+        clear_caches()
+        try:
+            code, _ = cli_run(
+                ["verify", "main", "corpus:unknot", "--component", "1", "--partition", "2", "--json"]
+            )
+            memo_size = len(skein_eval._MEMO)
+            distinct = len({id(value) for value in skein_eval._MEMO.values()})
+        finally:
+            clear_caches()
+        assert code == 0
+        assert resolves["calls"] <= 16103
+        assert memo_size <= 16620
+        assert distinct <= 4047
 
     @pytest.mark.parametrize("flavor, resolves, entries", [(ORIENTED, 1725, 1737), (UNORIENTED, 2652, 2656)])
     def test_braid_family_words(self, flavor, resolves, entries, monkeypatch):
