@@ -95,24 +95,26 @@ def branch_mul_y1(vec: AnnulusVecK) -> AnnulusVecK:
 class ExpansionPlan:
     """Recipe rewriting a decorated strand as diagrams with known weights.
 
-    Each term inserts `meridians`-many encircling circles around a doubled
-    strand whose inner copy carries the anchor decoration; `inner` resolves
-    that decoration recursively until only bare strands remain.  Applying
-    all terms symbolically yields `scale` times the target basis vector
-    per stage (see realize_symbolic).
+    One level is one record.  Term r inserts r encircling circles around
+    a doubled strand whose inner copy carries the anchor decoration, with
+    weight `coefficients[r]`: the coefficients are the isolating
+    polynomial's (``eigen.isolating_polynomial``), ascending, so a
+    coefficient's index is its meridian count.  `inner` resolves the
+    anchor decoration recursively until only bare strands remain.
+    Applying all terms symbolically yields `scale`, the polynomial's value
+    at the target's eigenvalue, times the target basis vector per stage
+    (see realize_symbolic).
     """
 
     target: Partition
     anchor: Optional[Partition]
-    # (coefficient, meridian count) with counts 0, 1, 2, ... in order: the
-    # isolating polynomial's coefficients, ascending
-    terms: tuple[tuple[RingElem, int], ...]
+    coefficients: tuple[RingElem, ...]
     scale: RingElem
     inner: Optional["ExpansionPlan"]
 
     @property
     def is_trivial(self) -> bool:
-        return not self.terms
+        return not self.coefficients
 
     def full_scale(self) -> RingElem:
         scale = self.scale
@@ -125,7 +127,11 @@ class ExpansionPlan:
         if self.is_trivial:
             return [(RingElem.one(), ())]
         inner = self.inner.chains() if self.inner is not None else [(RingElem.one(), ())]
-        return [(coeff * c, (r,) + counts) for coeff, r in self.terms for c, counts in inner]
+        return [
+            (coeff * c, (r,) + counts)
+            for r, coeff in enumerate(self.coefficients)
+            for c, counts in inner
+        ]
 
     def lm_words(self) -> list[str]:
         """The chains as longitude-meridian words, letters innermost first.
@@ -138,7 +144,11 @@ class ExpansionPlan:
         if self.is_trivial:
             return [f"[{self.target}]"]
         inner = self.inner.lm_words() if self.inner is not None else [f"[{self.anchor}]"]
-        return [f"{word} l^2" + (f" m^{r}" if r else "") for _, r in self.terms for word in inner]
+        return [
+            f"{word} l^2" + (f" m^{r}" if r else "")
+            for r in range(len(self.coefficients))
+            for word in inner
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -146,7 +156,8 @@ class ExpansionPlan:
             "anchor": str(self.anchor) if self.anchor is not None else None,
             "scale": self.scale.render(),
             "terms": [
-                {"meridians": r, "coefficient": coeff.render()} for coeff, r in self.terms
+                {"meridians": r, "coefficient": coeff.render()}
+                for r, coeff in enumerate(self.coefficients)
             ],
             "inner": self.inner.to_dict() if self.inner is not None else None,
         }
@@ -156,7 +167,9 @@ def expand_ylambda(target: Partition, rho_choice: Optional[Partition] = None) ->
     """Build the expansion plan for a decorated strand.
 
     The anchor defaults to removing a cell from the target's last row;
-    any one-cell-smaller subpartition may be forced instead.  Width-one
+    any one-cell-smaller subpartition may be forced instead.  Each level
+    takes the isolating polynomial of its target and anchor, and its scale
+    is that polynomial's value at the target's eigenvalue.  Width-one
     targets need no rewriting and yield the trivial plan.
     """
     if target.is_empty():
@@ -165,10 +178,11 @@ def expand_ylambda(target: Partition, rho_choice: Optional[Partition] = None) ->
         if rho_choice is not None:
             raise ValueError("width-one target takes no anchor choice")
         return ExpansionPlan(target, None, (), RingElem.one(), None)
-    iso = isolating_polynomial(target, rho_choice)
-    terms = tuple((coeff, r) for r, coeff in enumerate(iso.coefficients))
-    inner = expand_ylambda(iso.anchor) if iso.anchor.size() > 1 else None
-    return ExpansionPlan(target, iso.anchor, terms, iso.separation_value(), inner)
+    anchor = target.last_row_shrunk() if rho_choice is None else rho_choice
+    coefficients = isolating_polynomial(target, anchor)
+    scale = eval_polynomial(coefficients, kauffman_meridian_eigenvalue(target))
+    inner = expand_ylambda(anchor) if anchor.size() > 1 else None
+    return ExpansionPlan(target, anchor, coefficients, scale, inner)
 
 
 def realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:
@@ -176,7 +190,7 @@ def realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:
 
     Branch the resolved inner vector by one strand.  The terms' weighted
     meridian powers act on each branched shape as the isolating
-    polynomial at that shape's eigenvalue, so each coefficient is
+    polynomial at that shape's eigenvalue, so each branched coefficient is
     multiplied by that one value.  The isolating construction guarantees
     the result is exactly full_scale() times the target basis vector;
     callers may assert that identity.
@@ -187,9 +201,8 @@ def realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:
         inner_vec = AnnulusVecK.basis(plan.anchor)
     else:
         inner_vec = realize_symbolic(plan.inner)
-    weights = [coeff for coeff, _ in plan.terms]
     return AnnulusVecK({
-        shape: coeff * eval_polynomial(weights, kauffman_meridian_eigenvalue(shape))
+        shape: coeff * eval_polynomial(plan.coefficients, kauffman_meridian_eigenvalue(shape))
         for shape, coeff in branch_mul_y1(inner_vec).coeffs.items()
     })
 

@@ -3,8 +3,9 @@
 A circle in the annulus that encircles a decorated core acts diagonally on
 the standard skein bases; the eigenvalues are explicit Laurent expressions
 in the content polynomial of the indexing partition(s).  This module holds
-those closed forms, the isolating polynomials built from them, and the
-mod-2 distinctness scan that the satellite verification relies on.
+those closed forms, the coefficients of the isolating polynomials built
+from them, the Horner evaluation of such a polynomial, and the mod-2
+distinctness scan that the satellite verification relies on.
 
 Every eigenvalue is a Laurent polynomial over z = s - s^-1, so the
 isolating coefficients and their values at eigenvalues lie over powers of
@@ -125,43 +126,21 @@ def eval_polynomial(coefficients, value: RingElem) -> RingElem:
     return RingElem(acc, den)
 
 
-@dataclass(frozen=True)
-class IsolatingPolynomial:
-    """One-variable polynomial vanishing at every sibling eigenvalue.
+def isolating_polynomial(target: Partition, anchor: Partition) -> tuple[RingElem, ...]:
+    """Ascending coefficients of the polynomial that isolates the target.
 
-    Built from a target shape and an anchor one cell smaller: the roots are
-    the unoriented meridian eigenvalues of every shape adjacent to the
-    anchor (one cell added or removed) except the target itself.  Applying
-    the polynomial to the meridian map therefore kills every sibling
-    component of the branched decoration and leaves a known multiple of
-    the target component.
+    The polynomial is the product of (t - eigenvalue) over the unoriented
+    meridian eigenvalues of every shape adjacent to the anchor (one cell
+    added or removed) except the target itself.  Applying it to the
+    meridian map therefore kills every sibling component of the branched
+    decoration and leaves a known multiple of the target component: the
+    polynomial's value at the target's own eigenvalue, nonzero by
+    distinctness.  The anchor must be reachable from the target by
+    deleting one cell.
     """
-
-    target: Partition
-    anchor: Partition
-    roots: tuple[tuple[Partition, RingElem], ...]
-    coefficients: tuple[RingElem, ...]  # ascending powers
-
-    def eval_at(self, value: RingElem) -> RingElem:
-        return eval_polynomial(self.coefficients, value)
-
-    def separation_value(self) -> RingElem:
-        """Value at the target's own eigenvalue; nonzero by distinctness."""
-        return self.eval_at(kauffman_meridian_eigenvalue(self.target))
-
-
-def isolating_polynomial(target: Partition, anchor: Partition | None = None) -> IsolatingPolynomial:
-    """Product of (t - eigenvalue) over the anchor's neighbors minus the target.
-
-    The anchor defaults to the target with one cell removed from its last
-    row.  The anchor must be reachable from the target by deleting one cell.
-    """
-    if anchor is None:
-        anchor = target.last_row_shrunk()
     if anchor not in target.cells_removable():
         raise ValueError(f"anchor {anchor} is not one cell below target {target}")
     siblings = sorted(p for p in anchor.cells_addable() + anchor.cells_removable() if p != target)
-    roots = tuple((p, kauffman_meridian_eigenvalue(p)) for p in siblings)
     # after i factors (t - N/z), coefficient j is numerators[j] / z^(i - j)
     numerators = [LaurentPoly.one()]
     for p in siblings:
@@ -175,8 +154,7 @@ def isolating_polynomial(target: Partition, anchor: Partition | None = None) -> 
     for _ in siblings:
         z_powers.append(z_powers[-1] * _Z)
     k = len(siblings)
-    coefficients = tuple(RingElem(n, z_powers[k - j]) for j, n in enumerate(numerators))
-    return IsolatingPolynomial(target, anchor, roots, coefficients)
+    return tuple(RingElem(n, z_powers[k - j]) for j, n in enumerate(numerators))
 
 
 # ----------------------------------------------------------------------

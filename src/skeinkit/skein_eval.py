@@ -588,8 +588,9 @@ def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> Lau
             if first_bad is not None:
                 clasp = _find_clasp(cross, partner)
                 c = first_bad if clasp is None else clasp
-                children = _resolve(cross, partner, c, flavor)
-                tasks.append((_RESOLVED, key, _sign(cross[c]), len(children)))
+                sign = _sign(cross[c])
+                children = _resolve(cross, partner, c, sign, flavor)
+                tasks.append((_RESOLVED, key, sign, len(children)))
                 tasks += children[::-1]
                 continue
             result = _times_circles(vpow(-writhe), n_circles, flavor)
@@ -601,12 +602,13 @@ def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> Lau
     return values[0]
 
 
-def _resolve(cross: dict, partner: list, c, flavor: str) -> list:
-    """The children of the flavor's skein relation at crossing c, as state
-    tasks (`_STATE`, cross, partner, seeds, circles freed), leaving the state
-    intact: switched, then the oriented or the plus and minus smoothings."""
+def _resolve(cross: dict, partner: list, c, sign: int, flavor: str) -> list:
+    """The children of the flavor's skein relation at crossing c, of sign
+    `sign`, as state tasks (`_STATE`, cross, partner, seeds, circles freed),
+    leaving the state intact: switched, then the oriented or the plus and
+    minus smoothings."""
     children = [(_STATE, {**cross, c: cross[c][::-1]}, list(partner), (c,), 0)]
-    for positive in ((_sign(cross[c]) > 0,) if flavor == ORIENTED else (True, False)):
+    for positive in ((sign > 0,) if flavor == ORIENTED else (True, False)):
         sm_cross = dict(cross)
         sm_partner = list(partner)
         freed, touched = _excise(sm_cross, sm_partner, {c}, _smooth_through(c, cross[c], positive))
@@ -724,7 +726,7 @@ def skein_relation_probe(
     cross, partner, memo = _prepare(d, config)
     sign = _sign(cross[crossing])
     states = [(_STATE, dict(cross), list(partner), cross, 0)]
-    states += _resolve(cross, partner, crossing, flavor)
+    states += _resolve(cross, partner, crossing, sign, flavor)
     loops = len(d.free_loops)
     values = [
         _times_circles(_evaluate(c_cross, c_partner, flavor, memo, seeds), freed + loops, flavor)

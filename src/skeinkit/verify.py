@@ -171,16 +171,16 @@ def _solve(rows, rhs) -> list[RingElem]:
 def _assemble_and_solve(plan, values, coeff_map, deleted_value):
     """Assemble one side's decorated value; return it with the side's three outcomes.
 
-    `values` are the side's row values r = 0..len(plan.terms), and
+    `values` are the side's row values r = 0..len(plan.coefficients), and
     `coeff_map` carries characteristic-zero weights and eigenvalues into
     the side's ring.  The outcomes solve the first rows for the anchor's
     branched shapes and compare against the deleted-component value, the
     assembled value and the last row.
     """
-    n = len(plan.terms)
+    n = len(plan.coefficients)
     assembled = coeff_map(RingElem.zero())
-    for weight, r in plan.terms:
-        assembled = assembled + coeff_map(weight) * values[r]
+    for weight, value in zip(plan.coefficients, values):
+        assembled = assembled + coeff_map(weight) * value
     assembled = assembled / coeff_map(plan.scale)
 
     shapes = plan.anchor.cells_addable() + plan.anchor.cells_removable()
@@ -227,7 +227,7 @@ def verify_main(
         raise ValueError(f"verify main takes a one- or two-cell shape, got one of size {shape.size()}")
 
     plan = expand_ylambda(shape)
-    rows = [build_satellite_row(d, comp, r) for r in range(len(plan.terms) + 1)]
+    rows = [build_satellite_row(d, comp, r) for r in range(len(plan.coefficients) + 1)]
     deleted = d.delete_component(comp)
     # size every evaluation below before making any, in the order they are
     # made: an over-budget run is refused at once, with the message its
@@ -263,7 +263,7 @@ def verify_main(
     checks = [
         CheckRecord(label, ok, detail)
         for label, ok, detail in zip(
-            _main_check_labels(len(plan.terms)), outcomes, details, strict=True
+            _main_check_labels(len(plan.coefficients)), outcomes, details, strict=True
         )
     ]
     return _finish("main", d.name, assignments, checks, started)

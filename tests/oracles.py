@@ -194,6 +194,12 @@ def reference_eval_polynomial(coefficients, value: RingElem) -> RingElem:
     return total
 
 
+def isolating_siblings(target: Partition, anchor: Partition) -> list[Partition]:
+    """The anchor's one-cell neighbours other than the target, sorted: the
+    shapes at whose eigenvalues `eigen.isolating_polynomial` vanishes."""
+    return sorted(p for p in anchor.cells_addable() + anchor.cells_removable() if p != target)
+
+
 def reference_isolating_coefficients(eigenvalues) -> tuple[RingElem, ...]:
     """The coefficients of the product of (t - e) over `eigenvalues`,
     ascending, composed from normalised `RingElem` operations, kept as the

@@ -5,28 +5,31 @@ import json
 
 import pytest
 
-from oracles import coefficient, same_diagram_as
+from oracles import coefficient, isolating_siblings, same_diagram_as
 from skeinkit.annulus import (
     AnnulusVecK,
     ExpansionPlan,
     branch_mul_y1,
+    build_satellite_row,
     expand_ylambda,
     homfly_branching_expand,
     hsr_structure_check,
     realize_diagrams,
     realize_symbolic,
 )
-from skeinkit import ring
+from skeinkit import annulus, eigen, ring
 from skeinkit.corpus import hopf_plus, unknot
 from skeinkit.eigen import (
     check_eigenvalue_distinctness,
     eigenvalue_table,
+    eval_polynomial,
     isolating_polynomial,
     kauffman_meridian_eigenvalue,
 )
 from skeinkit.partition import Partition, partitions_up_to
 from skeinkit.ring import RingElem, vpow
 from skeinkit.skein_eval import kauffman
+from skeinkit.verify import _solve
 
 
 def P(*parts) -> Partition:
@@ -71,7 +74,7 @@ def reference_realize_symbolic(plan: ExpansionPlan) -> AnnulusVecK:
         inner = reference_realize_symbolic(plan.inner)
     branched = branch_mul_y1(inner).coeffs
     total: dict = {}
-    for weight, r in plan.terms:
+    for r, weight in enumerate(plan.coefficients):
         for shape, value in reference_meridian_act(branched, r).items():
             total[shape] = total.get(shape, RingElem.zero()) + value * weight
     return AnnulusVecK(total)
@@ -159,7 +162,7 @@ class TestExpansionPlans:
     def test_width_one_is_trivial(self):
         plan = expand_ylambda(P(1))
         assert plan.is_trivial
-        assert plan.terms == ()
+        assert plan.coefficients == ()
         assert plan.scale.is_one()
         assert plan.full_scale().is_one()
         assert plan.inner is None
@@ -170,10 +173,9 @@ class TestExpansionPlans:
         plan = expand_ylambda(P(2))
         assert plan.anchor == P(1)
         assert plan.inner is None
-        assert [r for _, r in plan.terms] == [0, 1, 2]
-        iso = isolating_polynomial(P(2), P(1))
-        assert tuple(c for c, _ in plan.terms) == iso.coefficients
-        assert plan.scale == iso.separation_value()
+        assert [t["meridians"] for t in plan.to_dict()["terms"]] == [0, 1, 2]
+        assert plan.coefficients == isolating_polynomial(P(2), P(1))
+        assert plan.scale == eval_polynomial(plan.coefficients, kauffman_meridian_eigenvalue(P(2)))
 
     def test_row_two_terms_kill_siblings(self):
         # summing coefficient * eigenvalue^r must vanish on the two
@@ -183,7 +185,7 @@ class TestExpansionPlans:
         def apply(shape):
             c = kauffman_meridian_eigenvalue(shape)
             total = RingElem.zero()
-            for coeff, r in plan.terms:
+            for r, coeff in enumerate(plan.coefficients):
                 total = total + coeff * c ** r
             return total
 
@@ -197,7 +199,7 @@ class TestExpansionPlans:
         assert plan.inner is not None
         assert plan.inner.target == P(2)
         assert plan.inner.inner is None
-        assert len(plan.terms) == 3
+        assert len(plan.coefficients) == 3
         assert plan.full_scale() == plan.scale * plan.inner.scale
 
     def test_anchor_choice_honored(self):
@@ -246,13 +248,22 @@ class TestRenderingPinned:
         assert digest == "310e8682ca55a8f0aedfebc224ee5158c55d21bce40ece979def6a2849a08152"
 
     def test_isolating_polynomials_up_to_size_6(self):
-        # hashes taken before the coefficients were built on numerators
-        isos = [isolating_polynomial(target, anchor) for target, anchor in anchored_targets(6)]
-        assert len(isos) == 73
-        digest = hashlib.sha256("\n".join(repr(iso) for iso in isos).encode()).hexdigest()
+        # hashes taken before the coefficients were built on numerators,
+        # over the repr of a record that also held the anchor (the default
+        # one for None) and each sibling with its eigenvalue
+        lines, values = [], []
+        for target, anchor in anchored_targets(6):
+            anchor = target.last_row_shrunk() if anchor is None else anchor
+            c = isolating_polynomial(target, anchor)
+            roots = tuple((p, kauffman_meridian_eigenvalue(p)) for p in isolating_siblings(target, anchor))
+            lines.append(
+                f"IsolatingPolynomial(target={target!r}, anchor={anchor!r}, roots={roots!r}, coefficients={c!r})"
+            )
+            values.append(repr(eval_polynomial(c, kauffman_meridian_eigenvalue(target))))
+        assert len(lines) == 73
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "15fe7d9b6a1649a5104c89559cbedaca20ecd85e7be1ea46a2b18a9359f60050"
-        values = "\n".join(repr(iso.separation_value()) for iso in isos)
-        digest = hashlib.sha256(values.encode()).hexdigest()
+        digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
         assert digest == "090e3283771946c08a728d73294e847ddfdd75fb8eea536cbfa8bf2717fbc844"
 
     def test_eigenvalue_table_to_size_8(self):
@@ -284,7 +295,24 @@ class TestAnnulusWork:
         for target, anchor in anchored_targets(4):
             realize_symbolic(expand_ylambda(target, anchor))
         check_eigenvalue_distinctness(9)
-        assert calls <= 1036  # 2,659 when every step was normalised
+        assert calls <= 918  # 1,036 with sibling roots kept; 2,659 when every step was normalised
+
+    def test_eigenvalues_per_plan_pass(self, monkeypatch):
+        # one eigenvalue per branched shape and one per level's scale; the
+        # isolating coefficients are built from numerators alone
+        calls = 0
+        real = eigen.kauffman_meridian_eigenvalue
+
+        def counting(shape):
+            nonlocal calls
+            calls += 1
+            return real(shape)
+
+        for module in (annulus, eigen):
+            monkeypatch.setattr(module, "kauffman_meridian_eigenvalue", counting)
+        for target, anchor in anchored_targets(4):
+            realize_symbolic(expand_ylambda(target, anchor))
+        assert calls <= 226  # 344 when each plan also held its siblings' eigenvalues
 
 
 class TestRealizeSymbolic:
@@ -371,7 +399,7 @@ class TestRealizeDiagrams:
         plan = expand_ylambda(P(2))
         terms = realize_diagrams(unknot(), 0, plan)
         assert [len(d.crossings) for _, d in terms] == [0, 4, 8]
-        assert [c for c, _ in terms] == [c for c, _ in plan.terms]
+        assert [c for c, _ in terms] == list(plan.coefficients)
         # r = 0 is a crossingless two-component unlink
         assert terms[0][1].n_components == 2
         assert len(terms[0][1].free_loops) == 2
@@ -389,6 +417,24 @@ class TestRealizeDiagrams:
         # doubles the 8 incident to the inner copy: 16 + 4
         biggest = max(len(d.crossings) for _, d in terms)
         assert biggest == 20
+
+    @pytest.mark.parametrize("shape", [P(2), P(1, 1)], ids=str)
+    @pytest.mark.parametrize("link", [unknot, hopf_plus], ids=lambda f: f.__name__)
+    def test_weighted_sum_is_scaled_target_value(self, link, shape):
+        # the docstring's promise: the weighted values sum to full_scale()
+        # times the decorated value, here solved from the meridian rows
+        # r = 0..2 in the anchor's three branched shapes
+        d = link()
+        plan = expand_ylambda(shape)
+        total = RingElem.zero()
+        for weight, diagram in realize_diagrams(d, 0, plan):
+            total = total + weight * kauffman(diagram)
+        shapes = plan.anchor.cells_addable() + plan.anchor.cells_removable()
+        eig = [kauffman_meridian_eigenvalue(s) for s in shapes]
+        rows = [[e ** r for e in eig] for r in range(3)]
+        values = [kauffman(build_satellite_row(d, 0, r)) for r in range(3)]
+        solved = dict(zip(shapes, _solve(rows, values)))
+        assert total == plan.full_scale() * solved[shape]
 
 
 class TestDiagramSymbolConsistency:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     adjoint_matches_doubled_meridian,
+    isolating_siblings,
     reference_distinctness,
     reference_eval_polynomial,
     reference_homfly_meridian_eigenvalue,
@@ -113,43 +114,50 @@ class TestOneFractionForms:
 
 class TestIsolatingPolynomial:
     def test_single_cell_target_has_no_siblings(self):
-        iso = isolating_polynomial(ONE)
-        assert iso.anchor == EMPTY
-        assert iso.coefficients == (RingElem.one(),)
-        assert iso.separation_value() == RingElem.one()
+        coefficients = isolating_polynomial(ONE, EMPTY)
+        assert ONE.last_row_shrunk() == EMPTY
+        assert isolating_siblings(ONE, EMPTY) == []
+        assert coefficients == (RingElem.one(),)
+        assert eval_polynomial(coefficients, kauffman_meridian_eigenvalue(ONE)) == RingElem.one()
 
     def test_two_cell_target_structure(self):
-        iso = isolating_polynomial(TWO)
-        assert iso.anchor == ONE
-        assert len(iso.coefficients) == 3
-        sibling_shapes = [shape for shape, _ in iso.roots]
-        assert sorted(sibling_shapes) == [EMPTY, ONE_ONE]
+        coefficients = isolating_polynomial(TWO, ONE)
+        assert TWO.last_row_shrunk() == ONE
+        assert len(coefficients) == 3
+        assert isolating_siblings(TWO, ONE) == [EMPTY, ONE_ONE]
         c_empty = kauffman_meridian_eigenvalue(EMPTY)
         c_oneone = kauffman_meridian_eigenvalue(ONE_ONE)
-        assert iso.coefficients[2] == RingElem.one()
-        assert iso.coefficients[1] == -(c_empty + c_oneone)
-        assert iso.coefficients[0] == c_empty * c_oneone
+        assert coefficients[2] == RingElem.one()
+        assert coefficients[1] == -(c_empty + c_oneone)
+        assert coefficients[0] == c_empty * c_oneone
 
     def test_vanishes_exactly_at_siblings(self):
-        iso = isolating_polynomial(TWO)
-        for _, eigenvalue in iso.roots:
-            assert iso.eval_at(eigenvalue).is_zero()
-        assert not iso.separation_value().is_zero()
+        coefficients = isolating_polynomial(TWO, ONE)
+        for shape in isolating_siblings(TWO, ONE):
+            assert eval_polynomial(coefficients, kauffman_meridian_eigenvalue(shape)).is_zero()
+        assert not eval_polynomial(coefficients, kauffman_meridian_eigenvalue(TWO)).is_zero()
 
     def test_coefficients_match_composed_reference_to_size_6(self):
         # every target and anchor: the coefficients built on numerators over
         # z-powers keep the representatives of the normalised product
         for target in partitions_up_to(6):
             for anchor in target.cells_removable():
-                iso = isolating_polynomial(target, anchor)
-                want = reference_isolating_coefficients([e for _, e in iso.roots])
-                assert repr(iso.coefficients) == repr(want), (target, anchor)
+                coefficients = isolating_polynomial(target, anchor)
+                want = reference_isolating_coefficients(
+                    [kauffman_meridian_eigenvalue(p) for p in isolating_siblings(target, anchor)]
+                )
+                assert repr(coefficients) == repr(want), (target, anchor)
 
     def test_explicit_anchor_and_validation(self):
-        iso = isolating_polynomial(Partition((2, 1)), anchor=TWO)
-        assert iso.anchor == TWO
-        assert all(shape != Partition((2, 1)) for shape, _ in iso.roots)
-        with pytest.raises(ValueError):
+        target = Partition((2, 1))
+        coefficients = isolating_polynomial(target, anchor=TWO)
+        assert isolating_siblings(target, TWO) == [ONE, Partition((3,))]
+        assert len(coefficients) == 3
+        # the target is not a root: the polynomial vanishes at the siblings only
+        for shape in isolating_siblings(target, TWO):
+            assert eval_polynomial(coefficients, kauffman_meridian_eigenvalue(shape)).is_zero()
+        assert not eval_polynomial(coefficients, kauffman_meridian_eigenvalue(target)).is_zero()
+        with pytest.raises(ValueError, match="anchor 1,1 is not one cell below target 2"):
             isolating_polynomial(TWO, anchor=ONE_ONE)
 
 
@@ -270,10 +278,10 @@ class TestEvalPolynomial:
         assert repr(eval_polynomial([coeff], value)) == repr(coeff)
 
     def test_zero_value_gives_constant_coefficient(self):
-        iso = isolating_polynomial(Partition((2, 1)), anchor=TWO)
-        got = eval_polynomial(iso.coefficients, RingElem.zero())
-        assert repr(got) == repr(iso.coefficients[0])
-        assert repr(got) == repr(reference_eval_polynomial(iso.coefficients, RingElem.zero()))
+        coefficients = isolating_polynomial(Partition((2, 1)), anchor=TWO)
+        got = eval_polynomial(coefficients, RingElem.zero())
+        assert repr(got) == repr(coefficients[0])
+        assert repr(got) == repr(reference_eval_polynomial(coefficients, RingElem.zero()))
 
     def test_no_coefficients_is_zero(self):
         assert eval_polynomial((), kauffman_meridian_eigenvalue(ONE)).is_zero()
@@ -283,10 +291,10 @@ class TestEvalPolynomial:
         # each value keeps the stepwise representative
         for target in partitions_up_to(5):
             for anchor in target.cells_removable():
-                iso = isolating_polynomial(target, anchor)
+                coefficients = isolating_polynomial(target, anchor)
                 for shape in anchor.cells_addable() + anchor.cells_removable():
                     value = kauffman_meridian_eigenvalue(shape)
-                    got = eval_polynomial(iso.coefficients, value)
-                    want = reference_eval_polynomial(iso.coefficients, value)
+                    got = eval_polynomial(coefficients, value)
+                    want = reference_eval_polynomial(coefficients, value)
                     assert repr(got) == repr(want), (target, anchor, shape)
                     assert got.is_zero() == (shape != target)
