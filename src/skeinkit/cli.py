@@ -357,13 +357,13 @@ def _crit_eigen_consistency(extended: bool) -> tuple[bool, str]:
 
 
 def _crit_rudolph_corpus(extended: bool) -> tuple[bool, str]:
-    cfg = EvalConfig(max_crossings=24)
     failures = [
-        name for name in corpus_names() if not verify_rudolph(load_corpus(name), cfg).passed
+        name for name in corpus_names()
+        if not verify_rudolph(load_corpus(name), DEFAULT_CONFIG).passed
     ]
     if failures:
         return False, "fails on " + ", ".join(failures)
-    return True, f"{len(corpus_names())} diagrams, crossing budget 24"
+    return True, f"{len(corpus_names())} diagrams, crossing budget {DEFAULT_CONFIG.max_crossings}"
 
 
 def _verify_main_case(d: LinkDiagram, comp: int, shape: Partition) -> Optional[str]:

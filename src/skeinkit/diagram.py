@@ -11,9 +11,9 @@ slot 3 to slot 1.  Each edge's tail and head, the (crossing, slot) it
 leaves and enters, are found by that walk and kept as
 `LinkDiagram.edge_ends`.
 
-Surgery (cabling, meridian insertion, deletion, reversal, curls, mirror)
-runs on an internal mesh whose crossings hold arcs by role: UI/UO for the
-under strand in/out, OI/OO for the over strand.  For a positive crossing
+Surgery (cabling, meridian insertion, deletion, reversal, curls) runs on
+an internal mesh whose crossings hold arcs by role: UI/UO for the under
+strand in/out, OI/OO for the over strand.  For a positive crossing
 the counterclockwise slot order is (UI, OO, UO, OI); for a negative one it
 is (UI, OI, UO, OO).
 
@@ -40,7 +40,6 @@ ROLE_UI, ROLE_UO, ROLE_OI, ROLE_OO = "UI", "UO", "OI", "OO"
 SLOTS_POS = (ROLE_UI, ROLE_OO, ROLE_UO, ROLE_OI)
 SLOTS_NEG = (ROLE_UI, ROLE_OI, ROLE_UO, ROLE_OO)
 _FLIP = {ROLE_UI: ROLE_UO, ROLE_UO: ROLE_UI, ROLE_OI: ROLE_OO, ROLE_OO: ROLE_OI}
-_SWITCH = {ROLE_UI: ROLE_OI, ROLE_OI: ROLE_UI, ROLE_UO: ROLE_OO, ROLE_OO: ROLE_UO}
 
 
 def slot_layout(sign: int) -> tuple[str, str, str, str]:
@@ -165,24 +164,31 @@ class LinkDiagram:
                  "edge_ends")
 
     def __init__(self, name, n_components, crossings, component_of_edge, free_loops=(), signs=None):
-        crossings = tuple(tuple(int(e) for e in quad) for quad in crossings)
+        # every integer is checked, not coerced: int() would truncate 1.5 and take True as 1
+        _require_ints("components", [n_components])
+        crossings = tuple(tuple(quad) for quad in crossings)
+        for quad in crossings:
+            _require_ints("crossing labels", quad)
+        component_of_edge = dict(component_of_edge)
+        _require_ints("component_of_edge values", component_of_edge.values())
+        free_loops = tuple(free_loops)
+        _require_ints("free_loops", free_loops)
+        if signs is not None:
+            signs = tuple(signs)
+            _require_ints("signs", signs)
         if any(len(quad) != 4 for quad in crossings):
             raise DiagramError("each crossing needs exactly 4 edge labels")
-        component_of_edge = {int(e): int(c) for e, c in component_of_edge.items()}
-        free_loops = tuple(sorted(int(c) for c in free_loops))
-        if any(e <= 0 for e in component_of_edge):
+        if any(isinstance(e, bool) or not isinstance(e, int) or e <= 0 for e in component_of_edge):
             raise DiagramError("edge labels must be positive integers")
 
-        if signs is not None:
-            signs = tuple(int(s) for s in signs)
         signs, edge_ends, strands = _trace_strands(crossings, component_of_edge, signs)
 
         object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "n_components", int(n_components))
+        object.__setattr__(self, "n_components", n_components)
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "component_of_edge", component_of_edge)
-        object.__setattr__(self, "free_loops", free_loops)
+        object.__setattr__(self, "free_loops", tuple(sorted(free_loops)))
         object.__setattr__(self, "edge_ends", edge_ends)
         self._validate(strands)
 
@@ -255,13 +261,6 @@ class LinkDiagram:
         edges = data["component_of_edge"]
         if not isinstance(edges, dict):
             raise DiagramError("component_of_edge must map edge labels to components")
-        # __init__ coerces with int(), which would truncate 1.5 and accept true
-        _require_ints("components", [data["components"]])
-        for quad in data["crossings"]:
-            _require_ints("crossing labels", quad)
-        _require_ints("component_of_edge values", edges.values())
-        _require_ints("free_loops", data.get("free_loops", ()))
-        _require_ints("signs", data.get("signs") or ())
         return cls(
             data.get("name", "unnamed"),
             data["components"],
@@ -330,11 +329,6 @@ class LinkDiagram:
         mesh = Mesh.from_diagram(self)
         mesh.add_curl(comp, sign)
         return mesh.to_diagram(f"{self.name}.curl({comp},{sign:+d})")
-
-    def mirror(self) -> "LinkDiagram":
-        mesh = Mesh.from_diagram(self)
-        mesh.mirror()
-        return mesh.to_diagram(f"{self.name}.mirror")
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
         shift = max(self.component_of_edge, default=0)
@@ -639,12 +633,3 @@ class Mesh:
         self._attach(site, "head", (k, ROLE_UI))
         self._new_arc_attached((k, ROLE_UO), (k, ROLE_OI), key)
         self._new_arc_attached((k, ROLE_OO), head, key)
-
-    def mirror(self):
-        for cid, cross in self.crossings.items():
-            cross["sign"] = -cross["sign"]
-            cross[ROLE_UI], cross[ROLE_OI] = cross[ROLE_OI], cross[ROLE_UI]
-            cross[ROLE_UO], cross[ROLE_OO] = cross[ROLE_OO], cross[ROLE_UO]
-        for aid, (tail, head, _) in list(self.arcs.items()):
-            self.arcs[aid][0] = (tail[0], _SWITCH[tail[1]])
-            self.arcs[aid][1] = (head[0], _SWITCH[head[1]])

@@ -429,11 +429,17 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
     lowest signature.  The walk from the lowest seed left reaches exactly
     that seed's cluster: when it reaches every crossing the state is one
     cluster, else the crossings it reached are one, and the rest are split
-    the same way.  Each later seed of the cluster is walked and compared
-    entry by entry with the best walk so far, stops at its first entry
-    above the best's, and the smallest walk wins.  The seed set names no
-    label, so it decides which walk wins but not which states share a
-    key, and a cluster's key is the one it has as a state on its own.
+    the same way.  One loop walks every seed of that cluster in order: the
+    first walk has nothing to compare with and becomes the best, and each
+    later one is compared entry by entry with the best walk so far, stops
+    at its first entry above the best's, and replaces the best when it
+    ends below it.  The seed set names no label, so it decides which walk
+    wins but not which states share a key, and a cluster's key is the one
+    it has as a state on its own.  A walk that ties the best to its end
+    maps the best walk's i-th (crossing, base) to its own i-th one, an
+    automorphism of the state; that loop is the one place where orbit
+    pruning (McKay, "Practical graph isomorphism", 1981) would record it
+    and skip the seeds of walked orbits.
 
     The key is a flavor byte followed by the entries, one unsigned
     16-bit entry each; `_prepare` refuses diagrams of more than
@@ -456,14 +462,10 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
     packed = []  # every base as its signature, crossing and base, see _SEED_BITS
     for c, (u, _) in cross.items():
         at = 4 * c
-        q = partner[at + u]
-        sig = ((q - under[q >> 2]) & mask) << 10 | (q >> 2 == c) << 9
-        q = partner[at + ((u + 1) & 3)]
-        sig |= ((q - under[q >> 2]) & mask) << 7 | (q >> 2 == c) << 6
-        q = partner[at + (u ^ 2)]
-        sig |= ((q - under[q >> 2]) & mask) << 4 | (q >> 2 == c) << 3
-        q = partner[at + ((u + 3) & 3)]
-        sig |= ((q - under[q >> 2]) & mask) << 1 | (q >> 2 == c)
+        sig = 0
+        for slot in _ROWS[u]:
+            q = partner[at + slot]
+            sig = sig << 3 | ((q - under[q >> 2]) & mask) << 1 | (q >> 2 == c)
         packed.append(sig << _SEED_BITS | c << 3 | u)
         if mask == 1:  # the row read two slots on, from base u + 2
             packed.append(((sig & 63) << 6 | sig >> 6) << _SEED_BITS | c << 3 | (u + 2))
@@ -474,27 +476,10 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
         top = (min(packed) >> _SEED_BITS) + 1 << _SEED_BITS  # above every seed
         seeds = [x & _SEED_MASK for x in packed if x < top]
         seeds.sort()
-        # the first walk: its cluster, and the best walk so far
-        seed = seeds[0] >> 3
-        reached = [-1] * n
-        reached[seed] = 0
-        rots[seed] = seeds[0] & 7
-        queue = [seed]
-        best = []
-        for c in queue:  # the walk appends to the queue as it goes
-            at = 4 * c
-            for slot in _ROWS[rots[c] & 3]:
-                q = partner[at + slot]
-                c2 = q >> 2
-                i2 = reached[c2]
-                if i2 < 0:
-                    i2 = reached[c2] = len(queue)
-                    rots[c2] = q - ((q - under[c2]) & mask)
-                    queue.append(c2)
-                best.append(i2 * 4 + ((q - rots[c2]) & 3))
-        for s in seeds[1:]:
+        best = None
+        for s in seeds:
             seed = s >> 3
-            if reached[seed] < 0:
+            if best is not None and reached[seed] < 0:
                 continue  # another cluster's seed
             ids = [-1] * n
             ids[seed] = 0
@@ -502,8 +487,8 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
             walk = [seed]
             entries = []
             k = 0  # entries equal to best's so far
-            tied = True
-            for c in walk:
+            tied = best is not None  # the first walk has none to compare with
+            for c in walk:  # the walk appends to its queue as it goes
                 at = 4 * c
                 for slot in _ROWS[rots[c] & 3]:
                     q = partner[at + slot]
@@ -525,6 +510,8 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
                     continue
                 break  # the walk passed the best so far
             else:
+                if best is None:  # the first walk's numbering is the cluster
+                    reached, queue = ids, walk
                 if not tied:
                     best = entries
         key = tag + array("H", best).tobytes()

@@ -9,7 +9,7 @@ from math import gcd
 
 from skeinkit import eigen
 from skeinkit.annulus import AnnulusVecK
-from skeinkit.diagram import DiagramError, LinkDiagram
+from skeinkit.diagram import DiagramError, LinkDiagram, Mesh
 from skeinkit.eigen import DistinctnessReport, adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition, partitions_up_to
 from skeinkit.ring import LaurentPoly, RingElem, spow, vpow, z_poly
@@ -100,6 +100,95 @@ def canonical_code(d: LinkDiagram) -> tuple:
 
 def same_diagram_as(d: LinkDiagram, other: LinkDiagram) -> bool:
     return canonical_code(d) == canonical_code(other)
+
+
+def mirror(d: LinkDiagram) -> LinkDiagram:
+    """The mirror image: every crossing switched, named `<name>.mirror`.
+
+    Each crossing's tuple restarts at its over-in slot, which becomes the
+    under-in one, and its sign flips; the mesh round trip numbers edges and
+    orders crossings as every surgery does.
+    """
+    crossings = [quad[3:] + quad[:3] if sign > 0 else quad[1:] + quad[:1]
+                 for quad, sign in zip(d.crossings, d.signs)]
+    switched = LinkDiagram(d.name, d.n_components, crossings, d.component_of_edge, d.free_loops,
+                           signs=[-sign for sign in d.signs])
+    return Mesh.from_diagram(switched).to_diagram(f"{d.name}.mirror")
+
+
+# ----------------------------------------------------------------------
+# Fox matrix points: Alexander (Trans. AMS 30, 1928) and Fox (Ann. Math. 57, 1953)
+
+
+def bareiss_det(rows: list[dict]) -> int:
+    """Determinant of a square integer matrix given as sparse rows, each a
+    dict from column to entry, by fraction-free Bareiss elimination (Math.
+    Comp. 22, 1968): every division is exact, and every entry stays a minor
+    of the input."""
+    rows = [dict(row) for row in rows]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        at = next((i for i in range(k, n) if rows[i].get(k)), None)
+        if at is None:
+            return 0
+        if at != k:
+            rows[k], rows[at] = rows[at], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row.get(k, 0)
+            merged = {}
+            for j in row.keys() | top.keys() if a else row.keys():
+                if j > k:
+                    x = (pivot * row.get(j, 0) - a * top.get(j, 0)) // prev
+                    if x:
+                        merged[j] = x
+            rows[i] = merged
+        prev = pivot
+    return sign * prev
+
+
+def fox_minor(d: LinkDiagram, t: int) -> int:
+    """A first minor of the Fox matrix of `d` at t: its last row and column
+    deleted.  Up to a unit it is the Alexander polynomial at t.
+
+    Wirtinger arcs are the classes of edges joined through each crossing's
+    over slots 1 and 3.  A crossing's row holds 1 - t at its over arc k,
+    t at the arc i entering slot 0 and -1 at the arc j leaving slot 2 when
+    positive, and t - 1, 1 and -t when negative.  A component passing over
+    at every crossing makes one arc more than there are crossings; it lies
+    above the rest, so the link is split and the value is 0, as it is for
+    any free loop but the unknot's.
+    """
+    if d.free_loops:
+        return int(d.n_components == 1)
+    root = {e: e for e in d.component_of_edge}
+
+    def find(e):
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    for quad in d.crossings:
+        root[find(quad[1])] = find(quad[3])
+    arcs = {}  # numbered as the crossings first meet them, which keeps the rows banded
+    for quad in d.crossings:
+        for s in (0, 1, 2):
+            arcs.setdefault(find(quad[s]), len(arcs))
+    if len(arcs) != len(d.crossings):
+        return 0
+    rows = []
+    for quad, sign in zip(d.crossings, d.signs):
+        row = {}
+        k, i, j = (arcs[find(quad[s])] for s in (1, 0, 2))
+        for arc, x in zip((k, i, j), (1 - t, t, -1) if sign > 0 else (t - 1, 1, -t)):
+            row[arc] = row.get(arc, 0) + x
+        rows.append({col: x for col, x in row.items() if col < len(arcs) - 1 and x})
+    return bareiss_det(rows[:-1])
 
 
 # ----------------------------------------------------------------------

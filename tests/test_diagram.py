@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_code, linking_number, port_list, same_diagram_as, self_writhe
+from oracles import canonical_code, linking_number, mirror, port_list, same_diagram_as, self_writhe
 from skeinkit import skein_eval
 from skeinkit.annulus import build_satellite_row
 from skeinkit.corpus import (
@@ -84,6 +84,25 @@ class TestConstruction:
                 signs=(1, -1),
                 component_of_edge=d.component_of_edge,
             )
+
+    @pytest.mark.parametrize("changed, message", [
+        ({"n_components": 1.0}, "components: expected an integer, got 1.0"),
+        ({"crossings": [(1.5, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)]},
+         "crossing labels: expected an integer, got 1.5"),
+        ({"component_of_edge": {e: (True if e == 6 else 0) for e in range(1, 7)}},
+         "component_of_edge values: expected an integer, got True"),
+        ({"n_components": 2, "free_loops": [1.0]}, "free_loops: expected an integer, got 1.0"),
+        ({"signs": [True] * 3}, "signs: expected an integer, got True"),
+        ({"component_of_edge": {e: 0 for e in (1, 2, 3, 4, 5, 6.0)}},
+         "edge labels must be positive integers"),
+    ], ids=["components", "crossing-label", "component", "free-loop", "sign", "edge-label"])
+    def test_constructor_refuses_non_integers(self, changed, message):
+        # int() would read 1.5 as 1 and True as 1, and load the trefoil
+        d = trefoil()
+        fields = {"n_components": 1, "crossings": d.crossings,
+                  "component_of_edge": d.component_of_edge, "signs": d.signs}
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            LinkDiagram("t", **{**fields, **changed})
 
     def test_all_over_component_is_ambiguous(self):
         # a circle running over another at both transits: either direction
@@ -254,9 +273,9 @@ class TestSurgeries:
         assert same_diagram_as(d, trefoil())
 
     def test_mirror(self):
-        d = trefoil().mirror()
+        d = mirror(trefoil())
         assert d.writhe() == -3
-        assert same_diagram_as(d.mirror(), trefoil())
+        assert same_diagram_as(mirror(d), trefoil())
 
     def test_disjoint_union(self):
         d = hopf_plus().disjoint_union(unknot())
@@ -294,7 +313,7 @@ def _surgery_battery(monkeypatch) -> list[LinkDiagram]:
             out += [
                 d.with_curl(c, 1).cable(c, 2),
                 d.with_curl(c, -1).cable(c, 2),
-                d.mirror().cable(c, 2),
+                mirror(d).cable(c, 2),
                 d.reverse_component(c).cable(c, 2),
                 d.with_meridians(c, 2).cable(c, 3).delete_component(c),
             ]

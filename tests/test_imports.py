@@ -49,15 +49,27 @@ READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def read_names(source: str) -> set[str]:
-    """Every name a module reads: Name ids, attribute names and imported names."""
+    """Every name a module reads: Name ids, attribute names and imported names.
+
+    A read inside a function of the same name does not count, so neither
+    recursion nor a wrapper that delegates to a same-named method reads
+    the function it sits in.
+    """
     read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            read.add(node.id)
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            read.update({node.id} - enclosing)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            read.update({node.attr} - enclosing)
         elif isinstance(node, ast.alias):
-            read.add(node.name.split(".")[-1])
+            read.update({node.name.split(".")[-1]} - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
     return read
 
 
@@ -97,10 +109,22 @@ def test_detects_an_unread_function():
         "    return inner\n"
         "def unused():\n"
         "    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.inner = Inner()\n"
+        "    def grow(self):\n"  # a wrapper that only delegates to a same-named method
+        "        return self.inner.grow()\n"
+        "class Inner:\n"
+        "    def grow(self):\n"
+        "        pass\n"
+        "def countdown(n):\n"  # read by itself alone
+        "    return countdown(n - 1) if n else 0\n"
     )
     namespace: dict = {}
     exec(source, namespace)
-    assert unread_functions(source, namespace, read_names(source)) == ["Parser.shout", "unused"]
+    assert unread_functions(source, namespace, read_names(source)) == [
+        "Parser.shout", "unused", "Box.grow", "Inner.grow", "countdown",
+    ]
 
 
 def test_every_function_is_read():

@@ -5,12 +5,13 @@ import json
 import random
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import port_list, port_pairs, reference_clusters
+from oracles import fox_minor, mirror, port_list, port_pairs, reference_clusters
 from skeinkit.cli import run as cli_run
 from skeinkit.corpus import (
     braid_closure,
@@ -78,7 +79,7 @@ class TestHomflyOracles:
         assert homfly(unknot().with_curl(0, -1)) == v * dH
 
     def test_mirror_inverts_v(self):
-        assert homfly(trefoil().mirror()) == dH * (v + v - vi + v * z * z)
+        assert homfly(mirror(trefoil())) == dH * (v + v - vi + v * z * z)
 
 
 class TestKauffmanOracles:
@@ -801,7 +802,7 @@ class TestBraidProperties:
     def test_mirror_inverts_variables(self, word):
         d = braid_closure(3, word, "w")
         val = homfly(d)
-        mirrored = homfly(d.mirror())
+        mirrored = homfly(mirror(d))
         flipped = RingElem(
             val.num.scale_exponents(-1, -1), val.den.scale_exponents(-1, -1)
         )
@@ -1164,6 +1165,141 @@ class TestBracketStateSum:
         assert _agrees(got, want, -4, 2)
 
 
+def _conway_at(value: RingElem, s: int) -> Fraction:
+    """The Conway polynomial at z = s - 1/s from a framed oriented value N/D.
+
+    The engine's unknot is (v^-1 - v)/z, so the Conway polynomial is the
+    limit of N/D * z/(v^-1 - v) as v -> 1.  N vanishes at v = 1, so the
+    limit is -z N'(1) / (2 D(1)).
+    """
+    at_one = {}
+    for (_, b), c in value.num.terms().items():
+        at_one[b] = at_one.get(b, 0) + c
+    assert not any(at_one.values())
+    s = Fraction(s)
+    slope = sum(a * c * s ** b for (a, b), c in value.num.terms().items())
+    den = sum(c * s ** b for (_, b), c in value.den.terms().items())
+    return -(s - 1 / s) * slope / (2 * den)
+
+
+def _unit_power(ratio: Fraction, s: int):
+    """(sign, m) with ratio = sign * s^m, else None."""
+    num, den, m = abs(ratio.numerator), ratio.denominator, 0
+    while num % s == 0:
+        num, m = num // s, m + 1
+    while den % s == 0:
+        den, m = den // s, m - 1
+    return (ratio > 0, m) if num == den == 1 else None
+
+
+def _check_conway(d, config=None) -> bool:
+    """`homfly(d)` against the Fox minor at t = s^2 for s = 2 and 3: equal up
+    to one unit +-s^m, with m odd exactly when the component count is even.
+    Returns whether the value is nonzero."""
+    value = homfly(d, config)
+    units = []
+    for s in (2, 3):
+        fox, conway = fox_minor(d, s * s), _conway_at(value, s)
+        if fox == 0 or conway == 0:
+            assert fox == conway == 0, d.name
+            units.append(None)
+        else:
+            unit = _unit_power(fox / conway, s)
+            assert unit is not None, d.name
+            units.append(unit)
+    assert units[0] == units[1], d.name
+    if units[0] is None:
+        return False
+    assert units[0][1] % 2 != d.n_components % 2, d.name
+    return True
+
+
+def _norm_at_zeta8(poly: LaurentPoly) -> list[int]:
+    """|p(A)|^2 at A = exp(i pi / 4) for p in the s variable, as the
+    coefficients of 1, A, A^2, A^3 with A^4 = -1: p(A) times its
+    conjugate, which sends A to A^-1."""
+    out = [0] * 4
+    for (_, e), c in poly.terms().items():
+        for (_, f), c2 in poly.terms().items():
+            k = (e - f) % 8
+            out[k % 4] += c * c2 if k < 4 else -c * c2
+    return out
+
+
+def _check_determinant(d, config=None) -> int:
+    """`kauffman(d)` against the Fox minor at t = -1: at v = -A^-3, s = A the
+    value is the bracket <D>, and at A = exp(i pi / 4), where the circle
+    factor -A^2 - A^-2 vanishes, |<D> / circle|^2 is det(L)^2.  Returns the
+    minor."""
+    value = kauffman(d, config)
+    circle = -LaurentPoly.monomial(0, 2) - LaurentPoly.monomial(0, -2)
+    bracket_value = _specialise(value.num, -3, 1).exact_div(circle)
+    den = _specialise(value.den, -3, 1)
+    det = fox_minor(d, -1)
+    assert _norm_at_zeta8(bracket_value) == [det * det * x for x in _norm_at_zeta8(den)], d.name
+    return det
+
+
+class TestFoxMatrixPoints:
+    """Both flavors against a first minor of the Fox matrix, which shares no
+    engine code and takes polynomial time, so it reaches past the bracket
+    state sum's 12 crossings: the Conway point (t = s^2) against `homfly`,
+    the determinant point (t = -1) against `kauffman`.
+
+    Blind spots: the Conway value is 0 on fully doubled adjoint terms, and
+    det(L) is 0 on satellite rows of two or more meridians, so these points
+    check braid closures and cables, not the satellite terms.
+    """
+
+    def test_fox_minor_conventions(self):
+        # the trefoil's Alexander polynomial t^2 - t + 1, and det T(2, n) = n
+        assert [abs(fox_minor(trefoil(), t)) for t in (-1, 2, 3, 4)] == [3, 3, 7, 13]
+        assert fox_minor(unknot(), 5) == 1 and fox_minor(unlink(2), 5) == 0
+        assert [abs(fox_minor(braid_closure(2, [1] * n), -1)) for n in (2, 3, 40, 41)] == [2, 3, 40, 41]
+
+    def test_braid_family_words(self):
+        # the benchmark's 100 closed 20-letter 3-braids, sharing one memo
+        clear_caches()
+        try:
+            words = _seeded_braids(100, seed=1)
+            nonzero = sum(_check_conway(d) for d in words)
+            dets = [_check_determinant(d) for d in words]
+        finally:
+            clear_caches()
+        # the points are 0 on a few words: two Conway values, three determinants
+        assert nonzero == 98
+        assert sum(1 for det in dets if det) == 97
+
+    def test_torus_links(self):
+        # T(2, n) up to 100 crossings, in one memo; every walk of a key ties
+        clear_caches()
+        try:
+            for n in range(2, 101):
+                d = braid_closure(2, [1] * n)
+                config = EvalConfig(max_crossings=n)
+                assert _check_conway(d, config)
+                assert abs(_check_determinant(d, config)) == n
+        finally:
+            clear_caches()
+
+    def test_satellite_rows_to_28_crossings(self):
+        config = EvalConfig(max_crossings=28)
+        dets = []
+        clear_caches()
+        try:
+            for name in corpus_names():
+                d = load_corpus(name)
+                for comp in range(d.n_components):
+                    for r in range(4):
+                        row = build_satellite_row(d, comp, r)
+                        if len(row.crossings) <= 28:
+                            dets.append(_check_determinant(row, config))
+        finally:
+            clear_caches()
+        assert len(dets) == 36
+        assert sum(1 for det in dets if det) == 8
+
+
 class TestEngineWork:
     """Exact engine work on small satellite rows and braid closures, pinned
     as upper bounds.
@@ -1339,3 +1475,24 @@ class TestKeyBytesPinned:
         finally:
             clear_caches()
         assert got == "d13cbc4d2033c1c95330c027349bc893cbfd51e64fe4791ab06b84d9ab6950e3"
+
+    @pytest.mark.parametrize("n_strands, word, flavor, sha", [
+        (2, [1] * 40, ORIENTED, "87aeac254eaca80ccf3f9619c5111816195c1174cd28b4e1964b760cf70c9d8e"),
+        (2, [1] * 40, UNORIENTED, "ab82ffc833da2caced893ce3270d5279337d92e76c042fb13006181fb13cf6ee"),
+        (2, [1] * 41, ORIENTED, "f51f2b20baca2419d61148332e96023f213b1ee63930ea865a9d2c69d9a9da07"),
+        (2, [1] * 41, UNORIENTED, "86136fd7a3e28bc6b281fbbfd172b03d3282c16957a0e36a8d0a2b8cce511f8a"),
+        (3, [1, 2] * 12, ORIENTED, "952a6b8f436ff7b20a722d1f5dfdec9315cc2fa73b8e06dd82fb11e1dcd338dd"),
+        (3, [1, 2] * 12, UNORIENTED, "b676c81a8772eb58ff482d988e8932d8d82bd983f292299060829354f58fb982"),
+    ], ids=["T(2,40)-homfly", "T(2,40)-kauffman", "T(2,41)-homfly", "T(2,41)-kauffman",
+            "(s1s2)^12-homfly", "(s1s2)^12-kauffman"])
+    def test_symmetric_closures(self, n_strands, word, flavor, sha):
+        # every crossing ties for the lowest signature, so every walk from
+        # a seed ties the best one entry for entry to its end
+        run = homfly if flavor == ORIENTED else kauffman
+        clear_caches()
+        try:
+            run(braid_closure(n_strands, word), EvalConfig(max_crossings=len(word)))
+            got = _memo_keys_sha256()
+        finally:
+            clear_caches()
+        assert got == sha
