@@ -43,6 +43,15 @@ form, so the engine only branches on the first crossing first reached
 on its under strand, in one loop over a task stack (`_evaluate`): it never
 recurses, so the interpreter's recursion limit bounds no tree.
 
+Every state the engine keys or branches on has been through `_simplify`,
+which leaves no curl (an arc joining adjacent slots of one crossing) and
+no bigon (two parallel arcs between two crossings that keep their
+levels).  In a planar diagram an arc from a crossing back to itself is a
+curl, so none is left either.  Two steps rely on this: `_keyed_clusters`
+writes no self-loop flag into a signature, and `_find_clasp` takes every
+parallel pair for a clasp.  `TestSimplifiedStates` in
+tests/test_skein_eval.py checks it on the states they receive.
+
 One pass finds a state's clusters and keys them (`_keyed_clusters`): the
 walk that writes a cluster's key also reaches exactly its crossings.  A
 key is one `bytes`: a flavor byte, then one unsigned 16-bit entry
@@ -225,52 +234,36 @@ def _smooth_through(c, datum, positive: bool) -> dict:
 # simplification
 
 
-def _kink_move(cross: dict, partner: list, c):
-    """Return (v shift, through map) for a curl at c, or None.
+def _local_move(cross: dict, partner: list, c):
+    """Return (v shift, dead crossings, through map) for a curl at c, else
+    for the first cancelling bigon at c, else None.
 
-    The curl is an arc joining adjacent slots i, i+1; it is positive (shift
+    A curl is an arc joining adjacent slots i, i+1; it is positive (shift
     -1) when i is an under slot.  In an oriented state such an arc can only
     run from an out slot to an in slot, and the shift is minus the
-    crossing sign.
+    crossing sign.  A bigon is a pair of parallel arcs, from slots i, i+1
+    of c to slots j, j-1 of another crossing c2, that keep their levels:
+    both over at one end and under at the other.  With no curl at c, no
+    parallel pair runs back to c.
     """
     base = 4 * c
-    for i in range(4):
-        if partner[base + i] == base + (i + 1) % 4:
-            # an under slot has the parity opposite the over-in slot's
-            positive = (i ^ cross[c][1]) & 1
-            x, y = base + (i + 2) % 4, base + (i + 3) % 4
-            return (-1 if positive else 1), {x: y, y: x}
-    return None
-
-
-def _parallel_arcs(cross: dict, partner: list, c, same_levels: bool):
-    """First ports (p, p1) of c at slots i, i+1 whose arcs run to slots j,
-    j-1 of another crossing, where both arcs keep their levels (a bigon,
-    `same_levels`) or swap them (a clasp); else None."""
-    base = 4 * c
+    ends = partner[base:base + 4]
     o = cross[c][1]
     for i in range(4):
-        q = partner[base + i]
-        c2 = q >> 2
-        p1 = base + (i + 1) % 4
-        # q - 1 if q & 3 else q + 3: slot j - 1 of c2
-        if c2 == c or partner[p1] != (q - 1 if q & 3 else q + 3):
-            continue
-        # a slot is over when it has the over-in slot's parity
-        if ((i ^ o ^ q ^ cross[c2][1]) & 1 == 0) == same_levels:
-            return base + i, p1
+        if ends[i] == base + (i + 1) % 4:
+            # an under slot has the parity opposite the over-in slot's
+            positive = (i ^ o) & 1
+            x, y = base + (i + 2) % 4, base + (i + 3) % 4
+            return (-1 if positive else 1), {c}, {x: y, y: x}
+    for i in range(4):
+        q, q1 = ends[i], ends[(i + 1) % 4]
+        # q - 1 if q & 3 else q + 3 is slot j - 1 of c2; a slot is over
+        # when it has the over-in slot's parity
+        if q1 == (q - 1 if q & 3 else q + 3) and (i ^ o ^ q ^ cross[q >> 2][1]) & 1 == 0:
+            p, p1 = base + i, base + (i + 1) % 4
+            # the strands run on through the slots opposite the bigon's corners
+            return 0, {c, q >> 2}, {p ^ 2: q ^ 2, q ^ 2: p ^ 2, p1 ^ 2: q1 ^ 2, q1 ^ 2: p1 ^ 2}
     return None
-
-
-def _bigon_move(cross: dict, partner: list, c):
-    """Return (other crossing, through map) for a cancelling bigon at c, or None."""
-    hit = _parallel_arcs(cross, partner, c, True)
-    if hit is None:
-        return None
-    p, p1 = hit
-    q, q1 = partner[p], partner[p1]
-    # the strands run on through the slots opposite the bigon's corners
-    return q >> 2, {p ^ 2: q ^ 2, q ^ 2: p ^ 2, p1 ^ 2: q1 ^ 2, q1 ^ 2: p1 ^ 2}
 
 
 def _simplify(cross: dict, partner: list, seeds) -> tuple[int, int]:
@@ -299,17 +292,11 @@ def _simplify(cross: dict, partner: list, seeds) -> tuple[int, int]:
         pending.discard(c)
         if c not in cross:
             continue
-        kink = _kink_move(cross, partner, c)
-        if kink is not None:
-            shift, through = kink
-            vshift += shift
-            dead = {c}
-        else:
-            bigon = _bigon_move(cross, partner, c)
-            if bigon is None:
-                continue
-            c2, through = bigon
-            dead = {c, c2}
+        move = _local_move(cross, partner, c)
+        if move is None:
+            continue
+        shift, dead, through = move
+        vshift += shift
         freed, touched = _excise(cross, partner, dead, through)
         circles += freed
         for t in touched:
@@ -324,14 +311,21 @@ def _simplify(cross: dict, partner: list, seeds) -> tuple[int, int]:
 
 
 def _find_clasp(cross: dict, partner: list):
-    """Find a crossing pair joined by two parallel arcs with opposite levels.
+    """The lowest-label crossing with two parallel arcs to one other
+    crossing, or None.
 
-    Switching either crossing of such a clasp turns it into a bigon that
-    cancels, so branching there shrinks every child diagram.
+    A simplified state has no bigon, so every parallel pair it holds swaps
+    its levels: it is a clasp.  Switching either crossing of a clasp turns
+    it into a bigon that cancels, so branching there shrinks every child
+    diagram.
     """
     for c in sorted(cross):
-        if _parallel_arcs(cross, partner, c, False) is not None:
-            return c
+        base = 4 * c
+        for i in range(4):
+            q = partner[base + i]
+            # q - 1 if q & 3 else q + 3: the slot before q's
+            if partner[base + (i + 1) % 4] == (q - 1 if q & 3 else q + 3):
+                return c
     return None
 
 
@@ -422,22 +416,25 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
     order as the (id, offset) pairs they pack, and the flat entry list
     orders as its rows of four do.
 
-    A base's signature is its row of neighbour offsets and self-loop
-    flags, `offset * 2 + self_loop`, read from that base and packed three
-    bits an entry into one int, which orders as the row does; one pass
-    computes every base's signature.  A cluster's seeds are its bases of
-    lowest signature.  The walk from the lowest seed left reaches exactly
-    that seed's cluster: when it reaches every crossing the state is one
-    cluster, else the crossings it reached are one, and the rest are split
-    the same way.  One loop walks every seed of that cluster in order: the
-    first walk has nothing to compare with and becomes the best, and each
-    later one is compared entry by entry with the best walk so far, stops
-    at its first entry above the best's, and replaces the best when it
-    ends below it.  The seed set names no label, so it decides which walk
-    wins but not which states share a key, and a cluster's key is the one
-    it has as a state on its own.  A walk that ties the best to its end
-    maps the best walk's i-th (crossing, base) to its own i-th one, an
-    automorphism of the state; that loop is the one place where orbit
+    A base's signature is its row of neighbour offsets: for each slot from
+    the base on, the partner's slot offset from its crossing's under-in
+    slot, mod m, two bits an entry, packed into one int that orders as the
+    row does.  One pass computes every base's signature; an unoriented
+    crossing's second base reads its first base's row turned by two
+    entries.  A keyed state is simplified, so no arc runs from a crossing
+    to itself, and a row needs no flag to mark one.  A cluster's seeds are
+    its bases of lowest signature.  The walk from the lowest seed left
+    reaches exactly that seed's cluster: when it reaches every crossing the
+    state is one cluster, else the crossings it reached are one, and the
+    rest are split the same way.  One loop walks every seed of that cluster
+    in order: the first walk has nothing to compare with and becomes the
+    best, and each later one is compared entry by entry with the best walk
+    so far, stops at its first entry above the best's, and replaces the
+    best when it ends below it.  The seed set names no label, so it decides
+    which walk wins but not which states share a key, and a cluster's key
+    is the one it has as a state on its own.  A walk that ties the best to
+    its end maps the best walk's i-th (crossing, base) to its own i-th one,
+    an automorphism of the state; that loop is the one place where orbit
     pruning (McKay, "Practical graph isomorphism", 1981) would record it
     and skip the seeds of walked orbits.
 
@@ -465,10 +462,10 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
         sig = 0
         for slot in _ROWS[u]:
             q = partner[at + slot]
-            sig = sig << 3 | ((q - under[q >> 2]) & mask) << 1 | (q >> 2 == c)
+            sig = sig << 2 | ((q - under[q >> 2]) & mask)
         packed.append(sig << _SEED_BITS | c << 3 | u)
         if mask == 1:  # the row read two slots on, from base u + 2
-            packed.append(((sig & 63) << 6 | sig >> 6) << _SEED_BITS | c << 3 | (u + 2))
+            packed.append(((sig & 15) << 4 | sig >> 4) << _SEED_BITS | c << 3 | (u + 2))
     rots = [0] * n  # each walk sets a crossing's base before it reads it
     tag = _FLAVOR_BYTE[flavor]
     out = []
@@ -703,8 +700,9 @@ def skein_relation_probe(
 ) -> dict:
     """Resolve one crossing both ways and check the defining relation.
 
-    The state is resolved as given, not simplified first, so each child is
-    simplified only around the crossing; that changes no value.
+    The state is resolved as given, not simplified first, and each child is
+    then simplified from all its crossings, as a whole diagram is: the
+    engine branches only on simplified states.  Neither changes a value.
     """
     if not 0 <= crossing < len(d.crossings):
         raise ValueError(f"crossing index {crossing} out of range")
@@ -716,8 +714,8 @@ def skein_relation_probe(
     states += _resolve(cross, partner, crossing, sign, flavor)
     loops = len(d.free_loops)
     values = [
-        _times_circles(_evaluate(c_cross, c_partner, flavor, memo, seeds), freed + loops, flavor)
-        for _, c_cross, c_partner, seeds, freed in states
+        _times_circles(_evaluate(c_cross, c_partner, flavor, memo, c_cross), freed + loops, flavor)
+        for _, c_cross, c_partner, _, freed in states
     ]
     out = {"flavor": flavor}
     if flavor == ORIENTED:

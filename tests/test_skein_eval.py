@@ -744,6 +744,94 @@ class TestEngineRewritesExact:
         assert len(seeded) > 1000
 
 
+def _simplification_faults(cross, partner):
+    """What a simplified state holds none of, each as the ports (c, s) it
+    starts from: ports joined to their own crossing, curls (arcs joining
+    adjacent slots of one crossing), and parallel pairs that keep their
+    levels (slots s, s + 1 of c joined to slots s2, s2 - 1 of another
+    crossing, with slot s over exactly when slot s2 is)."""
+    self_joined, curls, bigons = [], [], []
+    for c, (_, o) in cross.items():
+        for s in range(4):
+            c2, s2 = divmod(partner[4 * c + s], 4)
+            if c2 == c:
+                self_joined.append((c, s))
+                if (s2 - s) % 2:
+                    curls.append((c, s))
+            elif partner[4 * c + (s + 1) % 4] == 4 * c2 + (s2 - 1) % 4:
+                # a slot is over when it has the over-in slot's parity
+                if (s - o) % 2 == (s2 - cross[c2][1]) % 2:
+                    bigons.append((c, s))
+    return self_joined, curls, bigons
+
+
+class TestSimplifiedStates:
+    """Every state `_keyed_clusters` and `_find_clasp` receive is simplified:
+    no port joined to its own crossing, no curl, no parallel pair that
+    keeps its levels.  Signatures carry no self-loop flag and `_find_clasp`
+    has no level test because of it."""
+
+    def check(self, monkeypatch, run):
+        checked = {"_keyed_clusters": 0, "_find_clasp": 0}
+        for name in checked:
+            inner = getattr(skein_eval, name)
+
+            def checking(cross, partner, *args, _name=name, _inner=inner):
+                assert _simplification_faults(cross, partner) == ([], [], [])
+                checked[_name] += 1
+                return _inner(cross, partner, *args)
+
+            monkeypatch.setattr(skein_eval, name, checking)
+        clear_caches()
+        try:
+            run()
+        finally:
+            clear_caches()
+            monkeypatch.undo()
+        return checked
+
+    @pytest.mark.parametrize("memo, count", [(True, 20), (False, 2)])
+    def test_braid_family_words(self, memo, count, monkeypatch):
+        # the benchmark's first 20 braid_family closures, both flavors;
+        # without the memo only the first 2 (all 20 take ~30 s)
+        config = EvalConfig(memo=memo)
+
+        def run():
+            for d in _seeded_braids(20, seed=1)[:count]:
+                homfly(d, config)
+                kauffman(d, config)
+
+        checked = self.check(monkeypatch, run)
+        assert checked["_keyed_clusters"] > 1000 and checked["_find_clasp"] > 1000
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_satellite_rows_up_to_6_crossings(self, memo, monkeypatch):
+        config = EvalConfig(memo=memo)
+
+        def run():
+            for row in TestEngineWork().rows():
+                kauffman(row, config)
+                adjoint_homfly(row, config)
+
+        checked = self.check(monkeypatch, run)
+        assert checked["_keyed_clusters"] > (1000 if not memo else 50)
+        assert checked["_find_clasp"] > (1000 if not memo else 10)
+
+    def test_relation_probe_on_curls(self, monkeypatch):
+        # a closure with curls away from the probed crossing: the probe
+        # resolves the state as given, and its children must be simplified
+        # in full before the engine keys them
+        d = braid_closure(3, [1, -2, 1, 1, 1])
+
+        def run():
+            for ci in range(len(d.crossings)):
+                for flavor in (ORIENTED, UNORIENTED):
+                    assert skein_relation_probe(d, ci, flavor)["holds"]
+
+        assert any(_simplification_faults(*skein_eval._build_state(d)))
+        assert self.check(monkeypatch, run)["_keyed_clusters"] > 20
+
+
 def _rendered_probe_sha256(d):
     lines = []
     for ci in range(len(d.crossings)):
@@ -1270,6 +1358,13 @@ class TestFoxMatrixPoints:
         assert nonzero == 98
         assert sum(1 for det in dets if det) == 97
 
+    @given(word=st.lists(_letters(3), min_size=20, max_size=40))
+    @settings(max_examples=20, deadline=None)
+    def test_long_three_strand_words(self, word):
+        # the Conway point only: on random 40-letter 3-braids `homfly` takes
+        # up to ~0.7 s and `kauffman` up to ~6 s
+        _check_conway(braid_closure(3, word, "w"), EvalConfig(max_crossings=40))
+
     def test_torus_links(self):
         # T(2, n) up to 100 crossings, in one memo; every walk of a key ties
         clear_caches()
@@ -1315,7 +1410,7 @@ class TestEngineWork:
         return rows
 
     def test_rows_up_to_6_crossings(self, monkeypatch):
-        counts = {"_resolve": 0, "_kink_move": 0, "_bigon_move": 0}
+        counts = {"_resolve": 0, "_local_move": 0}
         for name in counts:
             inner = getattr(skein_eval, name)
 
@@ -1343,8 +1438,7 @@ class TestEngineWork:
         assert counts["_resolve"] <= 117
         assert keyed == 226  # every cluster keyed: one memo lookup or valuation each
         # sites examined: a resolved child is re-simplified only where it changed
-        assert counts["_kink_move"] <= 1315
-        assert counts["_bigon_move"] <= 1185
+        assert counts["_local_move"] <= 1315
 
     def test_products_up_to_6_crossings(self, monkeypatch):
         # no product by one or by z: values gain a v-shift or a factor z by
