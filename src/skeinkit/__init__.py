@@ -19,7 +19,6 @@ from .annulus import (
     build_satellite_row,
     expand_ylambda,
     hsr_structure_check,
-    realize_diagrams,
     realize_symbolic,
 )
 from .corpus import braid_closure, corpus_names, load_corpus
@@ -85,7 +84,6 @@ __all__ = [
     "load_corpus",
     "partitions_of",
     "partitions_up_to",
-    "realize_diagrams",
     "realize_symbolic",
     "skein_relation_probe",
     "spow",

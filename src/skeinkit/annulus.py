@@ -5,7 +5,7 @@ multiplying by the core curve branches a basis vector into its one-cell
 neighbors, and a meridian acts diagonally by the eigenvalues from
 ``eigen``.  Composing the two turns a decorated component into a weighted
 family of plain cabled-and-encircled diagrams; ``ExpansionPlan`` records
-that family and ``realize_diagrams`` builds the actual link diagrams.
+that family and ``build_satellite_row`` builds one level's link diagrams.
 Because the meridians act diagonally, a plan's weighted sum of meridian
 powers is its isolating polynomial applied to the meridian map:
 ``realize_symbolic`` multiplies each branched coefficient by that
@@ -122,24 +122,14 @@ class ExpansionPlan:
             scale = scale * self.inner.full_scale()
         return scale
 
-    def chains(self) -> list[tuple[RingElem, tuple[int, ...]]]:
-        """All term combinations: (weight, meridian counts outermost first)."""
-        if self.is_trivial:
-            return [(RingElem.one(), ())]
-        inner = self.inner.chains() if self.inner is not None else [(RingElem.one(), ())]
-        return [
-            (coeff * c, (r,) + counts)
-            for r, coeff in enumerate(self.coefficients)
-            for c, counts in inner
-        ]
-
     def lm_words(self) -> list[str]:
-        """The chains as longitude-meridian words, letters innermost first.
+        """Every combination of the levels' terms as a longitude-meridian
+        word, letters innermost first.
 
         A word opens with the decoration of the innermost strand in
         brackets, then reads "l^2" for each doubling and "m^r" for r
         meridians encircling everything inside them: "[1] l^2 m^1".
-        Words come in the order of chains(), without their weights.
+        The outermost level's meridian count varies slowest.
         """
         if self.is_trivial:
             return [f"[{self.target}]"]
@@ -214,31 +204,10 @@ def build_satellite_row(d: LinkDiagram, comp: int, r: int) -> LinkDiagram:
     full width-two bundle.  Component layout of the result: the two
     parallel copies sit at indices comp and comp+1, the other original
     components keep their order after them, and the r meridians occupy
-    the final r indices.
+    the final r indices.  ``with_meridians`` refuses a negative r.
     """
-    if r < 0:
-        raise ValueError(f"meridian count must be nonnegative, got {r}")
     out = d.with_meridians(comp, r) if r else d
     return out.cable(comp, 2)
-
-
-def realize_diagrams(d: LinkDiagram, comp: int, plan: ExpansionPlan) -> list[tuple[RingElem, LinkDiagram]]:
-    """Build the weighted honest diagrams a plan assigns to one component.
-
-    Per chain, outermost level first: build that level's satellite row
-    (encircle the chosen component with the level's meridians, then
-    double it); the next level operates on the inner copy.  The innermost
-    strand stays bare.  The weighted sum of unoriented polynomial values
-    over the output equals full_scale() times the decorated-link value
-    the plan's target names.
-    """
-    out = []
-    for coeff, counts in plan.chains():
-        current = d
-        for r in counts:
-            current = build_satellite_row(current, comp, r)
-        out.append((coeff, current))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -302,6 +302,25 @@ def reference_isolating_coefficients(eigenvalues) -> tuple[RingElem, ...]:
     return tuple(coefficients)
 
 
+def annihilated_windows(values, roots) -> list[bool]:
+    """Whether prod(x - root) over `roots` annihilates each window of
+    len(roots) + 1 consecutive values: for every i, whether
+    sum_j a_j * values[i + j] is 0, where a_j are the product's ascending
+    coefficients.  All windows are annihilated exactly when, from the first
+    value on, the values satisfy the linear recurrence with those
+    characteristic roots, as v_r = sum_i b_i * root_i^r does."""
+    coefficients = reference_isolating_coefficients(roots)
+    if len(values) < len(coefficients):
+        raise ValueError(f"{len(roots)} roots need at least {len(coefficients)} values")
+    out = []
+    for i in range(len(values) - len(roots)):
+        total = RingElem.zero()
+        for coeff, value in zip(coefficients, values[i:]):
+            total = total + coeff * value
+        out.append(total.is_zero())
+    return out
+
+
 def reference_distinctness(max_size: int) -> DistinctnessReport:
     """The mod-2 distinctness scan as a double loop that compares every pair
     with `==`, kept as the reference for `eigen.check_eigenvalue_distinctness`.

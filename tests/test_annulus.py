@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import coefficient, isolating_siblings, same_diagram_as
+from oracles import coefficient, isolating_siblings
 from skeinkit.annulus import (
     AnnulusVecK,
     ExpansionPlan,
@@ -14,7 +14,6 @@ from skeinkit.annulus import (
     expand_ylambda,
     homfly_branching_expand,
     hsr_structure_check,
-    realize_diagrams,
     realize_symbolic,
 )
 from skeinkit import annulus, eigen, ring
@@ -212,9 +211,9 @@ class TestExpansionPlans:
             expand_ylambda(P(2, 1), P(1))
 
     def test_chain_counts(self):
-        assert len(expand_ylambda(P(1)).chains()) == 1
-        assert len(expand_ylambda(P(2)).chains()) == 3
-        assert len(expand_ylambda(P(2, 1)).chains()) == 9
+        assert len(expand_ylambda(P(1)).lm_words()) == 1
+        assert len(expand_ylambda(P(2)).lm_words()) == 3
+        assert len(expand_ylambda(P(2, 1)).lm_words()) == 9
 
 
 class TestRenderingPinned:
@@ -371,68 +370,50 @@ class TestLMWords:
         monkeypatch.setattr(RingElem, "__mul__", refuse)
         assert len(plan.lm_words()) == 9
 
-    def test_words_spell_chain_counts(self, monkeypatch):
-        # every target up to five cells, every anchor: word i spells the
-        # meridian counts of chain i, innermost level first.  Only the
-        # counts are compared, so chains() skips its weight products.
-        plans = plans_up_to(5)
-        monkeypatch.setattr(RingElem, "__mul__", lambda self, other: self)
-        for plan in plans:
+    def test_words_spell_chain_counts(self):
+        # every target up to five cells, every anchor: the words spell each
+        # combination of the levels' meridian counts, innermost level
+        # first, with the outermost count varying slowest
+        for plan in plans_up_to(5):
+            levels = []
+            level = plan
+            while level is not None and not level.is_trivial:
+                levels.append(level)
+                level = level.inner
+            chains = [()]
+            for level in reversed(levels):
+                chains = [
+                    counts + (r,)
+                    for r in range(len(level.coefficients))
+                    for counts in chains
+                ]
             want = []
-            for _, counts in plan.chains():
+            for counts in chains:
                 letters = ["[1]"]
-                for r in reversed(counts):
+                for r in counts:
                     letters += ["l^2"] + ([f"m^{r}"] if r else [])
                 want.append(" ".join(letters))
             assert plan.lm_words() == want
 
 
 class TestRealizeDiagrams:
-    def test_trivial_plan_returns_input(self):
-        terms = realize_diagrams(unknot(), 0, expand_ylambda(P(1)))
-        assert len(terms) == 1
-        coeff, d = terms[0]
-        assert coeff.is_one()
-        assert same_diagram_as(d, unknot())
-
-    def test_row_two_on_unknot_crossing_counts(self):
-        plan = expand_ylambda(P(2))
-        terms = realize_diagrams(unknot(), 0, plan)
-        assert [len(d.crossings) for _, d in terms] == [0, 4, 8]
-        assert [c for c, _ in terms] == list(plan.coefficients)
-        # r = 0 is a crossingless two-component unlink
-        assert terms[0][1].n_components == 2
-        assert len(terms[0][1].free_loops) == 2
-
-    def test_row_two_on_hopf_component(self):
-        plan = expand_ylambda(P(2))
-        terms = realize_diagrams(hopf_plus(), 1, plan)
-        assert [len(d.crossings) for _, d in terms] == [4, 8, 12]
-
-    def test_nested_plan_counts(self):
-        terms = realize_diagrams(unknot(), 0, expand_ylambda(P(2, 1)))
-        assert len(terms) == 9
-        # deepest chain (two meridians at both levels): the first level
-        # leaves 8 crossings, 4 on each copy; the second level adds 4 and
-        # doubles the 8 incident to the inner copy: 16 + 4
-        biggest = max(len(d.crossings) for _, d in terms)
-        assert biggest == 20
+    """A plan realized as honest diagrams: its level's satellite rows."""
 
     @pytest.mark.parametrize("shape", [P(2), P(1, 1)], ids=str)
     @pytest.mark.parametrize("link", [unknot, hopf_plus], ids=lambda f: f.__name__)
     def test_weighted_sum_is_scaled_target_value(self, link, shape):
-        # the docstring's promise: the weighted values sum to full_scale()
-        # times the decorated value, here solved from the meridian rows
-        # r = 0..2 in the anchor's three branched shapes
+        # the isolating promise: the rows r = 0..2 weighted by the plan's
+        # coefficients sum to full_scale() times the decorated value, here
+        # solved from the same rows in the anchor's three branched shapes
         d = link()
         plan = expand_ylambda(shape)
+        values = [kauffman(build_satellite_row(d, 0, r)) for r in range(3)]
         total = RingElem.zero()
-        for weight, diagram in realize_diagrams(d, 0, plan):
-            total = total + weight * kauffman(diagram)
+        for weight, value in zip(plan.coefficients, values, strict=True):
+            total = total + weight * value
         shapes = plan.anchor.cells_addable() + plan.anchor.cells_removable()
         eig = [kauffman_meridian_eigenvalue(s) for s in shapes]
         rows = [[e ** r for e in eig] for r in range(3)]
-        values = [kauffman(build_satellite_row(d, 0, r)) for r in range(3)]
         solved = dict(zip(shapes, _solve(rows, values)))
         assert total == plan.full_scale() * solved[shape]
 

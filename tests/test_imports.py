@@ -1,13 +1,12 @@
 """Source hygiene: every top-level import of a package module is used, and
-every function the package defines is read by the package or the bench."""
+every function the package defines is read by the package or the bench.
+Re-exporting a name from ``__init__.py`` does not count as reading it."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
-
-import skeinkit
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skeinkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -45,7 +44,7 @@ def test_every_import_is_used(module):
 # every function is read: a name that only tests call belongs in the tests
 
 ROOT = PACKAGE.parent.parent
-READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+READERS = [PACKAGE / module for module in MODULES] + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def read_names(source: str) -> set[str]:
@@ -128,7 +127,7 @@ def test_detects_an_unread_function():
 
 
 def test_every_function_is_read():
-    read = set(skeinkit.__all__).union(*(read_names(path.read_text()) for path in READERS))
+    read = set().union(*(read_names(path.read_text()) for path in READERS))
     unread = []
     for module in MODULES:
         namespace = vars(importlib.import_module(f"skeinkit.{module[:-3]}"))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fox_minor, mirror, port_list, port_pairs, reference_clusters
+from oracles import annihilated_windows, fox_minor, mirror, port_list, port_pairs, reference_clusters
 from skeinkit.cli import run as cli_run
 from skeinkit.corpus import (
     braid_closure,
@@ -26,6 +26,7 @@ from skeinkit.corpus import (
     unlink,
 )
 from skeinkit.eigen import (
+    adjoint_meridian_eigenvalue,
     delta_homfly,
     delta_kauffman,
     homfly_meridian_eigenvalue,
@@ -1393,6 +1394,74 @@ class TestFoxMatrixPoints:
             clear_caches()
         assert len(dets) == 36
         assert sum(1 for det in dets if det) == 8
+
+
+# the largest meridian count per corpus base with a component: rows reach
+# 28 crossings (trefoil and figure_eight), about 1.5 s of `kauffman` each
+RECURRENCE_TOPS = {
+    "unknot": 5, "unlink2": 4, "hopf_plus": 4, "hopf_minus": 4, "trefoil": 4, "figure_eight": 3,
+}
+# the largest adjoint term: figure_eight with 3 meridians, doubled
+RECURRENCE_CONFIG = EvalConfig(max_crossings=40)
+
+
+class TestMeridianRecurrence:
+    """Values across meridian counts against the eigenvalue tables.
+
+    A meridian acts diagonally on the annulus skein, so the values of a base
+    link with r meridians around a satellite of component 0 satisfy a linear
+    recurrence in r whose characteristic roots are the meridian eigenvalues
+    of the shapes the satellite decomposes into.  The diagrams grow by 4
+    crossings a meridian, so a wrong engine passes only if it is wrong the
+    same way across diagrams of different sizes and resolution trees.  The
+    controls swap one root for a wrong one and must fail every window.
+
+    Blind spot: no base value is checked, so a bug that scales every row of
+    one base by one factor passes.  The bracket sum and the Fox points check
+    the r = 0 rows.
+    """
+
+    def test_windows(self):
+        two, three = RingElem(vpow(2)), RingElem(vpow(3))
+        values = [two ** r + three ** r for r in range(5)]
+        assert annihilated_windows(values, [two, three]) == [True, True, True]
+        assert annihilated_windows(values, [two]) == [False] * 4
+        with pytest.raises(ValueError):
+            annihilated_windows(values[:2], [two, three])
+
+    def test_covers_every_base(self):
+        bases = [name for name in corpus_names() if load_corpus(name).n_components]
+        assert sorted(RECURRENCE_TOPS) == sorted(bases)
+
+    @pytest.mark.parametrize("name", sorted(RECURRENCE_TOPS))
+    def test_doubled_rows(self, name):
+        # a parallel double decomposes into (2), (1,1) and, unoriented, ()
+        d = load_corpus(name)
+        rows = [build_satellite_row(d, 0, r) for r in range(RECURRENCE_TOPS[name] + 1)]
+        two, column, empty, box = (Partition(p) for p in ((2,), (1, 1), (), (1,)))
+        unoriented = [kauffman(row, RECURRENCE_CONFIG) for row in rows]
+        roots = [kauffman_meridian_eigenvalue(p) for p in (two, column, empty)]
+        assert all(annihilated_windows(unoriented, roots))
+        wrong = roots[:2] + [kauffman_meridian_eigenvalue(box)]
+        assert not any(annihilated_windows(unoriented, wrong))
+        oriented = [homfly(row, RECURRENCE_CONFIG) for row in rows]
+        forward = [homfly_meridian_eigenvalue(p, empty) for p in (two, column)]
+        assert all(annihilated_windows(oriented, forward))
+        # the meridians' sense is pinned: the reversed roots fail
+        backward = [homfly_meridian_eigenvalue(empty, p) for p in (two, column)]
+        assert not any(annihilated_windows(oriented, backward))
+
+    @pytest.mark.parametrize("name", sorted(RECURRENCE_TOPS))
+    def test_adjoint_meridians(self, name):
+        # an antiparallel double pierced by antiparallel meridian pairs, less
+        # its deleted terms: the roots are a((),()) and a((1),(1))
+        d = load_corpus(name)
+        values = [adjoint_homfly(d.with_meridians(0, r), RECURRENCE_CONFIG) for r in range(4)]
+        empty, box = Partition(()), Partition((1,))
+        roots = [adjoint_meridian_eigenvalue(empty, empty), adjoint_meridian_eigenvalue(box, box)]
+        assert all(annihilated_windows(values, roots))
+        wrong = [roots[0], adjoint_meridian_eigenvalue(box, empty)]
+        assert not any(annihilated_windows(values, wrong))
 
 
 class TestEngineWork:

@@ -14,6 +14,7 @@ from skeinkit.corpus import (
     trefoil,
     unknot,
 )
+from skeinkit.diagram import DiagramError
 from skeinkit.eigen import delta_kauffman, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition
 from skeinkit.ring import RingElem, vpow, z_poly
@@ -103,7 +104,7 @@ class TestSatelliteRows:
             assert linking_number(row, 1, meridian) != 0
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DiagramError, match="meridian count must be nonnegative"):
             build_satellite_row(unknot(), 0, -1)
 
 
