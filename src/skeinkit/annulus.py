@@ -46,7 +46,7 @@ class AnnulusVecK:
         clean: dict[Partition, RingElem] = {}
         for shape, coeff in (coeffs or {}).items():
             if not isinstance(shape, Partition):
-                shape = Partition(tuple(shape))
+                raise TypeError(f"basis keys must be Partitions, got {shape!r}")
             if not coeff.is_zero():
                 clean[shape] = coeff
         object.__setattr__(self, "coeffs", clean)

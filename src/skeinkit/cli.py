@@ -172,16 +172,11 @@ def _cmd_eigen_c(args) -> tuple[int, str]:
     return 0, kauffman_meridian_eigenvalue(_parse_partition(args.partition)).render()
 
 
-def _cmd_eigen_s(args) -> tuple[int, str]:
+def _cmd_eigen_pair(args) -> tuple[int, str]:
     forward = _parse_partition(args.forward)
     reverse = _parse_partition(args.reverse)
-    return 0, homfly_meridian_eigenvalue(forward, reverse).render()
-
-
-def _cmd_eigen_adjoint(args) -> tuple[int, str]:
-    forward = _parse_partition(args.forward)
-    reverse = _parse_partition(args.reverse)
-    return 0, adjoint_meridian_eigenvalue(forward, reverse).render()
+    fn = {"s": homfly_meridian_eigenvalue, "adjoint": adjoint_meridian_eigenvalue}[args.which]
+    return 0, fn(forward, reverse).render()
 
 
 def _cmd_eigen_table(args) -> tuple[int, str]:
@@ -258,11 +253,7 @@ def _cmd_corpus_list(args) -> tuple[int, str]:
 
 
 def _cmd_corpus_show(args) -> tuple[int, str]:
-    try:
-        d = load_corpus(args.name)
-    except KeyError as exc:
-        raise _CommandError(2, str(exc.args[0]))
-    return 0, d.to_json(indent=2)
+    return 0, _load_link("corpus:" + args.name).to_json(indent=2)
 
 
 # ----------------------------------------------------------------------
@@ -525,14 +516,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("c", help="unoriented meridian eigenvalue")
     p.add_argument("--partition", required=True, metavar="P")
     p.set_defaults(handler=_cmd_eigen_c)
-    p = sub.add_parser("s", help="oriented meridian eigenvalue")
-    p.add_argument("--forward", required=True, metavar="P")
-    p.add_argument("--reverse", required=True, metavar="P")
-    p.set_defaults(handler=_cmd_eigen_s)
-    p = sub.add_parser("adjoint", help="antiparallel-pair meridian eigenvalue")
-    p.add_argument("--forward", required=True, metavar="P")
-    p.add_argument("--reverse", required=True, metavar="P")
-    p.set_defaults(handler=_cmd_eigen_adjoint)
+    for which, blurb in (
+        ("s", "oriented meridian eigenvalue"),
+        ("adjoint", "antiparallel-pair meridian eigenvalue"),
+    ):
+        p = sub.add_parser(which, help=blurb)
+        p.add_argument("--forward", required=True, metavar="P")
+        p.add_argument("--reverse", required=True, metavar="P")
+        p.set_defaults(handler=_cmd_eigen_pair)
     p = sub.add_parser("table", help="tabulate unoriented eigenvalues")
     p.add_argument("--max-size", type=int, required=True, metavar="N")
     p.add_argument("--check-distinct", action="store_true")

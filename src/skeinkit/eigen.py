@@ -10,13 +10,14 @@ distinctness scan that the satellite verification relies on.
 Every eigenvalue is a Laurent polynomial over z = s - s^-1, so the
 isolating coefficients and their values at eigenvalues lie over powers of
 z.  The arithmetic here runs on numerators over such a known denominator
-and normalises each value once: an eigenvalue N/z, a coefficient over
-z^(k - j), a polynomial's value over z^k.  A fraction over a power of z
-has one reduced representative, so this gives the same representatives
-as normalising after every operation.
+and normalises each value once: an eigenvalue N/z (N/z^2 on the adjoint
+basis), a coefficient over z^(k - j), a polynomial's value over z^k.  A
+fraction over a power of z has one reduced representative, so this gives
+the same representatives as normalising after every operation.
 
-Values live in characteristic 0, except that the distinctness scan
-reduces each eigenvalue's numerator mod 2 before its one normalisation.
+Values live in characteristic 0.  The distinctness scan never builds a
+mod-2 fraction: every value is N/z with z nonzero mod 2, so two values
+agree mod 2 exactly when their numerators do.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .ring import LaurentPoly, RingElem, vpow, z_poly
 
 _Z = z_poly()
 _Z2 = _Z * _Z
-_Z_MOD2 = z_poly(2)
 _V_GAP = vpow(-1) - vpow(1)  # z times the oriented unknot value
 _V_GAP_Z = _V_GAP + _Z  # z times the unoriented unknot value
 
@@ -57,17 +57,12 @@ def _meridian_numerator(forward: Partition, reverse: Partition, unknot: LaurentP
     return _Z2 * inner + unknot
 
 
-def _meridian_fraction(forward: Partition, reverse: Partition, unknot: LaurentPoly) -> RingElem:
-    """The eigenvalue N/z of `_meridian_numerator`, with one normalisation."""
-    return RingElem(_meridian_numerator(forward, reverse, unknot), _Z)
-
-
 def kauffman_meridian_eigenvalue(shape: Partition) -> RingElem:
     """Eigenvalue of an unoriented meridian circle on the basis element of shape.
 
     Evaluates to the unoriented unknot value on the empty shape.
     """
-    return _meridian_fraction(shape, shape, _V_GAP_Z)
+    return RingElem(_meridian_numerator(shape, shape, _V_GAP_Z), _Z)
 
 
 def homfly_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingElem:
@@ -77,16 +72,17 @@ def homfly_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingEl
     `reverse` strands against it.  Evaluates to the oriented unknot value
     on the pair of empty shapes.
     """
-    return _meridian_fraction(forward, reverse, _V_GAP)
+    return RingElem(_meridian_numerator(forward, reverse, _V_GAP), _Z)
 
 
 def adjoint_meridian_eigenvalue(forward: Partition, reverse: Partition) -> RingElem:
-    """Eigenvalue of a meridian on the antiparallel-pair (adjoint style) basis."""
-    return (
-        homfly_meridian_eigenvalue(forward, reverse)
-        * homfly_meridian_eigenvalue(reverse, forward)
-        - 1
-    )
+    """Eigenvalue of a meridian on the antiparallel-pair (adjoint style) basis.
+
+    It is s(f, r) * s(r, f) - 1 for the oriented eigenvalues s, built as
+    the one fraction (N_fr * N_rf - z^2) / z^2 of their numerators.
+    """
+    n_fr = _meridian_numerator(forward, reverse, _V_GAP)
+    return RingElem(n_fr * _meridian_numerator(reverse, forward, _V_GAP) - _Z2, _Z2)
 
 
 # ----------------------------------------------------------------------
@@ -97,32 +93,21 @@ def eval_polynomial(coefficients, value: RingElem) -> RingElem:
     """sum(coefficients[j] * value**j) for `RingElem` coefficients in
     ascending powers, with one normalisation.
 
-    Horner's rule runs on numerators over a running common denominator L.
-    With value = p/q, a step takes acc/L to (acc * p)/(L * q) and adds the
-    next coefficient a/d as (a * (L/d))/L when d divides L; otherwise L
-    takes the factor d as well.  So the final L is a multiple of every
-    coefficient's denominator times q to that coefficient's power, and the
-    value is normalised once, as acc/L.  An isolating polynomial of degree
-    k at an eigenvalue has coefficient j over z^(k-j) and q = z, so each d
-    is L itself and L ends as z^k.
+    Horner's rule runs on numerators over a running denominator: with
+    value = p/q and the leading coefficient over d, coefficient j of a
+    degree-k polynomial must lie over d * q^(k - j), or `ValueError` is
+    raised, and the value is normalised once over d * q^k.  An isolating
+    polynomial at a meridian eigenvalue has d = 1, q = s^2 - 1 (z
+    normalised) and coefficient j over z^(k - j), that is over q^(k - j).
     """
-    if not coefficients:
-        return RingElem.zero(value.char)
+    p, q = value.num, value.den
     top = coefficients[-1]
     acc, den = top.num, top.den
-    p, q = value.num, value.den
-    for coeff in reversed(coefficients[:-1]):
-        acc = acc * p
-        den = den * q
-        if coeff.den == den:
-            acc = acc + coeff.num
-            continue
-        lift = den.try_div(coeff.den)
-        if lift is None:  # L takes the factor d
-            acc = acc * coeff.den
-            lift = den
-            den = den * coeff.den
-        acc = acc + coeff.num * lift
+    for j in range(len(coefficients) - 2, -1, -1):
+        acc, den = acc * p, den * q
+        if coefficients[j].den != den:
+            raise ValueError(f"coefficient {j} is not over the running denominator")
+        acc = acc + coefficients[j].num
     return RingElem(acc, den)
 
 
@@ -150,11 +135,7 @@ def isolating_polynomial(target: Partition, anchor: Partition) -> tuple[RingElem
             + [low - high * root for low, high in zip(numerators, numerators[1:])]
             + [numerators[-1]]
         )
-    z_powers = [LaurentPoly.one()]
-    for _ in siblings:
-        z_powers.append(z_powers[-1] * _Z)
-    k = len(siblings)
-    return tuple(RingElem(n, z_powers[k - j]) for j, n in enumerate(numerators))
+    return tuple(RingElem(n, _Z ** (len(siblings) - j)) for j, n in enumerate(numerators))
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +162,9 @@ class DistinctnessReport:
         return not self.collisions
 
 
-def _mod2_meridian_eigenvalue(shape: Partition) -> RingElem:
-    """The unoriented meridian eigenvalue mod 2: its numerator over z, reduced
-    mod 2 and normalised once over z mod 2."""
-    return RingElem(_meridian_numerator(shape, shape, _V_GAP_Z).reduce_mod2(), _Z_MOD2)
+def _mod2_numerator(shape: Partition) -> LaurentPoly:
+    """The numerator over z of the shape's unoriented meridian eigenvalue, mod 2."""
+    return _meridian_numerator(shape, shape, _V_GAP_Z).reduce_mod2()
 
 
 def check_eigenvalue_distinctness(max_size: int = 8) -> DistinctnessReport:
@@ -193,31 +173,18 @@ def check_eigenvalue_distinctness(max_size: int = 8) -> DistinctnessReport:
     Values are compared after mod-2 reduction: distinctness there is the
     load-bearing property (the verifier inverts differences of these
     values in the mod-2 ring) and it implies distinctness over the
-    integers.  Each value is its numerator over z reduced mod 2, normalised
-    once in characteristic 2 (`_mod2_meridian_eigenvalue`).  The scan
-    decides every pair exactly without comparing every pair.  Values are
-    grouped by their denominator representative; in a group, two values
-    are equal exactly when their numerators are, since the ring is a
-    domain, so one dict keyed by numerator finds the group's collisions.
-    Values in different groups are compared with `==`.  The eigenvalues to
-    size 12 all share one denominator, so the scan is linear there.
+    integers.  Every value is N/z, z is nonzero mod 2 and the mod-2 ring
+    is a domain, so two values agree exactly when their numerators reduced
+    mod 2 (`_mod2_numerator`) do.  One dict keyed by those numerators
+    decides every pair in one pass.
     """
     shapes = partitions_up_to(max_size)
-    values = [_mod2_meridian_eigenvalue(p) for p in shapes]
-    groups: dict[LaurentPoly, dict[LaurentPoly, list[int]]] = {}
-    for i, value in enumerate(values):
-        groups.setdefault(value.den, {}).setdefault(value.num, []).append(i)
-    pairs = []
-    members = []  # the shape indices of each group
-    for by_num in groups.values():
-        for same in by_num.values():
-            pairs += combinations(same, 2)
-        members.append([i for same in by_num.values() for i in same])
-    for g, first in enumerate(members):
-        for second in members[g + 1:]:
-            pairs += [(min(i, j), max(i, j)) for i in first for j in second if values[i] == values[j]]
+    by_num: dict[LaurentPoly, list[int]] = {}
+    for i, p in enumerate(shapes):
+        by_num.setdefault(_mod2_numerator(p), []).append(i)
+    pairs = sorted(pair for same in by_num.values() for pair in combinations(same, 2))
     n = len(shapes)
-    collisions = tuple((shapes[i], shapes[j]) for i, j in sorted(pairs))
+    collisions = tuple((shapes[i], shapes[j]) for i, j in pairs)
     return DistinctnessReport(max_size, n, n * (n - 1) // 2, collisions)
 
 

@@ -21,7 +21,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        for p in parts:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError(f"parts must be integers, got {p!r}")
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

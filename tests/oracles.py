@@ -325,8 +325,8 @@ def reference_distinctness(max_size: int) -> DistinctnessReport:
     """The mod-2 distinctness scan as a double loop that compares every pair
     with `==`, kept as the reference for `eigen.check_eigenvalue_distinctness`.
     It reduces `eigen.kauffman_meridian_eigenvalue`, read at call time, with
-    `to_mod2`, where the scan reads `eigen._mod2_meridian_eigenvalue`; a test
-    that injects values replaces both."""
+    `to_mod2`, where the scan reads `eigen._mod2_numerator`; a test that
+    injects values replaces both."""
     shapes = partitions_up_to(max_size)
     values = [(p, eigen.kauffman_meridian_eigenvalue(p).to_mod2()) for p in shapes]
     collisions = []

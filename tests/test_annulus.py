@@ -87,6 +87,10 @@ class TestAnnulusVecK:
         assert coefficient(v, P(1)).is_zero()
         assert AnnulusVecK({}).coeffs == {}
 
+    def test_key_that_is_not_a_partition_refused(self):
+        with pytest.raises(TypeError, match=r"basis keys must be Partitions, got \(2,\)"):
+            AnnulusVecK({(2,): RingElem.one()})
+
     def test_zero_coefficients_are_dropped(self):
         v = AnnulusVecK.basis(P(1))
         assert v.scale(RingElem.zero()).coeffs == {}

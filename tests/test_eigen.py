@@ -17,7 +17,6 @@ from oracles import (
 )
 from skeinkit import eigen
 from skeinkit.eigen import (
-    DistinctnessReport,
     adjoint_meridian_eigenvalue,
     check_eigenvalue_distinctness,
     delta_homfly,
@@ -86,6 +85,15 @@ class TestOneFractionForms:
             new = kauffman_meridian_eigenvalue(shape)
             old = reference_kauffman_meridian_eigenvalue(shape)
             assert (new.num, new.den) == (old.num, old.den), shape
+
+    def test_adjoint_representatives_to_size_5(self):
+        # the one fraction over z^2 against the product of the oriented values
+        shapes = partitions_up_to(5)
+        for forward in shapes:
+            for reverse in shapes:
+                new = adjoint_meridian_eigenvalue(forward, reverse)
+                product = homfly_meridian_eigenvalue(forward, reverse) * homfly_meridian_eigenvalue(reverse, forward)
+                assert repr(new) == repr(product - 1), (forward, reverse)
 
     def test_homfly_representatives_to_size_4(self):
         shapes = partitions_up_to(4)
@@ -173,16 +181,8 @@ class TestDistinctness:
         for max_size in (0, 1, 6):
             assert check_eigenvalue_distinctness(max_size) == reference_distinctness(max_size)
 
-    def test_mod2_values_keep_the_reduced_representatives(self):
-        # one char-2 normalisation of the numerator gives the representative
-        # of the char-0 value reduced by `to_mod2`
-        for shape in partitions_up_to(12):
-            new = eigen._mod2_meridian_eigenvalue(shape)
-            old = kauffman_meridian_eigenvalue(shape).to_mod2()
-            assert (new.num, new.den) == (old.num, old.den), shape
-
     def test_eigenvalues_to_size_12_share_one_denominator(self):
-        # the case the grouping makes linear
+        # every value reduced mod 2 lies over 1 + s^2, the reduced z
         dens = {kauffman_meridian_eigenvalue(p).to_mod2().den for p in partitions_up_to(12)}
         assert dens == {spow(2, char=2) + 1}
 
@@ -192,109 +192,100 @@ class TestDistinctness:
         assert table[0][1] == delta_kauffman()
 
 
-# values the collision tests assign to shapes: eigenvalues, a polynomial and
-# a constant, each also held with a factor that normalisation keeps, so an
-# equal pair can have different denominator representatives
-_POOL = [kauffman_meridian_eigenvalue(p) for p in partitions_up_to(1)] + [RingElem(vpow(1)), RingElem.one()]
+def _numerator(shape: Partition) -> LaurentPoly:
+    """z times the shape's unoriented meridian eigenvalue."""
+    return eigen._meridian_numerator(shape, shape, eigen._V_GAP_Z)
+
+
+# numerators over z the collision tests assign to shapes: eigenvalue
+# numerators, v z and z (the values v and 1), each also taken with an even
+# offset, so that a pair can agree mod 2 and differ over the integers; the
+# reference's char-0 values may be held with a factor that normalisation
+# keeps, so an equal pair can have different denominator representatives
+_POOL = [_numerator(p) for p in partitions_up_to(1)] + [vpow(1) * z_poly(), z_poly()]
+_OFFSETS = [LaurentPoly.zero(), 2 * vpow(3), 2 * spow(2) + 2]
 _FACTORS = [LaurentPoly.one(), vpow(1) + 1, vpow(2) + vpow(1) + 1]
 
 
-def _held_with(value: RingElem, factor: LaurentPoly) -> RingElem:
-    return RingElem(value.num * factor, value.den * factor)
+def _held_with(numerator: LaurentPoly, factor: LaurentPoly) -> RingElem:
+    return RingElem(numerator * factor, z_poly() * factor)
 
 
 class TestDistinctnessCollisions:
-    """The grouped scan against the pairwise reference where values collide."""
+    """The numerator-keyed scan against the pairwise reference where values collide."""
 
     SHAPES = partitions_up_to(4)
 
-    def _assign(self, monkeypatch, values):
-        # the reference reads the char-0 values, the scan the mod-2 ones
-        table = dict(zip(self.SHAPES, values))
-        mod2 = {shape: value.to_mod2() for shape, value in table.items()}
-        monkeypatch.setattr(eigen, "kauffman_meridian_eigenvalue", table.__getitem__)
-        monkeypatch.setattr(eigen, "_mod2_meridian_eigenvalue", mod2.__getitem__)
+    def _assign(self, monkeypatch, numerators, factors):
+        # value i is numerators[i] / z: the reference reads the char-0
+        # values, held with factors[i], the scan their numerators mod 2
+        values = {shape: _held_with(n, f) for shape, n, f in zip(self.SHAPES, numerators, factors)}
+        mod2 = {shape: n.reduce_mod2() for shape, n in zip(self.SHAPES, numerators)}
+        monkeypatch.setattr(eigen, "kauffman_meridian_eigenvalue", values.__getitem__)
+        monkeypatch.setattr(eigen, "_mod2_numerator", mod2.__getitem__)
 
     def test_equal_values_with_different_denominators(self, monkeypatch):
-        one_cell = kauffman_meridian_eigenvalue(ONE)
+        one_cell = _numerator(ONE)
         held = _held_with(one_cell, vpow(1) + 1)
-        assert held == one_cell and held.to_mod2().den != one_cell.to_mod2().den
-        values = [kauffman_meridian_eigenvalue(p) for p in self.SHAPES]
-        values[3] = values[9] = one_cell  # the value of (1) at 1, 3 and 9 in one group
-        values[5] = held  # and at 5, in a group of its own
-        values[7] = values[8] = RingElem(vpow(1))
-        self._assign(monkeypatch, values)
+        assert held == kauffman_meridian_eigenvalue(ONE)
+        assert held.to_mod2().den != kauffman_meridian_eigenvalue(ONE).to_mod2().den
+        shifted = one_cell + 2 * vpow(3)
+        assert _held_with(shifted, LaurentPoly.one()) != kauffman_meridian_eigenvalue(ONE)
+        numerators = [_numerator(p) for p in self.SHAPES]
+        factors = [LaurentPoly.one()] * len(self.SHAPES)
+        numerators[3] = numerators[5] = one_cell  # the value of (1) at 1, 3 and 5,
+        factors[5] = vpow(1) + 1  # held at 5 over another denominator
+        numerators[9] = shifted  # and at 9 mod 2 only
+        numerators[7] = numerators[8] = vpow(1) * z_poly()
+        self._assign(monkeypatch, numerators, factors)
         report = check_eigenvalue_distinctness(4)
         assert report == reference_distinctness(4)
         indices = [(self.SHAPES.index(p), self.SHAPES.index(q)) for p, q in report.collisions]
         assert indices == [(1, 3), (1, 5), (1, 9), (3, 5), (3, 9), (5, 9), (7, 8)]
         assert report.comparisons == 66
 
-    PICK = st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, len(_FACTORS) - 1))
+    PICK = st.tuples(*(st.integers(0, len(pool) - 1) for pool in (_POOL, _OFFSETS, _FACTORS)))
 
     @given(st.lists(PICK, min_size=12, max_size=12))
     @settings(max_examples=60)
     def test_scan_equals_reference(self, picks):
-        values = [_held_with(_POOL[v], _FACTORS[f]) for v, f in picks]
+        numerators = [_POOL[n] + _OFFSETS[o] for n, o, _ in picks]
+        factors = [_FACTORS[f] for _, _, f in picks]
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self._assign(monkeypatch, values)
+            self._assign(monkeypatch, numerators, factors)
             assert check_eigenvalue_distinctness(4) == reference_distinctness(4)
 
 
-# coefficients and values for the evaluation tests: numerators over
-# z-powers, some with a factor v + 1 or s^4 + 1 that normalisation keeps
-_NUMERATORS = st.builds(
-    lambda pairs: LaurentPoly(dict(pairs)),
-    st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3)), max_size=4),
-)
-_EXTRA_FACTORS = [LaurentPoly.one(), vpow(1) + 1, spow(4) + 1]
-_FRACTIONS = st.builds(
-    lambda num, k, f: (RingElem(num, z_poly() ** k * _EXTRA_FACTORS[f]), f == 0),
-    _NUMERATORS,
-    st.integers(0, 3),
-    st.sampled_from([0, 0, 1, 2]),
-)
-
-
 class TestEvalPolynomial:
-    """One normalisation over a common denominator against Horner's rule in
-    normalised steps."""
-
-    @given(st.lists(_FRACTIONS, min_size=1, max_size=5), _FRACTIONS)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_stepwise_reference(self, drawn, drawn_value):
-        coefficients = [c for c, _ in drawn]
-        value, value_over_z_power = drawn_value
-        got = eval_polynomial(coefficients, value)
-        want = reference_eval_polynomial(coefficients, value)
-        assert got == want
-        if value_over_z_power and all(plain for _, plain in drawn):
-            # a fraction over a power of z has one reduced representative
-            assert repr(got) == repr(want)
+    """One normalisation over the running denominator against Horner's rule
+    in normalised steps."""
 
     def test_single_coefficient_is_itself(self):
         coeff = RingElem(vpow(1) + spow(3), z_poly() ** 2)
         value = kauffman_meridian_eigenvalue(TWO)
         assert repr(eval_polynomial([coeff], value)) == repr(coeff)
 
-    def test_zero_value_gives_constant_coefficient(self):
-        coefficients = isolating_polynomial(Partition((2, 1)), anchor=TWO)
-        got = eval_polynomial(coefficients, RingElem.zero())
-        assert repr(got) == repr(coefficients[0])
-        assert repr(got) == repr(reference_eval_polynomial(coefficients, RingElem.zero()))
-
-    def test_no_coefficients_is_zero(self):
-        assert eval_polynomial((), kauffman_meridian_eigenvalue(ONE)).is_zero()
-
     def test_isolating_values_over_z_power(self):
         # the package's case: degree k at an eigenvalue lies over z^k, and
         # each value keeps the stepwise representative
+        shapes = partitions_up_to(6)
+        eigenvalues = [kauffman_meridian_eigenvalue(shape) for shape in shapes]
         for target in partitions_up_to(5):
             for anchor in target.cells_removable():
                 coefficients = isolating_polynomial(target, anchor)
-                for shape in anchor.cells_addable() + anchor.cells_removable():
-                    value = kauffman_meridian_eigenvalue(shape)
+                siblings = isolating_siblings(target, anchor)
+                for shape, value in zip(shapes, eigenvalues):
                     got = eval_polynomial(coefficients, value)
                     want = reference_eval_polynomial(coefficients, value)
                     assert repr(got) == repr(want), (target, anchor, shape)
-                    assert got.is_zero() == (shape != target)
+                    assert got.is_zero() == (shape in siblings)
+
+    def test_refuses_a_coefficient_off_the_running_denominator(self):
+        # at 0 = 0/1 the running denominator stays 1, and coefficient 1 is over z
+        coefficients = isolating_polynomial(Partition((2, 1)), anchor=TWO)
+        with pytest.raises(ValueError, match="coefficient 1 is not over the running denominator"):
+            eval_polynomial(coefficients, RingElem.zero())
+        # a constant over z^2 where z is due
+        coefficients = [RingElem(vpow(1), z_poly() ** 2), RingElem.one()]
+        with pytest.raises(ValueError, match="coefficient 0 is not over the running denominator"):
+            eval_polynomial(coefficients, kauffman_meridian_eigenvalue(ONE))

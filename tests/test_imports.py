@@ -1,5 +1,6 @@
-"""Source hygiene: every top-level import of a package module is used, and
-every function the package defines is read by the package or the bench.
+"""Source hygiene: every top-level import of a package module or a test
+file is used, and every function the package defines is read by the package
+or the bench.
 Re-exporting a name from ``__init__.py`` does not count as reading it."""
 
 import ast
@@ -10,6 +11,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skeinkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +41,11 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("test_file", TEST_FILES)
+def test_every_test_import_is_used(test_file):
+    assert unused_imports((TESTS / test_file).read_text()) == []
 
 
 # ----------------------------------------------------------------------

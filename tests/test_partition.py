@@ -61,6 +61,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("part", [2.7, 2.0, True, "3", None])
+    def test_non_integer_part_refused(self, part):
+        # refused, not coerced: int() would read 2.7 as 2 and True as 1
+        with pytest.raises(ValueError, match=f"parts must be integers, got {part!r}"):
+            Partition((3, part))
+
     def test_from_string(self):
         assert Partition.from_string("3,1,1") == Partition((3, 1, 1))
         assert Partition.from_string("0") == Partition(())

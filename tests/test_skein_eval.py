@@ -1093,6 +1093,35 @@ class TestSplitClusters:
         assert sizes.count(3) == 4  # the whole state, in each of the four runs
 
 
+class TestRelabeling:
+    """Rendered values do not depend on crossing labels.
+
+    The 14 satellite rows of 1 to 8 crossings and ten seeded 20-letter
+    3-braid closures, each under three random crossing orders, in both
+    flavors.  Memo keys ignore labels, so the caches are cleared before
+    every evaluation; otherwise the memo would serve the relabeled copy
+    whole.  The resolution tree's size does depend on the labels, so this
+    runs different trees to one value.
+    """
+
+    @pytest.mark.parametrize("run", [homfly, kauffman], ids=["homfly", "kauffman"])
+    def test_values_unchanged(self, run):
+        links = [row for row in _satellite_rows_to_12() if 0 < len(row.crossings) <= 8]
+        assert len(links) == 14
+        rng = random.Random(3)
+        try:
+            for d in links + _seeded_braids(10):
+                clear_caches()
+                want = run(d).render()
+                for _ in range(3):
+                    order = list(range(len(d.crossings)))
+                    rng.shuffle(order)
+                    clear_caches()
+                    assert run(_relabeled(d, order)).render() == want, (d.name, order)
+        finally:
+            clear_caches()
+
+
 def _two_cabled_word(word):
     """The word on doubled strands: strand i becomes strands 2i-1 and 2i."""
     out = []
