@@ -247,9 +247,12 @@ class PairingReport:
     """Decomposition of a diagonal-basis product into the expected shape."""
 
     shape: Partition
-    holds: bool
     pair_coefficients: tuple[tuple[Partition, Partition, int], ...]
     problems: tuple[str, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.problems
 
 
 def hsr_structure_check(shape: Partition) -> PairingReport:
@@ -298,4 +301,4 @@ def hsr_structure_check(shape: Partition) -> PairingReport:
         canonical = (alpha, beta) if beta < alpha else (beta, alpha)
         pairs[canonical] = count
     coefficients = tuple((alpha, beta, count) for (alpha, beta), count in sorted(pairs.items()))
-    return PairingReport(shape, not problems, coefficients, tuple(problems))
+    return PairingReport(shape, coefficients, tuple(problems))

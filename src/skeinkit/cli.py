@@ -83,13 +83,11 @@ class _ParserExit(Exception):
         self.text = text
 
 
-class _CommandError(Exception):
-    """A user-facing failure with an exit code attached."""
+class _CommandError(_ParserExit):
+    """A usage error: exit code 2 and the text `error: <message>`."""
 
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    def __init__(self, message: str):
+        super().__init__(2, f"error: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +127,7 @@ def _parse_partition(text: str) -> Partition:
     try:
         return Partition.from_string(text)
     except ValueError as exc:
-        raise _CommandError(2, f"bad partition {text!r}: {exc}")
+        raise _CommandError(f"bad partition {text!r}: {exc}")
 
 
 def _load_link(ref: str) -> LinkDiagram:
@@ -138,15 +136,15 @@ def _load_link(ref: str) -> LinkDiagram:
         try:
             return load_corpus(ref[len("corpus:"):])
         except KeyError as exc:
-            raise _CommandError(2, str(exc.args[0]))
+            raise _CommandError(str(exc.args[0]))
     try:
         text = Path(ref).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CommandError(2, f"cannot read {ref}: {exc}")
+        raise _CommandError(f"cannot read {ref}: {exc}")
     try:
         return LinkDiagram.from_json(text)
     except (DiagramError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise _CommandError(2, f"bad link description in {ref}: {exc}")
+        raise _CommandError(f"bad link description in {ref}: {exc}")
 
 
 def _report_result(report, as_json: bool) -> tuple[int, str]:
@@ -181,7 +179,7 @@ def _cmd_eigen_pair(args) -> tuple[int, str]:
 
 def _cmd_eigen_table(args) -> tuple[int, str]:
     if args.max_size < 0:
-        raise _CommandError(2, "--max-size must be nonnegative")
+        raise _CommandError("--max-size must be nonnegative")
     lines = [f"{shape}: {value.render()}" for shape, value in eigenvalue_table(args.max_size)]
     code = 0
     if args.check_distinct:
@@ -209,7 +207,6 @@ def _cmd_expand(args) -> tuple[int, str]:
     target = _parse_partition(args.partition)
     if target.size() > _EXPAND_MAX_SIZE:
         raise _CommandError(
-            2,
             f"partition {target} has size {target.size()}; its plan lists at least"
             f" 3^{target.size() - 1} words, so expand takes sizes up to {_EXPAND_MAX_SIZE}",
         )
@@ -217,7 +214,7 @@ def _cmd_expand(args) -> tuple[int, str]:
     try:
         plan = expand_ylambda(target, rho)
     except ValueError as exc:
-        raise _CommandError(2, str(exc))
+        raise _CommandError(str(exc))
     payload = plan.to_dict()
     payload["words"] = plan.lm_words()
     return 0, json.dumps(payload, indent=2, sort_keys=True)
@@ -232,15 +229,13 @@ def _cmd_verify_rudolph(args) -> tuple[int, str]:
 def _cmd_verify_main(args) -> tuple[int, str]:
     d = _load_link(args.link)
     if not 1 <= args.component <= d.n_components:
-        raise _CommandError(
-            2, f"component index {args.component} out of range 1..{d.n_components}"
-        )
+        raise _CommandError(f"component index {args.component} out of range 1..{d.n_components}")
     shape = _parse_partition(args.partition)
     cfg = EvalConfig(max_crossings=args.max_crossings)
     try:
         report = verify_main(d, args.component - 1, shape, cfg)
     except ValueError as exc:
-        raise _CommandError(2, str(exc))
+        raise _CommandError(str(exc))
     return _report_result(report, args.json)
 
 
@@ -592,8 +587,6 @@ def run(argv: list[str]) -> tuple[int, str]:
         return args.handler(args)
     except _ParserExit as exc:
         return exc.code, exc.text
-    except _CommandError as exc:
-        return exc.code, f"error: {exc.message}"
     except SkeinBudgetError as exc:
         return 1, f"budget exceeded: {exc}"
 

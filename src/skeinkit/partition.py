@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator
 
 from .ring import LaurentPoly
 
@@ -48,22 +47,13 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     # ------------------------------------------------------------------
     # canonical order
-
-    def sort_key(self) -> tuple:
-        return (self.size(), tuple(-p for p in self.parts))
 
     def __lt__(self, other: "Partition") -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return (self.size(), [-p for p in self.parts]) < (other.size(), [-p for p in other.parts])
 
     # ------------------------------------------------------------------
     # basic shape data

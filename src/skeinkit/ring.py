@@ -128,9 +128,6 @@ class LaurentPoly:
             max(ds for _, ds in self._terms),
         )
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -398,7 +395,8 @@ class RingElem:
 
     Equality is mathematical, independent of the stored representative:
     numerators are compared when the denominators agree (exact in a
-    domain), and cross-multiplied otherwise.  Construction normalizes the
+    domain), and cross-multiplied otherwise.  A RingElem is not hashable;
+    key a dict by a LaurentPoly numerator instead.  Construction normalizes the
     representative: common integer content and shared s^2r - 1 style
     factors are cancelled, the denominator is shifted to nonnegative
     corner exponents, its leading coefficient is made positive, and a
@@ -428,7 +426,7 @@ class RingElem:
     a monomial times a power of s - s^-1.  A shared denominator with a
     factor reduction cannot cancel, such as v + 1, used to stay squared in
     the sum's denominator; now the sum keeps it once.  That representative
-    is smaller and has the same value and the same hash.
+    is smaller and has the same value.
     """
 
     __slots__ = ("num", "den")
@@ -587,25 +585,10 @@ class RingElem:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        # Equal values must hash equally whatever representative they hold.
-        # A value equal to a Laurent polynomial always reduces to denominator
-        # 1; any other value hashes by its residue at a fixed point, which
-        # every representative whose denominator is nonzero there shares.
-        if self.den.is_one():
-            return hash((self.char, self.num))
-        den = _residue(self.den) if self.char == 0 else 0
-        if not den:
-            return hash(self.char)
-        return hash(_residue(self.num) * pow(den, -1, _HASH_PRIME) % _HASH_PRIME)
-
     # ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == self.den
 
     def to_mod2(self) -> "RingElem":
         """Reduce coefficients mod 2; characteristic-0 elements only."""
@@ -636,19 +619,6 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"RingElem({self.render()!r}, char={self.char})"
-
-
-_HASH_PRIME = (1 << 61) - 1
-_HASH_POINT = (1_000_003, 998_244_353)  # (v, s)
-
-
-def _residue(poly: LaurentPoly) -> int:
-    """The characteristic-0 polynomial's value at _HASH_POINT mod _HASH_PRIME."""
-    v, s = _HASH_POINT
-    return sum(
-        c * pow(v, dv, _HASH_PRIME) * pow(s, ds, _HASH_PRIME)
-        for (dv, ds), c in poly.terms().items()
-    ) % _HASH_PRIME
 
 
 def _divisible_by_s_period(poly: LaurentPoly, period: int) -> bool:

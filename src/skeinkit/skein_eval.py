@@ -100,27 +100,23 @@ UNORIENTED = "unoriented"
 _DELTA = LaurentPoly({(-1, -1): 1, (1, -1): -1})  # oriented circle: (v^-1 - v)/z
 _DELTA_K = _DELTA + LaurentPoly.one()  # unoriented circle: (v^-1 - v + z)/z
 _Z = z_poly()
-# Powers by exponent, grown on demand and kept across runs: a table holds
-# powers up to the largest exponent any evaluated state needed.
-_Z_POWERS = {0: LaurentPoly.one()}
+# Power tables [x^0, x^1, ...], grown on demand and kept across runs: a
+# table holds powers up to the largest exponent any evaluated state needed.
+_Z_POWERS = [LaurentPoly.one(), _Z]  # z^k written in s
 _CIRCLE_POWERS = {ORIENTED: [LaurentPoly.one(), _DELTA], UNORIENTED: [LaurentPoly.one(), _DELTA_K]}
 
 
-def _zpow_poly(k: int) -> LaurentPoly:
-    """z^k written in s."""
-    while k not in _Z_POWERS:
-        top = max(_Z_POWERS)
-        _Z_POWERS[top + 1] = _Z_POWERS[top] * _Z
-    return _Z_POWERS[k]
+def _power(powers: list, k: int) -> LaurentPoly:
+    """powers[k], extending the power table `powers` up to index k first."""
+    while len(powers) <= k:
+        powers.append(powers[-1] * powers[1])
+    return powers[k]
 
 
 def _times_circles(value: LaurentPoly, k: int, flavor: str) -> LaurentPoly:
     if k == 0:
         return value
-    powers = _CIRCLE_POWERS[flavor]
-    while len(powers) <= k:
-        powers.append(powers[-1] * powers[1])
-    circles = powers[k]
+    circles = _power(_CIRCLE_POWERS[flavor], k)
     if len(value) == 1:
         (exponents, coeff), = value.terms().items()
         if coeff == 1:  # a monomial, such as a crossingless state's v-power
@@ -141,9 +137,9 @@ def _to_ring_elem(value: LaurentPoly) -> RingElem:
     k = max([0] + [-j for _, j in terms])
     num: dict = {}
     for (a, j), c in terms.items():
-        for (_, b), d in _zpow_poly(j + k).terms().items():
+        for (_, b), d in _power(_Z_POWERS, j + k).terms().items():
             num[a, b] = num.get((a, b), 0) + c * d
-    return RingElem(LaurentPoly(num), _zpow_poly(k))
+    return RingElem(LaurentPoly(num), _power(_Z_POWERS, k))
 
 
 # ----------------------------------------------------------------------

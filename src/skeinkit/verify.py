@@ -10,11 +10,10 @@ Three entry points, each returning a structured report:
 - ``eigen_consistency``: meridian powers around an unknot evaluate to
   the predicted eigenvalue multiples in both flavors and both senses.
 
-Reports carry wall-clock timing, but timing is excluded from the
-default dict/text renderings so repeated runs are byte-identical.
+A report holds its checks and nothing else: its verdict is derived from
+them, and it carries no timing, so repeated runs render byte-identically.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,11 +70,13 @@ class VerificationReport:
     link: str
     assignments: tuple[str, ...]
     checks: tuple[CheckRecord, ...]
-    passed: bool
-    elapsed: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        data = {
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def to_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "link": self.link,
             "assignments": list(self.assignments),
@@ -85,11 +86,8 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-        if include_timing:
-            data["elapsed_seconds"] = self.elapsed
-        return data
 
-    def to_text(self, include_timing: bool = False) -> str:
+    def to_text(self) -> str:
         lines = [f"{self.kind}: {self.link}"]
         if self.assignments:
             lines.append("assignments: " + " ".join(self.assignments))
@@ -98,21 +96,7 @@ class VerificationReport:
             suffix = f"  [{check.details}]" if check.details else ""
             lines.append(f"  {mark}  {check.label}{suffix}")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        if include_timing:
-            lines.append(f"elapsed: {self.elapsed:.2f}s")
         return "\n".join(lines)
-
-
-def _finish(kind, link, assignments, checks, started) -> VerificationReport:
-    # the overall flag is derived, never stored independently
-    return VerificationReport(
-        kind,
-        link,
-        tuple(assignments),
-        tuple(checks),
-        all(c.passed for c in checks),
-        time.perf_counter() - started,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -130,18 +114,15 @@ def verify_rudolph(d: LinkDiagram, config: Optional[EvalConfig] = None) -> Verif
     by inclusion-exclusion) must equal the unoriented value with both
     variables squared, once coefficients are reduced mod 2.
     """
-    started = time.perf_counter()
     config = config or VERIFY_CONFIG
     adjoint_side = adjoint_homfly(d, config).to_mod2()
     doubled_side = _doubled(kauffman(d, config))
-    checks = [
-        CheckRecord(
-            "adjoint equals doubled unoriented value",
-            adjoint_side == doubled_side,
-            f"{len(d.crossings)} crossings",
-        )
-    ]
-    return _finish("rudolph", d.name, (), checks, started)
+    check = CheckRecord(
+        "adjoint equals doubled unoriented value",
+        adjoint_side == doubled_side,
+        f"{len(d.crossings)} crossings",
+    )
+    return VerificationReport("rudolph", d.name, (), (check,))
 
 
 # ----------------------------------------------------------------------
@@ -214,13 +195,12 @@ def verify_main(
     target solution must reproduce the assembled value, and row r = 3
     must be predicted exactly.
     """
-    started = time.perf_counter()
     config = config or VERIFY_CONFIG
     if not 0 <= comp < d.n_components:
         raise ValueError(f"component index {comp} out of range 0..{d.n_components - 1}")
     assignments = tuple(str(shape) if i == comp else "1" for i in range(d.n_components))
     if shape.size() == 1:
-        return _finish("main", d.name, assignments, verify_rudolph(d, config).checks, started)
+        return VerificationReport("main", d.name, assignments, verify_rudolph(d, config).checks)
     if shape.size() != 2:
         raise ValueError(f"verify main takes a one- or two-cell shape, got one of size {shape.size()}")
 
@@ -258,11 +238,11 @@ def verify_main(
         "division residual zero",
         "", "", "", "",
     ]
-    checks = [
+    checks = tuple(
         CheckRecord(label, ok, detail)
         for label, ok, detail in zip(MAIN_CHECK_LABELS, outcomes, details, strict=True)
-    ]
-    return _finish("main", d.name, assignments, checks, started)
+    )
+    return VerificationReport("main", d.name, assignments, checks)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +255,6 @@ def eigen_consistency() -> VerificationReport:
     Unoriented values must be the free-circle value times the width-one
     eigenvalue power; oriented values likewise for both meridian senses.
     """
-    started = time.perf_counter()
     base = unknot()
 
     width_one = Partition((1,))
@@ -320,4 +299,4 @@ def eigen_consistency() -> VerificationReport:
                 "",
             )
         )
-    return _finish("eigen-consistency", base.name, (), checks, started)
+    return VerificationReport("eigen-consistency", base.name, (), tuple(checks))

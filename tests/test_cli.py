@@ -166,9 +166,17 @@ class TestSkeinCommand:
              "component 0 splits into several circles"),
             (_link_bytes(hopf_plus(), component_of_edge={"1": 0, "2": 0, "3": 2, "4": 2}),
              "component index 2 out of range"),
+            (b"[]", "a link description must be a JSON object"),
+            (_trefoil_bytes(component_of_edge=[0, 0, 0, 0, 0, 0]),
+             "component_of_edge must map edge labels to components"),
+            (_trefoil_bytes(crossings=[[1, 5, 2], [3, 1, 4, 6], [5, 3, 6, 2]]),
+             "each crossing needs exactly 4 edge labels"),
+            (_trefoil_edges("01"),
+             "component_of_edge keys: expected an integer label, got '01'"),
         ],
         ids=["missing-edge", "edge-thrice", "sign-two", "sign-count", "contradicting-sign",
-             "all-over-clasp", "mixed-component", "split-component", "component-range"],
+             "all-over-clasp", "mixed-component", "split-component", "component-range",
+             "not-an-object", "edge-map-list", "three-labels", "padded-key"],
     )
     def test_refusal_text(self, tmp_path, content, message):
         # one fault per file, each refused with the constructor's own words;

@@ -323,23 +323,25 @@ class TestRingElem:
     @settings(max_examples=60)
     def test_common_factor_invisible(self, num, den, extra):
         assert RingElem(num * extra, den * extra) == RingElem(num, den)
-        assert hash(RingElem(num * extra, den * extra)) == hash(RingElem(num, den))
 
     @pytest.mark.parametrize("char", [0, 2])
-    def test_equal_values_hash_equally(self, char):
-        # the shared factor v - 1 survives reduction in one representative
+    def test_unhashable_while_polynomials_hash(self, char):
+        # equal fractions may keep different representatives, so a RingElem
+        # has no hash; dicts key exact values by LaurentPoly numerators
         one = LaurentPoly.one(char)
-        v, s2 = vpow(1, char), spow(2, char)
-        a = RingElem((v - one) * (s2 + one), (v - one) * (s2 - one))
-        b = RingElem(s2 + one, s2 - one)
-        assert a == b
-        assert hash(a) == hash(b)
+        with pytest.raises(TypeError):
+            hash(RingElem(spow(2, char) + one, spow(2, char) - one))
+        with pytest.raises(TypeError):
+            hash(RingElem.one(char))
+        v = vpow(1, char)
+        a, b = (v + one) * (v - one), vpow(2, char) - one
+        assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
     @pytest.mark.parametrize("char", [0, 2])
     @given(data=st.data())
     @settings(max_examples=100)
-    def test_equality_and_hash_agree(self, char, data):
+    def test_equality_matches_cross_multiplication(self, char, data):
         nonzero = polys(char).filter(lambda p: not p.is_zero())
         n1, n2 = data.draw(polys(char)), data.draw(polys(char))
         den, extra = data.draw(nonzero), data.draw(nonzero)
@@ -348,8 +350,6 @@ class TestRingElem:
         for x in elems:
             for y in elems:
                 assert (x == y) == (x.num * y.den == y.num * x.den)
-                if x == y:
-                    assert hash(x) == hash(y)
 
     @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
     @settings(max_examples=60)
@@ -368,7 +368,7 @@ class TestRingElem:
 
     def test_division_and_powers(self):
         z = RingElem(z_poly())
-        assert (z / z).is_one()
+        assert z / z == 1
         assert z ** 0 == RingElem.one()
         assert z ** -2 == RingElem(LaurentPoly.one(), z_poly() ** 2)
         with pytest.raises(ZeroDivisionError):
@@ -456,7 +456,7 @@ class TestFractionFastPaths:
     Every RingElem is built reduced, so a unit-denominator sum and a sum over
     a shared unit x monomial x z^k denominator keep the general formula's
     (num, den) exactly; any other shared denominator may give a smaller
-    representative of the same value, with the same hash.
+    representative of the same value.
     """
 
     @staticmethod
@@ -467,7 +467,6 @@ class TestFractionFastPaths:
             (a * b, RingElem(a.num * b.num, a.den * b.den)),
         ):
             assert got == want
-            assert hash(got) == hash(want)
             if identical:
                 assert (got.num, got.den) == (want.num, want.den)
 
@@ -510,7 +509,6 @@ class TestFractionFastPaths:
         got = a + b
         assert (got.num, got.den) == (vpow(2, char) + spow(1, char), den)
         assert got == want
-        assert hash(got) == hash(want)
 
     @pytest.fixture
     def counts(self, monkeypatch):

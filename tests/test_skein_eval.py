@@ -269,7 +269,6 @@ class TestValueRepresentation:
             want = want + c * RingElem(vpow(a)) * z ** b
         got = skein_eval._to_ring_elem(value)
         assert got == want
-        assert hash(got) == hash(want)
         # the denominator is the value's z-valuation, with nothing cancelled
         k = max([0] + [-b for _, b in value.terms()])
         assert got.den == RingElem(1, z_poly() ** k).den
@@ -1543,9 +1542,8 @@ class TestEngineWork:
         # shifting exponents, and a sum of values in v and z multiplies
         # nothing; the z-power and circle-power tables outlive each run, so
         # they are filled first and no circle power is counted
-        skein_eval._zpow_poly(16)
-        for flavor in (ORIENTED, UNORIENTED):
-            skein_eval._times_circles(LaurentPoly.one(), 16, flavor)
+        for powers in (skein_eval._Z_POWERS, *skein_eval._CIRCLE_POWERS.values()):
+            skein_eval._power(powers, 16)
         products = 0
         real = LaurentPoly.__mul__
 
