@@ -4,76 +4,73 @@ A braid word is a list of nonzero integers: +i crosses the strands at
 positions i and i+1 with the right strand passing over (a positive
 crossing), -i with the left strand over (negative).  Closing the braid
 joins each strand's bottom back to its top; positions never touched by a
-generator close into crossingless circles.
+generator close into crossingless circles.  A closure is written as a PD
+code by one walk along each closed strand.
 """
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, Mesh
+from .diagram import LinkDiagram, slot_layout
 
 
 def braid_closure(n_strands: int, word: list[int], name: str = "braid") -> LinkDiagram:
+    """The closure of `word` on `n_strands` strands.
+
+    Components are numbered by their lowest position, and each one's edges
+    are numbered down its strand from the top of that position.
+    """
     if n_strands < 0:
         raise ValueError("strand count must be nonnegative")
     for letter in word:
         if letter == 0 or abs(letter) >= n_strands:
             raise ValueError(f"generator {letter} needs a strand pair inside 1..{n_strands}")
 
-    # components = cycles of the word's permutation, ordered by top position
-    perm = list(range(n_strands))
-    for letter in word:
+    # follow every strand down the word at once: visits[p] lists the
+    # (letter, side) met by the strand starting at the top of position p,
+    # and strand_at[q] is the top position of the strand at position q
+    strand_at = list(range(n_strands))
+    visits: list[list[tuple[int, str]]] = [[] for _ in range(n_strands)]
+    for j, letter in enumerate(word):
         i = abs(letter) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    comp_of_pos = [-1] * n_strands
-    n_comps = 0
-    for start in range(n_strands):
-        if comp_of_pos[start] != -1:
-            continue
-        pos = start
-        while comp_of_pos[pos] == -1:
-            comp_of_pos[pos] = n_comps
-            pos = perm.index(pos)
-        n_comps += 1
-
-    mesh = Mesh()
-    mesh.comp_order = list(range(n_comps))
-    # one open arc per position; tails are stitched in at closure time
-    top = {}
-    current = {}
-    for pos in range(n_strands):
-        comp = comp_of_pos[pos]
-        aid = mesh._new_arc(None, None, comp)
-        top[pos] = aid
-        current[pos] = aid
-    for letter in word:
-        i = abs(letter) - 1
-        a, b = current[i], current[i + 1]
-        cid = mesh._new_crossing(1 if letter > 0 else -1)
+        a, b = strand_at[i], strand_at[i + 1]
         # the strand from position i passes under at a positive letter
         a_side, b_side = ("U", "O") if letter > 0 else ("O", "U")
-        mesh._attach(a, "head", (cid, a_side + "I"))
-        mesh._attach(b, "head", (cid, b_side + "I"))
-        down_right = mesh._new_arc((cid, a_side + "O"), None, mesh.arcs[a][2])
-        mesh.crossings[cid][a_side + "O"] = down_right
-        down_left = mesh._new_arc((cid, b_side + "O"), None, mesh.arcs[b][2])
-        mesh.crossings[cid][b_side + "O"] = down_left
-        current[i] = down_left
-        current[i + 1] = down_right
+        visits[a].append((j, a_side))
+        visits[b].append((j, b_side))
+        strand_at[i], strand_at[i + 1] = b, a
+    # the strand from the top of position p closes into the top of below[p]
+    below = {p: q for q, p in enumerate(strand_at)}
 
-    for pos in range(n_strands):
-        bottom = current[pos]
-        first = top[pos]
-        if bottom == first:
-            # untouched position: a crossingless circle
-            del mesh.arcs[first]
-            mesh.loops.add(comp_of_pos[pos])
+    ports: list[dict[str, int]] = [{} for _ in word]
+    component_of_edge = {}
+    loops = []
+    seen = [False] * n_strands
+    comp = 0
+    for start in range(n_strands):
+        if seen[start]:
             continue
-        # merge the bottom arc into the top arc of the same position
-        tail = mesh.arcs[bottom][0]
-        mesh.arcs[first][0] = tail
-        mesh.crossings[tail[0]][tail[1]] = first
-        del mesh.arcs[bottom]
-    return mesh.to_diagram(name)
+        walk = []
+        pos = start
+        while not seen[pos]:
+            seen[pos] = True
+            walk += visits[pos]
+            pos = below[pos]
+        if not walk:
+            loops.append(comp)
+        # edge first + k enters the strand's k-th crossing and leaves its (k-1)-th
+        first = len(component_of_edge) + 1
+        for k, (j, side) in enumerate(walk):
+            ports[j][side + "I"] = first + k
+            ports[j][side + "O"] = first + (k + 1) % len(walk)
+            component_of_edge[first + k] = comp
+        comp += 1
+
+    signs = [1 if letter > 0 else -1 for letter in word]
+    quads = sorted(
+        (tuple(roles[role] for role in slot_layout(sign)), sign) for roles, sign in zip(ports, signs)
+    )
+    return LinkDiagram(name, comp, [quad for quad, _ in quads], component_of_edge, loops,
+                       signs=[sign for _, sign in quads])
 
 
 def empty_link() -> LinkDiagram:

@@ -12,10 +12,12 @@ leaves and enters, are found by that walk and kept as
 `LinkDiagram.edge_ends`.
 
 Surgery (cabling, meridian insertion, deletion, reversal, curls) runs on
-an internal mesh whose crossings hold arcs by role: UI/UO for the under
-strand in/out, OI/OO for the over strand.  For a positive crossing
-the counterclockwise slot order is (UI, OO, UO, OI); for a negative one it
-is (UI, OI, UO, OO).
+an internal mesh of arcs, each running from an out-port to an in-port of a
+crossing.  A port is a crossing and a role: UI/UO for the under strand
+in/out, OI/OO for the over strand.  For a positive crossing the
+counterclockwise slot order is (UI, OO, UO, OI); for a negative one it is
+(UI, OI, UO, OO).  The arcs are the one record of how crossings connect; a
+crossing holds only its sign.
 
 Cabling replaces a component by parallel copies with the blackboard
 framing; copy 1 is the leftmost copy relative to the strand direction.
@@ -292,7 +294,7 @@ class LinkDiagram:
         components shift up.
         """
         comp = self._component_index(comp)
-        mesh = Mesh.from_diagram(self)
+        mesh = Mesh(self)
         mesh.cable(comp, copies)
         return mesh.to_diagram(f"{self.name}.cable({comp},{copies})")
 
@@ -304,7 +306,7 @@ class LinkDiagram:
         comp = self._component_index(comp)
         if count < 0:
             raise DiagramError(f"{self.name}: meridian count must be nonnegative, got {count}")
-        mesh = Mesh.from_diagram(self)
+        mesh = Mesh(self)
         site = None
         for _ in range(count):
             site = mesh.insert_meridian(comp, site)
@@ -313,20 +315,20 @@ class LinkDiagram:
     def delete_component(self, comp: int) -> "LinkDiagram":
         """Remove a component; the rest keep their relative order."""
         comp = self._component_index(comp)
-        mesh = Mesh.from_diagram(self)
+        mesh = Mesh(self)
         mesh.delete_component(comp)
         return mesh.to_diagram(f"{self.name}.drop({comp})")
 
     def reverse_component(self, comp: int) -> "LinkDiagram":
         comp = self._component_index(comp)
-        mesh = Mesh.from_diagram(self)
+        mesh = Mesh(self)
         mesh.reverse_component(comp)
         return mesh.to_diagram(f"{self.name}.rev({comp})")
 
     def with_curl(self, comp: int, sign: int) -> "LinkDiagram":
         """Add one kink of the given sign to a component (framing change)."""
         comp = self._component_index(comp)
-        mesh = Mesh.from_diagram(self)
+        mesh = Mesh(self)
         mesh.add_curl(comp, sign)
         return mesh.to_diagram(f"{self.name}.curl({comp},{sign:+d})")
 
@@ -360,39 +362,28 @@ class LinkDiagram:
 
 
 class Mesh:
-    """Mutable arc/crossing structure behind the surgery operations.
+    """Mutable arc structure behind the surgery operations, built from a diagram.
 
-    Crossings map the four roles UI/UO/OI/OO to arc ids; arcs record
-    (tail, head, component key) with tail at an out-role and head at an
-    in-role.  Component keys are opaque and ordered by `comp_order`, and
+    Each arc is [tail, head, component key], its tail at an out-role port
+    and its head at an in-role port; the arcs are the one record of how
+    crossings connect, and `crossings` maps each crossing id to its sign.
+    A surgery that needs the arc at a port builds that index once
+    (`_ports`).  Component keys are opaque and ordered by `comp_order`, and
     the surgeries take a component by its position there; crossingless
     circles sit in `loops`.
     """
 
-    def __init__(self):
+    def __init__(self, d: LinkDiagram):
         self.arcs: dict[int, list] = {}
-        self.crossings: dict[int, dict] = {}
-        self.comp_order: list = []
-        self.loops: set = set()
+        self.crossings: dict[int, int] = {ci + 1: sign for ci, sign in enumerate(d.signs)}
+        self.comp_order: list = list(range(d.n_components))
+        self.loops: set = set(d.free_loops)
         self._next_arc = 1
-        self._next_crossing = 1
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def from_diagram(cls, d: LinkDiagram) -> "Mesh":
-        mesh = cls()
-        mesh.comp_order = list(range(d.n_components))
-        mesh.loops = set(d.free_loops)
-        mesh.crossings = {ci + 1: {"sign": sign} for ci, sign in enumerate(d.signs)}
-        mesh._next_crossing = len(d.crossings) + 1
+        self._next_crossing = len(d.crossings) + 1
         layouts = [slot_layout(sign) for sign in d.signs]
         # one arc per edge, in edge order, so arc ids follow edge labels
         for edge, ((tc, ts), (hc, hs)) in d.edge_ends.items():
-            mesh._new_arc_attached(
-                (tc + 1, layouts[tc][ts]), (hc + 1, layouts[hc][hs]), d.component_of_edge[edge]
-            )
-        return mesh
+            self._new_arc((tc + 1, layouts[tc][ts]), (hc + 1, layouts[hc][hs]), d.component_of_edge[edge])
 
     def _new_arc(self, tail, head, comp) -> int:
         aid = self._next_arc
@@ -403,21 +394,21 @@ class Mesh:
     def _new_crossing(self, sign: int) -> int:
         cid = self._next_crossing
         self._next_crossing += 1
-        self.crossings[cid] = {"sign": sign}
+        self.crossings[cid] = sign
         return cid
 
-    def _attach(self, aid: int, end: str, port: tuple[int, str]):
-        self.arcs[aid][0 if end == "tail" else 1] = port
-        self.crossings[port[0]][port[1]] = aid
+    def _ports(self) -> dict:
+        """The arc at each port."""
+        at = {}
+        for aid, (tail, head, _) in self.arcs.items():
+            at[tail] = aid
+            at[head] = aid
+        return at
 
     # -- export ----------------------------------------------------------
 
-    def _next_arc_of_strand(self, aid: int) -> int:
-        _, head, _ = self.arcs[aid]
-        cid, role = head
-        return self.crossings[cid][_FLIP[role]]
-
     def to_diagram(self, name: str) -> LinkDiagram:
+        at = self._ports()
         comp_index = {key: i for i, key in enumerate(self.comp_order)}
         arcs_by_comp: dict = {}
         for aid, (_, _, comp) in self.arcs.items():
@@ -434,14 +425,13 @@ class Mesh:
                 edge_number[aid] = counter
                 component_of_edge[counter] = comp_index[key]
                 counter += 1
-                aid = self._next_arc_of_strand(aid)
+                cid, role = self.arcs[aid][1]
+                aid = at[(cid, _FLIP[role])]
                 if aid == start:
                     break
         quads = []
-        for cid in self.crossings:
-            layout = slot_layout(self.crossings[cid]["sign"])
-            quad = tuple(edge_number[self.crossings[cid][role]] for role in layout)
-            quads.append((quad, self.crossings[cid]["sign"]))
+        for cid, sign in self.crossings.items():
+            quads.append((tuple(edge_number[at[(cid, role)]] for role in slot_layout(sign)), sign))
         quads.sort(key=lambda pair: pair[0][0])
         return LinkDiagram(
             name,
@@ -453,15 +443,6 @@ class Mesh:
         )
 
     # -- surgeries -------------------------------------------------------
-
-    def _roles_of(self, cid: int, comp) -> list[str]:
-        cross = self.crossings[cid]
-        roles = []
-        if self.arcs[cross[ROLE_UI]][2] == comp:
-            roles.append("U")
-        if self.arcs[cross[ROLE_OI]][2] == comp:
-            roles.append("O")
-        return roles
 
     def cable(self, comp, copies: int):
         """Replace `comp` by parallel copies 1..copies (copy 1 leftmost)."""
@@ -475,16 +456,15 @@ class Mesh:
             self.loops.update(copy_keys)
             return
 
+        at = self._ports()
         # (crossing, role, copy) -> port on the grid; a strand of another
         # component counts as the single copy 1
         ports: dict[tuple[int, str, int], tuple[int, str]] = {}
         replaced = set()
-        for cid in list(self.crossings):
-            cross = self.crossings[cid]
-            over, under = self.arcs[cross[ROLE_OI]][2], self.arcs[cross[ROLE_UI]][2]
+        for cid, sign in list(self.crossings.items()):
+            over, under = self.arcs[at[(cid, ROLE_OI)]][2], self.arcs[at[(cid, ROLE_UI)]][2]
             if key not in (over, under):
                 continue
-            sign = cross["sign"]
             n_over = copies if over == key else 1
             n_under = copies if under == key else 1
             # grid crossing (i, j), over copy i+1 against under copy j+1, is
@@ -504,28 +484,23 @@ class Mesh:
                     ports[(cid, out_role, k)] = (chain[-1], out_role)
                     arc_comp = (key, k) if comp == key else comp
                     for a, b in zip(chain, chain[1:]):
-                        self._new_arc_attached((a, out_role), (b, in_role), arc_comp)
+                        self._new_arc((a, out_role), (b, in_role), arc_comp)
             replaced.add(cid)
 
         for aid in list(self.arcs):
-            tail, head, arc_comp = self.arcs[aid]
+            arc = self.arcs[aid]
+            tail, head, arc_comp = arc
             if arc_comp == key:
                 for k in range(1, copies + 1):
-                    self._new_arc_attached(ports[(*tail, k)], ports[(*head, k)], (key, k))
+                    self._new_arc(ports[(*tail, k)], ports[(*head, k)], (key, k))
                 del self.arcs[aid]
                 continue
             if tail[0] in replaced:
-                self._attach(aid, "tail", ports[(*tail, 1)])
+                arc[0] = ports[(*tail, 1)]
             if head[0] in replaced:
-                self._attach(aid, "head", ports[(*head, 1)])
+                arc[1] = ports[(*head, 1)]
         for cid in replaced:
             del self.crossings[cid]
-
-    def _new_arc_attached(self, tail, head, comp) -> int:
-        aid = self._new_arc(tail, head, comp)
-        self.crossings[tail[0]][tail[1]] = aid
-        self.crossings[head[0]][head[1]] = aid
-        return aid
 
     def insert_meridian(self, comp, site: Optional[int] = None) -> int:
         """Encircle `comp` with a positive meridian; returns the resume arc.
@@ -540,83 +515,71 @@ class Mesh:
         self.comp_order.append(mer_key)
         m1 = self._new_crossing(1)  # meridian over the component
         m2 = self._new_crossing(1)  # component over the meridian
-        self._new_arc_attached((m1, ROLE_OO), (m2, ROLE_UI), mer_key)
-        self._new_arc_attached((m2, ROLE_UO), (m1, ROLE_OI), mer_key)
+        self._new_arc((m1, ROLE_OO), (m2, ROLE_UI), mer_key)
+        self._new_arc((m2, ROLE_UO), (m1, ROLE_OI), mer_key)
 
         if key in self.loops:
             self.loops.discard(key)
-            self._new_arc_attached((m1, ROLE_UO), (m2, ROLE_OI), key)
-            return self._new_arc_attached((m2, ROLE_OO), (m1, ROLE_UI), key)
+            self._new_arc((m1, ROLE_UO), (m2, ROLE_OI), key)
+            return self._new_arc((m2, ROLE_OO), (m1, ROLE_UI), key)
         if site is None:
             site = min(aid for aid, arc in self.arcs.items() if arc[2] == key)
-        tail, head, arc_comp = self.arcs[site]
+        head, arc_comp = self.arcs[site][1:]
         if arc_comp != key:
             raise ValueError("meridian site must sit on the encircled component")
         # split the site arc: tail -> m1(under) -> m2(over) -> head
-        self._attach(site, "head", (m1, ROLE_UI))
-        self._new_arc_attached((m1, ROLE_UO), (m2, ROLE_OI), key)
+        self.arcs[site][1] = (m1, ROLE_UI)
+        self._new_arc((m1, ROLE_UO), (m2, ROLE_OI), key)
         # the resume arc takes over the head port of the original arc
-        return self._new_arc_attached((m2, ROLE_OO), head, key)
+        return self._new_arc((m2, ROLE_OO), head, key)
 
     def delete_component(self, comp):
         key = self.comp_order[comp]
+        self.comp_order.remove(key)
         if key in self.loops:
             self.loops.discard(key)
-            self.comp_order.remove(key)
             return
+        at = self._ports()
         # removing one crossing never changes which others the component
         # takes part in, so one pass in id order finds them all
         for cid in sorted(self.crossings):
-            roles = self._roles_of(cid, key)
-            if not roles:
+            under = self.arcs[at[(cid, ROLE_UI)]][2] == key
+            over = self.arcs[at[(cid, ROLE_OI)]][2] == key
+            if not (under or over):
                 continue
-            cross = self.crossings.pop(cid)
-            if roles == ["U", "O"]:
+            del self.crossings[cid]
+            if under and over:
                 # a self-crossing of the doomed component: all four arcs are
                 # its own and are swept up at the end
                 continue
-            other = "O" if roles == ["U"] else "U"
-            in_arc = cross[other + "I"]
-            out_arc = cross[other + "O"]
+            other = "O" if under else "U"
+            in_arc, out_arc = at[(cid, other + "I")], at[(cid, other + "O")]
             if in_arc != out_arc:
-                tail = self.arcs[in_arc][0]
-                self.arcs[out_arc][0] = tail
-                self.crossings[tail[0]][tail[1]] = out_arc
+                tail = self.arcs[out_arc][0] = self.arcs[in_arc][0]
+                at[tail] = out_arc
             # if in_arc == out_arc the surviving strand closes into a
             # crossingless circle, which the closing sweep adds to `loops`
             del self.arcs[in_arc]
         for aid in [a for a, arc in self.arcs.items() if arc[2] == key]:
             del self.arcs[aid]
         # deleting may strand other components as crossingless circles
-        for other_key in self.comp_order:
-            if other_key == key or other_key in self.loops:
-                continue
-            if not any(arc[2] == other_key for arc in self.arcs.values()):
-                self.loops.add(other_key)
-        self.comp_order.remove(key)
+        live = {arc[2] for arc in self.arcs.values()}
+        self.loops.update(k for k in self.comp_order if k not in live)
 
     def reverse_component(self, comp):
         key = self.comp_order[comp]
-        if key in self.loops:
-            return
-        touched: dict[int, list[str]] = {}
-        for cid in self.crossings:
-            roles = self._roles_of(cid, key)
-            if roles:
-                touched[cid] = roles
-        for aid, (tail, head, arc_comp) in list(self.arcs.items()):
-            if arc_comp != key:
-                continue
-            self.arcs[aid][0] = (head[0], _FLIP[head[1]])
-            self.arcs[aid][1] = (tail[0], _FLIP[tail[1]])
-        for cid, roles in touched.items():
-            cross = self.crossings[cid]
-            if "U" in roles:
-                cross[ROLE_UI], cross[ROLE_UO] = cross[ROLE_UO], cross[ROLE_UI]
-            if "O" in roles:
-                cross[ROLE_OI], cross[ROLE_OO] = cross[ROLE_OO], cross[ROLE_OI]
-            if len(roles) == 1:
-                cross["sign"] = -cross["sign"]
+        mine = [arc for arc in self.arcs.values() if arc[2] == key]
+        # a crossing the component passes once changes sign; at a
+        # self-crossing both strands turn round and the sign stays
+        passes: dict[int, int] = {}
+        for arc in mine:
+            passes[arc[1][0]] = passes.get(arc[1][0], 0) + 1
+        for cid, count in passes.items():
+            if count == 1:
+                self.crossings[cid] = -self.crossings[cid]
+        for arc in mine:
+            (tc, tr), (hc, hr) = arc[0], arc[1]
+            arc[0], arc[1] = (hc, _FLIP[hr]), (tc, _FLIP[tr])
 
     def add_curl(self, comp, sign: int):
         if sign not in (1, -1):
@@ -625,11 +588,11 @@ class Mesh:
         k = self._new_crossing(sign)
         if key in self.loops:
             self.loops.discard(key)
-            self._new_arc_attached((k, ROLE_UO), (k, ROLE_OI), key)
-            self._new_arc_attached((k, ROLE_OO), (k, ROLE_UI), key)
+            self._new_arc((k, ROLE_UO), (k, ROLE_OI), key)
+            self._new_arc((k, ROLE_OO), (k, ROLE_UI), key)
             return
         site = min(aid for aid, arc in self.arcs.items() if arc[2] == key)
-        tail, head, _ = self.arcs[site]
-        self._attach(site, "head", (k, ROLE_UI))
-        self._new_arc_attached((k, ROLE_UO), (k, ROLE_OI), key)
-        self._new_arc_attached((k, ROLE_OO), head, key)
+        head = self.arcs[site][1]
+        self.arcs[site][1] = (k, ROLE_UI)
+        self._new_arc((k, ROLE_UO), (k, ROLE_OI), key)
+        self._new_arc((k, ROLE_OO), head, key)

@@ -676,7 +676,7 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
     n = d.n_components
     total = LaurentPoly.zero()
     for mask, kept, name in _adjoint_terms(d, config):
-        mesh = Mesh.from_diagram(d)
+        mesh = Mesh(d)
         for i in reversed(range(n)):
             if not mask & (1 << i):
                 mesh.delete_component(i)

@@ -9,7 +9,7 @@ from math import gcd
 
 from skeinkit import eigen
 from skeinkit.annulus import AnnulusVecK
-from skeinkit.diagram import DiagramError, LinkDiagram, Mesh
+from skeinkit.diagram import ROLE_OI, ROLE_OO, ROLE_UI, ROLE_UO, DiagramError, LinkDiagram, Mesh
 from skeinkit.eigen import DistinctnessReport, adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition, partitions_up_to
 from skeinkit.ring import LaurentPoly, RingElem, spow, vpow, z_poly
@@ -113,7 +113,38 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
                  for quad, sign in zip(d.crossings, d.signs)]
     switched = LinkDiagram(d.name, d.n_components, crossings, d.component_of_edge, d.free_loops,
                            signs=[-sign for sign in d.signs])
-    return Mesh.from_diagram(switched).to_diagram(f"{d.name}.mirror")
+    return Mesh(switched).to_diagram(f"{d.name}.mirror")
+
+
+def mesh_faults(mesh: Mesh) -> list[str]:
+    """Where a surgery mesh breaks its one record of how crossings connect.
+
+    Every arc runs from an out-role port of a live crossing to an in-role
+    port of one, every port of a live crossing holds exactly one arc end,
+    and the components with arcs are exactly those of `comp_order` outside
+    `loops`.
+    """
+    faults = []
+    held: dict = {}
+    for aid, (tail, head, comp) in mesh.arcs.items():
+        for end, port, roles in (("tail", tail, (ROLE_UO, ROLE_OO)), ("head", head, (ROLE_UI, ROLE_OI))):
+            if port[0] not in mesh.crossings or port[1] not in roles:
+                faults.append(f"arc {aid}: {end} {port} is no {end} port of a live crossing")
+            elif port in held:
+                faults.append(f"port {port} holds arcs {held[port]} and {aid}")
+            else:
+                held[port] = aid
+        if comp not in mesh.comp_order or comp in mesh.loops:
+            faults.append(f"arc {aid}: component {comp!r} is not a crossed component")
+    for cid in mesh.crossings:
+        for role in (ROLE_UI, ROLE_UO, ROLE_OI, ROLE_OO):
+            if (cid, role) not in held:
+                faults.append(f"crossing {cid}: port {role} is free")
+    live = {comp for _, _, comp in mesh.arcs.values()}
+    for key in mesh.comp_order:
+        if key not in mesh.loops and key not in live:
+            faults.append(f"component {key!r} has no arc and is not a loop")
+    return faults
 
 
 # ----------------------------------------------------------------------

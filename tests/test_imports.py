@@ -1,6 +1,7 @@
 """Source hygiene: every top-level import of a package module or a test
-file is used, and every function the package defines is read by the package
-or the bench.
+file is used, every function the package defines is read by the package
+or the bench, and a package module reads a private member only of a class
+it defines.
 Re-exporting a name from ``__init__.py`` does not count as reading it."""
 
 import ast
@@ -141,3 +142,73 @@ def test_every_function_is_read():
         namespace = vars(importlib.import_module(f"skeinkit.{module[:-3]}"))
         unread += unread_functions((PACKAGE / module).read_text(), namespace, read)
     assert unread == []
+
+
+# ----------------------------------------------------------------------
+# a private member is read only by the module whose class defines it
+
+
+def class_members(tree: ast.Module) -> set[str]:
+    """Names the module's classes define: methods, class attributes,
+    `__slots__` entries and `self._name` assignments."""
+    members = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    members.add(target.id)
+                    if target.id == "__slots__":
+                        members.update(ast.literal_eval(stmt.value))
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.add(node.name)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                members.add(node.attr)
+    return members
+
+
+def foreign_private_reads(source: str) -> list[int]:
+    """Lines that read `x._name`, the receiver not `self`, `cls` or
+    `super()`, where no class of the same module defines `_name`."""
+    tree = ast.parse(source)
+    members = class_members(tree)
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        name, receiver = node.attr, node.value
+        if not name.startswith("_") or name.endswith("__") or name in members:
+            continue
+        if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
+            continue
+        if isinstance(receiver, ast.Call) and getattr(receiver.func, "id", None) == "super":
+            continue
+        lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_foreign_private_read():
+    source = (
+        "import other\n"
+        "class Box:\n"
+        "    __slots__ = ('_items',)\n"
+        "    _limit = 3\n"
+        "    def __init__(self):\n"
+        "        self._count = 0\n"
+        "        self._hidden()\n"  # a read through self is the class's own
+        "    def _grow(self):\n"
+        "        return super()._grow()\n"
+        "def use(box, thing):\n"
+        "    box._items, box._limit, box._count, box._grow()\n"  # members of Box
+        "    box.__class__\n"  # a dunder is not private
+        "    thing._secret = 1\n"  # a write, not a read
+        "    return thing._secret, other._helper()\n"
+    )
+    assert foreign_private_reads(source) == [14, 14]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_private_reads_stay_in_their_module(module):
+    assert foreign_private_reads((PACKAGE / module).read_text()) == []

@@ -1491,6 +1491,20 @@ class TestMeridianRecurrence:
         wrong = [roots[0], adjoint_meridian_eigenvalue(box, empty)]
         assert not any(annihilated_windows(values, wrong))
 
+    @pytest.mark.parametrize("name", sorted(RECURRENCE_TOPS))
+    def test_antiparallel_rows(self, name):
+        # the doubled rows with the second copy reversed decompose into the
+        # shapes ((1),(1)) and ((),()): cable, reverse and meridians checked
+        # without the adjoint terms' inclusion-exclusion
+        d = load_corpus(name)
+        values = [homfly(build_satellite_row(d, 0, r).reverse_component(1), RECURRENCE_CONFIG)
+                  for r in range(RECURRENCE_TOPS[name] + 1)]
+        empty, box = Partition(()), Partition((1,))
+        roots = [homfly_meridian_eigenvalue(box, box), homfly_meridian_eigenvalue(empty, empty)]
+        assert all(annihilated_windows(values, roots))
+        wrong = [roots[0], homfly_meridian_eigenvalue(box, empty)]
+        assert not any(annihilated_windows(values, wrong))
+
 
 class TestEngineWork:
     """Exact engine work on small satellite rows and braid closures, pinned
