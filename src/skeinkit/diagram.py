@@ -228,6 +228,45 @@ class LinkDiagram:
         for comp, strand in zip(comps, strands):
             if any(self.component_of_edge[e] != comp for e in strand):
                 raise DiagramError(f"component {comp} mixes edges of other components")
+        self._check_planar()
+
+    def _check_planar(self):
+        """Refuse a code that no planar diagram has.
+
+        By Euler's formula a connected planar diagram of n crossings bounds
+        n + 2 faces, and a code of higher genus bounds fewer, so the code is
+        planar iff its faces number n + 2 per connected piece.  A face is
+        traced over the darts, each a port 4 * crossing + slot: cross the
+        edge to the far port, then turn to the previous slot there.
+        """
+        n = len(self.crossings)
+        across = [0] * (4 * n)
+        piece = list(range(n))  # a crossing's link towards its piece's root
+
+        def root(c):
+            while piece[c] != c:
+                piece[c] = c = piece[piece[c]]  # path halving
+            return c
+
+        for (tc, ts), (hc, hs) in self.edge_ends.values():
+            across[4 * tc + ts], across[4 * hc + hs] = 4 * hc + hs, 4 * tc + ts
+            piece[root(tc)] = root(hc)
+        pieces = sum(1 for c in range(n) if piece[c] == c)
+        faces, traced = 0, [False] * (4 * n)
+        for start in range(4 * n):
+            if traced[start]:
+                continue
+            faces += 1
+            p = start
+            while not traced[p]:
+                traced[p] = True
+                far = across[p]
+                p = far - (far & 3) + ((far - 1) & 3)
+        if faces != n + 2 * pieces:
+            raise DiagramError(
+                f"not planar: {faces} faces, not {n + 2 * pieces} "
+                f"({n} crossings plus 2 per connected piece)"
+            )
 
     # ------------------------------------------------------------------
     # numeric summaries

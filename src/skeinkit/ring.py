@@ -14,13 +14,12 @@ exponents render as "v^3" or "s^-2"; factors are joined with "*"; the
 zero polynomial renders as "0"; a fraction renders as "(num)/(den)"
 only when the reduced denominator is not 1.
 
-Fractions (``RingElem``) are always stored reduced, and their arithmetic
-skips the work that invariant makes redundant: a sum with a unit
-denominator on one side is not reduced again, a sum over a shared
-denominator forms no denominator product, and a product forms no product
-with a denominator of 1 (see ``RingElem``).  Normalisation tries no
-division when s^2 - 1 divides the denominator but not the numerator, as
-for a power of z = s - s^-1 over a numerator that z does not divide.
+Fractions (``RingElem``) are always stored reduced, and every one that
+is not a polynomial over 1 is built by one normaliser; a sum over a
+shared denominator forms no denominator product (see ``RingElem``).
+Normalisation tries no division when s^2 - 1 divides the denominator but
+not the numerator, as for a power of z = s - s^-1 over a numerator that z
+does not divide.
 """
 
 from __future__ import annotations
@@ -308,12 +307,10 @@ class LaurentPoly:
             eds = -nds - glead[1]
             if not (0 <= edv <= box_v and 0 <= eds <= box_s):
                 return None
-            if char2:
-                qc = rlc  # GF(2): leading coefficients are 1
-            else:
-                if rlc % glc:
-                    return None
-                qc = rlc // glc
+            # over GF(2) both leading coefficients are 1, so qc is rlc
+            if rlc % glc:
+                return None
+            qc = rlc // glc
             quo[(edv, eds)] = qc
             for (gdv, gds), gc in gterms:
                 key = (gdv + edv, gds + eds)
@@ -402,31 +399,17 @@ class RingElem:
     corner exponents, its leading coefficient is made positive, and a
     denominator that divides the numerator exactly is cleared to 1.
 
-    Every RingElem is built reduced: either through the constructor, whose
-    ``_reduce_fraction`` is the one normaliser, or through ``_make`` from a
-    pair that normaliser would return unchanged.  Arithmetic relies on this
-    to do only the work its operands need:
-
-    - A sum or difference with a unit denominator on one side, a/d +- p, is
-      (a +- p*d)/d with no reduction.  It is the pair ``_reduce_fraction``
-      would return: an integer content, an exact division or an
-      s^(2r) - 1 fold shared by a +- p*d and d would also be shared by a
-      and d, which were reduced, and d already has corner (0, 0) and a
-      positive leading coefficient.  For the same reason a +- p*d is zero
-      only when d is 1, so zero comes out as 0/1.  A negation is reduced
-      for the same reason.
-    - Over a shared denominator, a/d +- b/d is reduced from (a +- b)/d, with
-      no denominator product and no division by d^2.
-    - A product forms no product with a denominator of 1, and a product of
-      two polynomials over 1 is returned unreduced.
-    - Every other case uses the cross-multiplied formula.
-
-    The fast paths give the cross-multiplied formula's (num, den) exactly
-    when a denominator is 1 and when the shared denominator is a unit times
-    a monomial times a power of s - s^-1.  A shared denominator with a
-    factor reduction cannot cancel, such as v + 1, used to stay squared in
-    the sum's denominator; now the sum keeps it once.  That representative
-    is smaller and has the same value.
+    Every RingElem is built reduced.  A polynomial over 1 is already
+    reduced: the constructor stores a numerator given with no denominator
+    as it is, and ``_make`` stores the sum or product of two polynomials
+    over 1.  Every other value goes through the constructor's
+    ``_reduce_fraction``, the one normaliser.  A sum over a shared
+    denominator, a/d +- b/d, is reduced from (a +- b)/d, with no
+    denominator product and no division by d^2; every other sum or product
+    is reduced from the cross-multiplied pair.  A shared denominator with a
+    factor reduction cannot cancel, such as v + 1, stays once in the sum's
+    denominator, where cross-multiplying would square it.  That
+    representative is smaller and has the same value.
     """
 
     __slots__ = ("num", "den")
@@ -437,16 +420,17 @@ class RingElem:
         if not isinstance(num, LaurentPoly):
             raise TypeError("numerator must be a LaurentPoly or int")
         if den is None:
-            den = LaurentPoly.one(num.char)
-        if isinstance(den, int):
-            den = LaurentPoly.constant(den, num.char)
-        if not isinstance(den, LaurentPoly):
-            raise TypeError("denominator must be a LaurentPoly or int")
-        if num.char != den.char:
-            raise ValueError("characteristic mismatch")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num, den = _reduce_fraction(num, den)
+            den = LaurentPoly.one(num.char)  # a polynomial over 1 is reduced
+        else:
+            if isinstance(den, int):
+                den = LaurentPoly.constant(den, num.char)
+            if not isinstance(den, LaurentPoly):
+                raise TypeError("denominator must be a LaurentPoly or int")
+            if num.char != den.char:
+                raise ValueError("characteristic mismatch")
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            num, den = _reduce_fraction(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -455,8 +439,9 @@ class RingElem:
 
     @classmethod
     def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "RingElem":
-        # internal fast path: (num, den) must already be a pair that
-        # _reduce_fraction returns unchanged (see the class docstring)
+        # internal fast path for a sum or product of two polynomials over 1:
+        # `num` is that polynomial and `den` is 1, a pair _reduce_fraction
+        # returns unchanged
         self = object.__new__(cls)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -476,21 +461,17 @@ class RingElem:
     def one(cls, char: int = 0) -> "RingElem":
         return cls(LaurentPoly.one(char))
 
-    @classmethod
-    def from_int(cls, value: int, char: int = 0) -> "RingElem":
-        return cls._make(LaurentPoly.constant(value, char), LaurentPoly.one(char))
-
     def _coerce(self, other) -> Optional["RingElem"]:
         if isinstance(other, RingElem):
             if other.char != self.char:
                 raise ValueError("characteristic mismatch")
             return other
+        if isinstance(other, int):
+            other = LaurentPoly.constant(other, self.char)
         if isinstance(other, LaurentPoly):
             if other.char != self.char:
                 raise ValueError("characteristic mismatch")
-            return RingElem._make(other, LaurentPoly.one(self.char))
-        if isinstance(other, int):
-            return RingElem.from_int(other, self.char)
+            return RingElem(other)
         return None
 
     # ------------------------------------------------------------------
@@ -501,10 +482,8 @@ class RingElem:
         a, d1 = self.num, self.den
         b = other.num if sign > 0 else -other.num
         d2 = other.den
-        if d2.is_one():
-            return RingElem._make(a + b if d1.is_one() else a + b * d1, d1)
-        if d1.is_one():
-            return RingElem._make(a * d2 + b, d2)
+        if d1.is_one() and d2.is_one():
+            return RingElem._make(a + b, d1)
         if d1 == d2:
             return RingElem(a + b, d1)
         return RingElem(a * d2 + b * d1, d1 * d2)
@@ -518,8 +497,7 @@ class RingElem:
     __radd__ = __add__
 
     def __neg__(self):
-        # negating the numerator keeps every condition of a reduced pair
-        return RingElem._make(-self.num, self.den)
+        return RingElem(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -538,12 +516,8 @@ class RingElem:
         if other is None:
             return NotImplemented
         num = self.num * other.num
-        if self.den.is_one():
-            if other.den.is_one():
-                return RingElem._make(num, self.den)
-            return RingElem(num, other.den)
-        if other.den.is_one():
-            return RingElem(num, self.den)
+        if self.den.is_one() and other.den.is_one():
+            return RingElem._make(num, self.den)
         return RingElem(num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -79,16 +79,9 @@ class SkeinBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation settings.
-
-    `max_crossings` bounds the input diagram's crossings.  With `memo`
-    False no cluster value is looked up in or stored to the cache; states
-    are still split into clusters by the walk that keys them, and their
-    keys go unused.
-    """
+    """Evaluation settings: `max_crossings` bounds the input diagram's crossings."""
 
     max_crossings: int = 24
-    memo: bool = True
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -519,7 +512,7 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
 _STATE, _CLUSTER, _PRODUCT, _RESOLVED = range(4)
 
 
-def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> LaurentPoly:
+def _evaluate(cross: dict, partner: list, flavor: str, seeds) -> LaurentPoly:
     """Value of a state after simplifying it from `seeds` (see `_simplify`).
 
     Tasks run depth first from a stack, and values wait on a second stack
@@ -560,7 +553,7 @@ def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> Lau
                 cross, key = parts[0]  # its task would run next, so it runs now
             else:
                 _, cross, partner, key = task
-            hit = _MEMO.get(key) if memo else None
+            hit = _MEMO.get(key)
             if hit is not None:
                 values.append(hit)
                 continue
@@ -574,10 +567,9 @@ def _evaluate(cross: dict, partner: list, flavor: str, memo: bool, seeds) -> Lau
                 tasks += children[::-1]
                 continue
             result = _times_circles(vpow(-writhe), n_circles, flavor)
-        if memo:
-            # values are immutable, so entries of equal value share one object
-            result = _VALUES.setdefault(result, result)
-            _MEMO[key] = result
+        # values are immutable, so entries of equal value share one object
+        result = _VALUES.setdefault(result, result)
+        _MEMO[key] = result
         values.append(result)
     return values[0]
 
@@ -623,16 +615,14 @@ def _check_size(name: str, crossings: int, cfg: EvalConfig):
 
 
 def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
-    """Entry checks shared by every evaluation; returns (cross, partner, memo)."""
-    cfg = config or DEFAULT_CONFIG
-    _check_size(d.name, len(d.crossings), cfg)
-    cross, partner = _build_state(d)
-    return cross, partner, cfg.memo
+    """Entry checks shared by every evaluation; returns (cross, partner)."""
+    _check_size(d.name, len(d.crossings), config or DEFAULT_CONFIG)
+    return _build_state(d)
 
 
 def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> LaurentPoly:
-    cross, partner, memo = _prepare(d, config)
-    value = _evaluate(cross, partner, flavor, memo, cross)
+    cross, partner = _prepare(d, config)
+    value = _evaluate(cross, partner, flavor, cross)
     return _times_circles(value, len(d.free_loops), flavor)
 
 
@@ -704,13 +694,13 @@ def skein_relation_probe(
         raise ValueError(f"crossing index {crossing} out of range")
     if flavor not in (ORIENTED, UNORIENTED):
         raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
-    cross, partner, memo = _prepare(d, config)
+    cross, partner = _prepare(d, config)
     sign = _sign(cross[crossing])
     states = [(_STATE, dict(cross), list(partner), cross, 0)]
     states += _resolve(cross, partner, crossing, sign, flavor)
     loops = len(d.free_loops)
     values = [
-        _times_circles(_evaluate(c_cross, c_partner, flavor, memo, c_cross), freed + loops, flavor)
+        _times_circles(_evaluate(c_cross, c_partner, flavor, c_cross), freed + loops, flavor)
         for _, c_cross, c_partner, _, freed in states
     ]
     out = {"flavor": flavor}

@@ -1,13 +1,15 @@
 """Readings of skeinkit objects that only the tests need.
 
 Each one is an oracle or a convenience for assertions, built on the public
-attributes of the objects it reads; no code in `src/` calls them.
+attributes of the objects it reads, except `memo`, which swaps the
+engine's cache; no code in `src/` calls them.
 """
 
+from contextlib import contextmanager
 from itertools import product
 from math import gcd
 
-from skeinkit import eigen
+from skeinkit import eigen, skein_eval
 from skeinkit.annulus import AnnulusVecK
 from skeinkit.diagram import ROLE_OI, ROLE_OO, ROLE_UI, ROLE_UO, DiagramError, LinkDiagram, Mesh
 from skeinkit.eigen import DistinctnessReport, adjoint_meridian_eigenvalue, kauffman_meridian_eigenvalue
@@ -410,3 +412,30 @@ def reference_reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[Laure
                 break
         else:
             return num, den
+
+
+# ----------------------------------------------------------------------
+# the engine's memo
+
+
+class _StoresNothing(dict):
+    """A memo whose every lookup misses: it stores no entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextmanager
+def memo(on: bool):
+    """Evaluate with the engine's memo, or with `on` False with a memo that
+    stores nothing, so that every cluster is evaluated afresh; the engine's
+    own memo is restored on exit."""
+    if on:
+        yield
+        return
+    saved = skein_eval._MEMO
+    skein_eval._MEMO = _StoresNothing()
+    try:
+        yield
+    finally:
+        skein_eval._MEMO = saved

@@ -7,6 +7,8 @@ is the determinism contract on `acceptance run` itself, checked here by
 invoking the full battery twice and comparing bytes.
 """
 
+import hashlib
+
 import pytest
 
 from skeinkit.cli import ACCEPTANCE_CRITERIA, run
@@ -38,3 +40,7 @@ def test_acceptance_run_twice_is_byte_identical():
     second = run(["acceptance", "run"])
     assert first == second
     assert first[0] == 0
+    # sha256 of the battery's report: every criterion's title and detail
+    assert hashlib.sha256(first[1].encode()).hexdigest() == (
+        "688d47258a5bb0d05cbe180bfcebbba306af059ae61326ba4ea9126b56f9cfed"
+    )

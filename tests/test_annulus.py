@@ -97,7 +97,7 @@ class TestAnnulusVecK:
         assert AnnulusVecK({P(3): RingElem.zero()}).coeffs == {}
 
     def test_linear_ops(self):
-        two = RingElem.from_int(2)
+        two = RingElem(2)
         assert AnnulusVecK.basis(P(1)).scale(two) == AnnulusVecK({P(1): two})
         v = AnnulusVecK({P(1): two, P(2): RingElem.one()})
         assert coefficient(v, P(1)) == two
@@ -126,7 +126,7 @@ class TestBranching:
         assert sorted(out.coeffs) == sorted([P(3, 1), P(2, 2), P(2, 1, 1), P(2), P(1, 1)])
 
     def test_linearity(self):
-        two = RingElem.from_int(2)
+        two = RingElem(2)
         combined = branch_mul_y1(AnnulusVecK({P(2): two, P(): RingElem.one()}))
         a, b = branch_mul_y1(AnnulusVecK.basis(P(2))), branch_mul_y1(AnnulusVecK.basis(P()))
         expected = {

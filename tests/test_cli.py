@@ -173,10 +173,18 @@ class TestSkeinCommand:
              "each crossing needs exactly 4 edge labels"),
             (_trefoil_edges("01"),
              "component_of_edge keys: expected an integer label, got '01'"),
+            (b'{"components": 1, "crossings": [[1, 2, 3, 4], [2, 3, 1, 4]], "signs": [1, -1],'
+             b' "component_of_edge": {"1": 0, "2": 0, "3": 0, "4": 0}}',
+             r"not planar: 2 faces, not 4 \(2 crossings plus 2 per connected piece\)"),
+            (b'{"components": 1, "crossings": [[3, 7, 2, 4], [7, 6, 1, 5], [6, 5, 4, 8], [1, 2, 3, 8]],'
+             b' "signs": [1, 1, 1, -1], "component_of_edge": {"1": 0, "2": 0, "3": 0, "4": 0,'
+             b' "5": 0, "6": 0, "7": 0, "8": 0}}',
+             r"not planar: 2 faces, not 6 \(4 crossings plus 2 per connected piece\)"),
         ],
         ids=["missing-edge", "edge-thrice", "sign-two", "sign-count", "contradicting-sign",
              "all-over-clasp", "mixed-component", "split-component", "component-range",
-             "not-an-object", "edge-map-list", "three-labels", "padded-key"],
+             "not-an-object", "edge-map-list", "three-labels", "padded-key",
+             "non-planar-2", "non-planar-4"],
     )
     def test_refusal_text(self, tmp_path, content, message):
         # one fault per file, each refused with the constructor's own words;
@@ -431,6 +439,36 @@ class TestVerifyCommand:
         code, text = run(["verify", "eigen-consistency"])
         assert code == 0
         assert text.splitlines()[-1] == "result: PASS"
+
+
+class TestOutputPinned:
+    # sha256 of each command's rendered output; any change to a value's
+    # rendering, a report's wording or its order changes it
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["expand", "--partition", "2,1"],
+             "1e541bae35d0772cd25ebe332271c9264100ecb2d640a07fc47b97bbdefeb39c"),
+            (["eigen", "table", "--max-size", "12", "--check-distinct"],
+             "b82e0af3aba41f01b7ccc962790d41d230acb18cc1363d4401cadca27ca9ee0a"),
+            (["verify", "eigen-consistency", "--json"],
+             "98d0362ff3f150de95932dacd1014e1f019c83f9ac9a5743ad8b40041bd830e4"),
+            (["verify", "eigen-consistency"],
+             "8473fe18ab8e8e9ff484982b4c19329cd48a2d3b066fe9553c66750888839d03"),
+            (["verify", "rudolph", "corpus:hopf_plus", "--json"],
+             "f7649bf988e9be427dd9e56829052375364e99d00d0c3b5fbed62fbe974521ab"),
+            (["verify", "rudolph", "corpus:hopf_plus"],
+             "d0e34960be901c9ce5533a2cedc14bec8c40441038ccc4e59b8da3a010616957"),
+            (["skein", "adjoint", "corpus:figure_eight"],
+             "e6afdfda3f47353e9fd5ac91d5a20c8ab40ab35f652abbd19a3356c09a299cd4"),
+        ],
+        ids=["expand", "eigen-table", "eigen-consistency-json", "eigen-consistency",
+             "rudolph-json", "rudolph", "skein-adjoint"],
+    )
+    def test_output_pinned(self, argv, digest):
+        code, text = run(argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCorpusCommand:

@@ -126,17 +126,20 @@ class TestConstruction:
             )
 
     def test_supplied_signs_resolve_ambiguity(self):
-        # both orientations of the all-over circle are legal diagrams; the
-        # signs field picks one, and serialization keeps the choice
-        quads = ((1, 3, 2, 4), (2, 4, 1, 3))
+        # a planar circle lying over another at both transits: both of its
+        # orientations are legal diagrams, the signs field picks one, and
+        # serialization keeps the choice
+        quads = ((1, 3, 2, 4), (2, 3, 1, 4))
         comp = {1: 0, 2: 0, 3: 1, 4: 1}
-        for chosen in ((1, 1), (-1, -1)):
-            d = LinkDiagram("clasp", 2, quads, comp, signs=chosen)
+        with pytest.raises(AmbiguousOrientationError):
+            LinkDiagram("unlink", 2, quads, comp)
+        for chosen in ((1, -1), (-1, 1)):
+            d = LinkDiagram("unlink", 2, quads, comp, signs=chosen)
             assert d.signs == chosen
             back = LinkDiagram.from_json(d.to_json())
             assert back.signs == chosen
         with pytest.raises(DiagramError):
-            LinkDiagram("clasp", 2, quads, comp, signs=(1, -1))
+            LinkDiagram("unlink", 2, quads, comp, signs=(1, 1))
 
 
 class TestSerialization:
@@ -614,7 +617,45 @@ def _reference_construct(n, crossings, component_of_edge, free_loops, signs):
     for comp, cycle in _reference_component_cycles(crossings, component_of_edge, edge_ends).items():
         if set(component_of_edge[e] for e in cycle) != {comp}:
             raise DiagramError(f"component {comp} mixes edges of other components")
+    _reference_planarity(crossings)
     return tuple(1 if o == 3 else -1 for o in over_slots), edge_ends
+
+
+def _reference_planarity(crossings):
+    """Refuse a code of higher genus: each connected piece of n crossings
+    must bound n + 2 faces.  A face is a cycle of corners (crossing, slot):
+    leave by the corner's edge, arrive at the edge's other spot, and go on
+    from the slot before it."""
+    spots: dict[int, list] = {}
+    for ci, quad in enumerate(crossings):
+        for slot, edge in enumerate(quad):
+            spots.setdefault(edge, []).append((ci, slot))
+    pieces = []  # sets of crossings, merged along every edge
+    for ci in range(len(crossings)):
+        joined = {ci} | {cj for edge in crossings[ci] for cj, _ in spots[edge]}
+        touching = [piece for piece in pieces if piece & joined]
+        for piece in touching:
+            pieces.remove(piece)
+            joined |= piece
+        pieces.append(joined)
+    faces = [0] * len(pieces)
+    unseen = {(ci, slot) for ci in range(len(crossings)) for slot in range(4)}
+    while unseen:
+        corner = start = min(unseen)
+        while True:
+            unseen.discard(corner)
+            ci, slot = corner
+            a, b = spots[crossings[ci][slot]]
+            far_ci, far_slot = b if a == corner else a
+            corner = (far_ci, (far_slot - 1) % 4)
+            if corner == start:
+                break
+        faces[next(i for i, piece in enumerate(pieces) if start[0] in piece)] += 1
+    if any(count != len(piece) + 2 for piece, count in zip(pieces, faces)):
+        raise DiagramError(
+            f"not planar: {sum(faces)} faces, not {len(crossings) + 2 * len(pieces)} "
+            f"({len(crossings)} crossings plus 2 per connected piece)"
+        )
 
 
 def _code_of(d: LinkDiagram) -> tuple:

@@ -534,17 +534,8 @@ class TestFractionFastPaths:
         return calls["reduce"], calls["mul"]
 
     def test_unit_denominator_sum_skips_reduction(self, counts):
-        a = RingElem(vpow(1) + spow(3), z_poly() ** 2)
         p = vpow(-1) - spow(2)
         pe = RingElem(p)
-        for operand in (pe, p, 3):
-            for compute in (
-                lambda: a + operand,
-                lambda: operand + a,
-                lambda: a - operand,
-                lambda: operand - a,
-            ):
-                assert self.counted(counts, compute) == (0, 1)
         assert self.counted(counts, lambda: pe + p) == (0, 0)
 
     def test_equal_denominator_sum_multiplies_nothing(self, counts):
@@ -557,8 +548,6 @@ class TestFractionFastPaths:
         a = RingElem(vpow(1) + spow(3), z_poly())
         p, q = RingElem(vpow(-1) - spow(2)), RingElem(spow(1) + 2)
         assert self.counted(counts, lambda: p * q) == (0, 1)
-        assert self.counted(counts, lambda: a * p) == (1, 1)
-        assert self.counted(counts, lambda: p * a) == (1, 1)
         assert self.counted(counts, lambda: a * a) == (1, 2)
 
 

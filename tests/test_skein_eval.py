@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import annihilated_windows, fox_minor, mirror, port_list, port_pairs, reference_clusters
+from oracles import annihilated_windows, fox_minor, memo, mirror, port_list, port_pairs, reference_clusters
 from skeinkit.cli import run as cli_run
 from skeinkit.corpus import (
     braid_closure,
@@ -131,6 +131,23 @@ class TestMeridianAnchors:
         got = homfly(hopf_plus().reverse_component(0))
         assert got == dH * s1_rev
 
+    def test_knotted_and_multi_component_bases(self):
+        # the benchmark's first 10 braid_family closures, knots and links
+        # alike: each bead on component 0 multiplies by its eigenvalue, and
+        # the control root c((2)) matches no step
+        c1 = kauffman_meridian_eigenvalue(Partition((1,)))
+        c2 = kauffman_meridian_eigenvalue(Partition((2,)))
+        s1 = homfly_meridian_eigenvalue(Partition((1,)), Partition(()))
+        cfg = EvalConfig(max_crossings=64)
+        for d in _seeded_braids(10, seed=1):
+            beads = [d.with_meridians(0, r) for r in range(4)]
+            kau = [kauffman(b, cfg) for b in beads]
+            hom = [homfly(b, cfg) for b in beads]
+            for r in range(3):
+                assert kau[r + 1] == c1 * kau[r], (d.name, r)
+                assert hom[r + 1] == s1 * hom[r], (d.name, r)
+                assert kau[r + 1] != c2 * kau[r], (d.name, r)
+
 
 class TestStructure:
     def test_split_multiplicativity(self):
@@ -139,12 +156,32 @@ class TestStructure:
         assert kauffman(u) == kauffman(hopf_plus()) * kauffman(trefoil())
 
     def test_memo_off_agrees(self):
-        cfg = EvalConfig(memo=False)
         clear_caches()
-        assert homfly(figure_eight(), cfg) == homfly(figure_eight())
-        assert kauffman(trefoil(), cfg) == kauffman(trefoil())
-        assert homfly(trefoil(), cfg) == dH * (vi + vi - v + vi * z * z)
-        assert kauffman(figure_eight(), cfg) == kauffman(figure_eight())
+        with memo(False):
+            off = [homfly(figure_eight()), kauffman(trefoil()), homfly(trefoil()),
+                   kauffman(figure_eight())]
+        assert off[0] == homfly(figure_eight())
+        assert off[1] == kauffman(trefoil())
+        assert off[2] == dH * (vi + vi - v + vi * z * z)
+        assert off[3] == kauffman(figure_eight())
+
+    def test_memo_switch_stores_nothing(self, monkeypatch):
+        # control for `memo`: switched off, a repeat evaluation resolves as
+        # many crossings as the first; switched on, it is served whole
+        resolves = _count_resolves(monkeypatch)
+        for on in (False, True):
+            clear_caches()
+            try:
+                with memo(on):
+                    counts = []
+                    for _ in range(2):
+                        before = resolves["calls"]
+                        homfly(figure_eight())
+                        counts.append(resolves["calls"] - before)
+            finally:
+                clear_caches()
+            assert counts[0] > 0
+            assert counts[1] == (0 if on else counts[0])
 
     def test_budget_enforced(self):
         with pytest.raises(SkeinBudgetError):
@@ -282,8 +319,8 @@ class TestValueRepresentation:
             shared = [skein_eval._run(d, flavor, None) for d in words]
         finally:
             clear_caches()
-        memo_off = EvalConfig(memo=False)
-        assert [skein_eval._run(d, flavor, memo_off) for d in words] == shared
+        with memo(False):
+            assert [skein_eval._run(d, flavor, None) for d in words] == shared
 
 
 class TestAdjoint:
@@ -347,12 +384,13 @@ def _oracle_links():
 class TestAdjointOracle:
     """adjoint_homfly against an independent route to the same sum."""
 
-    @pytest.mark.parametrize("memo", [True, False], ids=["memo-on", "memo-off"])
+    @pytest.mark.parametrize("on", [True, False], ids=["memo-on", "memo-off"])
     @pytest.mark.parametrize("d", _oracle_links(), ids=lambda d: d.name)
-    def test_matches_wrapper_route(self, d, memo):
-        cfg = EvalConfig(max_crossings=64, memo=memo)
-        got = adjoint_homfly(d, cfg)
-        want = _wrapper_route_adjoint(d, cfg)
+    def test_matches_wrapper_route(self, d, on):
+        cfg = EvalConfig(max_crossings=64)
+        with memo(on):
+            got = adjoint_homfly(d, cfg)
+            want = _wrapper_route_adjoint(d, cfg)
         assert got == want
         assert got.render() == want.render()
 
@@ -521,10 +559,11 @@ class TestCanonicalKey:
             reversed_cross = {c: (u, (o + 2) % 4) if c in flip else (u, o) for c, (u, o) in cross.items()}
             keys = [_cluster_key(state, partner, ORIENTED) for state in (cross, reversed_cross)]
             assert keys[0] == keys[1]
-            values = [
-                skein_eval._to_ring_elem(skein_eval._evaluate(dict(state), list(partner), ORIENTED, False, state))
-                for state in (cross, reversed_cross)
-            ]
+            with memo(False):
+                values = [
+                    skein_eval._to_ring_elem(skein_eval._evaluate(dict(state), list(partner), ORIENTED, state))
+                    for state in (cross, reversed_cross)
+                ]
             assert values[0] == values[1]
             checked += 1
         assert checked > 0
@@ -687,10 +726,11 @@ class TestEngineRewritesExact:
         assert len(refs) == len(set(refs))  # equal reference keys, equal keys
         merged = [group for group in classes.values() if len(group) > 1]
         for group in merged:
-            values = [
-                skein_eval._to_ring_elem(skein_eval._evaluate(dict(cross), list(partner), flavor, False, cross))
-                for cross, partner in group.values()
-            ]
+            with memo(False):
+                values = [
+                    skein_eval._to_ring_elem(skein_eval._evaluate(dict(cross), list(partner), flavor, cross))
+                    for cross, partner in group.values()
+                ]
             assert all(value == values[0] for value in values)
         assert bool(merged) == (flavor == ORIENTED)
 
@@ -790,32 +830,30 @@ class TestSimplifiedStates:
             monkeypatch.undo()
         return checked
 
-    @pytest.mark.parametrize("memo, count", [(True, 20), (False, 2)])
-    def test_braid_family_words(self, memo, count, monkeypatch):
+    @pytest.mark.parametrize("on, count", [(True, 20), (False, 2)])
+    def test_braid_family_words(self, on, count, monkeypatch):
         # the benchmark's first 20 braid_family closures, both flavors;
         # without the memo only the first 2 (all 20 take ~30 s)
-        config = EvalConfig(memo=memo)
-
         def run():
-            for d in _seeded_braids(20, seed=1)[:count]:
-                homfly(d, config)
-                kauffman(d, config)
+            with memo(on):
+                for d in _seeded_braids(20, seed=1)[:count]:
+                    homfly(d)
+                    kauffman(d)
 
         checked = self.check(monkeypatch, run)
         assert checked["_keyed_clusters"] > 1000 and checked["_find_clasp"] > 1000
 
-    @pytest.mark.parametrize("memo", [True, False])
-    def test_satellite_rows_up_to_6_crossings(self, memo, monkeypatch):
-        config = EvalConfig(memo=memo)
-
+    @pytest.mark.parametrize("on", [True, False])
+    def test_satellite_rows_up_to_6_crossings(self, on, monkeypatch):
         def run():
-            for row in TestEngineWork().rows():
-                kauffman(row, config)
-                adjoint_homfly(row, config)
+            with memo(on):
+                for row in TestEngineWork().rows():
+                    kauffman(row)
+                    adjoint_homfly(row)
 
         checked = self.check(monkeypatch, run)
-        assert checked["_keyed_clusters"] > (1000 if not memo else 50)
-        assert checked["_find_clasp"] > (1000 if not memo else 10)
+        assert checked["_keyed_clusters"] > (1000 if not on else 50)
+        assert checked["_find_clasp"] > (1000 if not on else 10)
 
     def test_relation_probe_on_curls(self, monkeypatch):
         # a closure with curls away from the probed crossing: the probe
@@ -920,9 +958,9 @@ def _long_word(n_strands):
     return st.lists(_letters(n_strands), min_size=8, max_size=14)
 
 
-def _both(word, n_strands, config=None):
+def _both(word, n_strands):
     d = braid_closure(n_strands, word, "w")
-    return homfly(d, config), kauffman(d, config)
+    return homfly(d), kauffman(d)
 
 
 def _splice(word, at, middle):
@@ -933,8 +971,7 @@ def _splice(word, at, middle):
 class TestBraidRelations:
     """Moves the engine never performs must leave both values unchanged.
 
-    Words of 8-14 letters reach past the memo's 4-crossing keying threshold,
-    so these also exercise the canonical keys.
+    Words of 8-14 letters also exercise the canonical keys.
     """
 
     @given(word=_long_word(4), at=st.integers(0, 14), a=st.sampled_from([1, -1]),
@@ -973,7 +1010,9 @@ class TestBraidRelations:
     @settings(max_examples=30, deadline=None)
     def test_memo_off_agrees(self, n, data):
         word = data.draw(_long_word(n))
-        assert _both(word, n, EvalConfig(memo=False)) == _both(word, n)
+        with memo(False):
+            off = _both(word, n)
+        assert off == _both(word, n)
 
 
 def _relabeled(d, order):
@@ -997,13 +1036,13 @@ class TestSplitClusters:
     def check(self, a, b, order):
         d = _relabeled(braid_closure(4, a + b, "split"), order)
         parts = (braid_closure(2, a, "left"), braid_closure(2, [x // 3 for x in b], "right"))
-        for memo in (True, False):
-            cfg = EvalConfig(memo=memo)
+        for on in (True, False):
             for run in (homfly, kauffman):
                 clear_caches()
                 try:
-                    got = run(d, cfg)
-                    want = run(parts[0], cfg) * run(parts[1], cfg)
+                    with memo(on):
+                        got = run(d)
+                        want = run(parts[0]) * run(parts[1])
                 finally:
                     clear_caches()
                 assert got == want
@@ -1081,11 +1120,12 @@ class TestSplitClusters:
 
         monkeypatch.setattr(skein_eval, "_simplify", simplifying)
         monkeypatch.setattr(skein_eval, "_keyed_clusters", keying)
-        for memo in (True, False):
+        for on in (True, False):
             for run in (homfly, kauffman):
                 clear_caches()
                 try:
-                    run(d, EvalConfig(memo=memo))
+                    with memo(on):
+                        run(d)
                 finally:
                     clear_caches()
         assert counts["keyings"] == counts["states"]
@@ -1214,11 +1254,11 @@ def _agrees(value: RingElem, want: LaurentPoly, v_to: int, s_to: int) -> bool:
     return _specialise(value.num, v_to, s_to) == want * den
 
 
-def _check_bracket(d, config=None):
+def _check_bracket(d):
     # kauffman at v = -A^-3, s = A is <D>; homfly at v = -t^-4, s = t^2 is t^w <D>
     want = bracket(d)
-    assert _agrees(kauffman(d, config), want, -3, 1)
-    assert _agrees(homfly(d, config), LaurentPoly.monomial(0, d.writhe()) * want, -4, 2)
+    assert _agrees(kauffman(d), want, -3, 1)
+    assert _agrees(homfly(d), LaurentPoly.monomial(0, d.writhe()) * want, -4, 2)
 
 
 def _satellite_rows_to_12():
@@ -1246,10 +1286,11 @@ class TestBracketStateSum:
         assert bracket(unlink(2)) == circle * circle
         assert bracket(unknot().with_curl(0, 1)) == -LaurentPoly.monomial(0, 3) * circle
 
-    @pytest.mark.parametrize("memo", [True, False], ids=["memo-on", "memo-off"])
+    @pytest.mark.parametrize("on", [True, False], ids=["memo-on", "memo-off"])
     @pytest.mark.parametrize("name", corpus_names())
-    def test_corpus(self, name, memo):
-        _check_bracket(load_corpus(name), EvalConfig(memo=memo))
+    def test_corpus(self, name, on):
+        with memo(on):
+            _check_bracket(load_corpus(name))
 
     @pytest.mark.parametrize("d", _satellite_rows_to_12(), ids=lambda d: d.name)
     def test_satellite_rows(self, d):
@@ -1633,8 +1674,8 @@ class TestEngineWork:
             clear_caches()
         assert served == 0
         assert second == first
-        memo_off = EvalConfig(memo=False)
-        assert [run(d, memo_off).render() for d in words[:4]] == second[:4]
+        with memo(False):
+            assert [run(d).render() for d in words[:4]] == second[:4]
 
 
 def _memo_keys_sha256():

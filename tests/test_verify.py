@@ -201,9 +201,9 @@ class TestSolve:
 
     def test_zero_pivot_takes_a_lower_row(self):
         zero, one = RingElem.zero(), RingElem.one()
-        assert _solve([[zero, one], [one, zero]], [RingElem.from_int(2), RingElem.from_int(5)]) == [
-            RingElem.from_int(5),
-            RingElem.from_int(2),
+        assert _solve([[zero, one], [one, zero]], [RingElem(2), RingElem(5)]) == [
+            RingElem(5),
+            RingElem(2),
         ]
 
 
