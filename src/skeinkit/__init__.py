@@ -36,8 +36,7 @@ from .eigen import (
 from .partition import Partition, partitions_of, partitions_up_to
 from .ring import LaurentPoly, RingElem, spow, vpow, z_poly
 from .skein_eval import (
-    DEFAULT_CONFIG,
-    EvalConfig,
+    MAX_CROSSINGS,
     SkeinBudgetError,
     adjoint_homfly,
     homfly,
@@ -54,11 +53,10 @@ from .verify import (
 __all__ = [
     "AmbiguousOrientationError",
     "AnnulusVecK",
-    "DEFAULT_CONFIG",
     "DiagramError",
-    "EvalConfig",
     "LaurentPoly",
     "LinkDiagram",
+    "MAX_CROSSINGS",
     "Partition",
     "RingElem",
     "SkeinBudgetError",

@@ -156,7 +156,8 @@ class ExpansionPlan:
 def expand_ylambda(target: Partition, rho_choice: Optional[Partition] = None) -> ExpansionPlan:
     """Build the expansion plan for a decorated strand.
 
-    The anchor defaults to removing a cell from the target's last row;
+    The anchor defaults to removing a cell from the target's last row,
+    which gives the smallest of `cells_removable()` in the canonical order;
     any one-cell-smaller subpartition may be forced instead.  Each level
     takes the isolating polynomial of its target and anchor, and its scale
     is that polynomial's value at the target's eigenvalue.  Width-one
@@ -168,7 +169,7 @@ def expand_ylambda(target: Partition, rho_choice: Optional[Partition] = None) ->
         if rho_choice is not None:
             raise ValueError("width-one target takes no anchor choice")
         return ExpansionPlan(target, None, (), RingElem.one(), None)
-    anchor = target.last_row_shrunk() if rho_choice is None else rho_choice
+    anchor = min(target.cells_removable()) if rho_choice is None else rho_choice
     coefficients = isolating_polynomial(target, anchor)
     scale = eval_polynomial(coefficients, kauffman_meridian_eigenvalue(target))
     inner = expand_ylambda(anchor) if anchor.size() > 1 else None
@@ -246,7 +247,6 @@ def _expand_linear(vec: dict[tuple[Partition, Partition], int], sense: str) -> d
 class PairingReport:
     """Decomposition of a diagonal-basis product into the expected shape."""
 
-    shape: Partition
     pair_coefficients: tuple[tuple[Partition, Partition, int], ...]
     problems: tuple[str, ...]
 
@@ -301,4 +301,4 @@ def hsr_structure_check(shape: Partition) -> PairingReport:
         canonical = (alpha, beta) if beta < alpha else (beta, alpha)
         pairs[canonical] = count
     coefficients = tuple((alpha, beta, count) for (alpha, beta), count in sorted(pairs.items()))
-    return PairingReport(shape, coefficients, tuple(problems))
+    return PairingReport(coefficients, tuple(problems))

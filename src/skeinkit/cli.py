@@ -53,8 +53,7 @@ from .partition import (
 )
 from .ring import RingElem, vpow
 from .skein_eval import (
-    DEFAULT_CONFIG,
-    EvalConfig,
+    MAX_CROSSINGS,
     SkeinBudgetError,
     adjoint_homfly,
     homfly,
@@ -63,7 +62,7 @@ from .skein_eval import (
 )
 from .verify import (
     MAIN_CHECK_LABELS,
-    VERIFY_CONFIG,
+    VERIFY_MAX_CROSSINGS,
     eigen_consistency,
     verify_main,
     verify_rudolph,
@@ -161,9 +160,8 @@ def _report_result(report, as_json: bool) -> tuple[int, str]:
 
 def _cmd_skein(args) -> tuple[int, str]:
     d = _load_link(args.link)
-    cfg = EvalConfig(max_crossings=args.max_crossings)
     fn = {"homfly": homfly, "kauffman": kauffman, "adjoint": adjoint_homfly}[args.flavor]
-    return 0, fn(d, cfg).render()
+    return 0, fn(d, args.max_crossings).render()
 
 
 def _cmd_eigen_c(args) -> tuple[int, str]:
@@ -222,8 +220,7 @@ def _cmd_expand(args) -> tuple[int, str]:
 
 def _cmd_verify_rudolph(args) -> tuple[int, str]:
     d = _load_link(args.link)
-    cfg = EvalConfig(max_crossings=args.max_crossings)
-    return _report_result(verify_rudolph(d, cfg), args.json)
+    return _report_result(verify_rudolph(d, args.max_crossings), args.json)
 
 
 def _cmd_verify_main(args) -> tuple[int, str]:
@@ -231,9 +228,8 @@ def _cmd_verify_main(args) -> tuple[int, str]:
     if not 1 <= args.component <= d.n_components:
         raise _CommandError(f"component index {args.component} out of range 1..{d.n_components}")
     shape = _parse_partition(args.partition)
-    cfg = EvalConfig(max_crossings=args.max_crossings)
     try:
-        report = verify_main(d, args.component - 1, shape, cfg)
+        report = verify_main(d, args.component - 1, shape, args.max_crossings)
     except ValueError as exc:
         raise _CommandError(str(exc))
     return _report_result(report, args.json)
@@ -345,11 +341,11 @@ def _crit_eigen_consistency(extended: bool) -> tuple[bool, str]:
 def _crit_rudolph_corpus(extended: bool) -> tuple[bool, str]:
     failures = [
         name for name in corpus_names()
-        if not verify_rudolph(load_corpus(name), DEFAULT_CONFIG).passed
+        if not verify_rudolph(load_corpus(name), MAX_CROSSINGS).passed
     ]
     if failures:
         return False, "fails on " + ", ".join(failures)
-    return True, f"{len(corpus_names())} diagrams, crossing budget {DEFAULT_CONFIG.max_crossings}"
+    return True, f"{len(corpus_names())} diagrams, crossing budget {MAX_CROSSINGS}"
 
 
 def _verify_main_case(d: LinkDiagram, comp: int, shape: Partition) -> Optional[str]:
@@ -503,7 +499,7 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(flavor, help=blurb)
         _add_link_arg(p)
-        _add_budget_arg(p, DEFAULT_CONFIG.max_crossings)
+        _add_budget_arg(p, MAX_CROSSINGS)
         p.set_defaults(handler=_cmd_skein)
 
     p_eigen = top.add_parser("eigen", help="meridian eigenvalue closed forms")
@@ -533,14 +529,14 @@ def _build_parser() -> _Parser:
     sub = p_verify.add_subparsers(dest="which", required=True, metavar="WHICH")
     p = sub.add_parser("rudolph", help="base mod-2 relation on one link")
     _add_link_arg(p)
-    _add_budget_arg(p, VERIFY_CONFIG.max_crossings)
+    _add_budget_arg(p, VERIFY_MAX_CROSSINGS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify_rudolph)
     p = sub.add_parser("main", help="decorated relation with one width-two shape")
     _add_link_arg(p)
     p.add_argument("--component", type=int, required=True, metavar="I", help="1-based")
     p.add_argument("--partition", required=True, metavar="P")
-    _add_budget_arg(p, VERIFY_CONFIG.max_crossings)
+    _add_budget_arg(p, VERIFY_MAX_CROSSINGS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify_main)
     p = sub.add_parser("eigen-consistency", help="eigenvalues vs meridian diagrams")

@@ -302,8 +302,11 @@ class LinkDiagram:
         edges = data["component_of_edge"]
         if not isinstance(edges, dict):
             raise DiagramError("component_of_edge must map edge labels to components")
+        name = data.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise DiagramError(f"name must be a string, got {type(name).__name__}")
         return cls(
-            data.get("name", "unnamed"),
+            name,
             data["components"],
             data["crossings"],
             {_edge_label(e): c for e, c in edges.items()},

@@ -22,7 +22,7 @@ agree mod 2 exactly when their numerators do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .partition import Partition, partitions_up_to
@@ -144,18 +144,19 @@ def isolating_polynomial(target: Partition, anchor: Partition) -> tuple[RingElem
 
 @dataclass(frozen=True)
 class DistinctnessReport:
-    """Outcome of the mod-2 distinctness scan over all shapes up to max_size.
+    """Outcome of the mod-2 distinctness scan over all shapes up to a size.
 
-    `comparisons` is the number of shape pairs decided, n(n-1)/2 for n
-    shapes, whichever way each pair was decided.  `collisions` lists every
-    pair (p, q) of equal values, p before q in canonical shape order, sorted
-    by the positions of p and then q.
+    `collisions` lists every pair (p, q) of equal values, p before q in
+    canonical shape order, sorted by the positions of p and then q.
     """
 
-    max_size: int
     shape_count: int
-    comparisons: int
-    collisions: tuple[tuple[Partition, Partition], ...] = field(default=())
+    collisions: tuple[tuple[Partition, Partition], ...]
+
+    @property
+    def comparisons(self) -> int:
+        """Shape pairs decided, whichever way each was decided."""
+        return self.shape_count * (self.shape_count - 1) // 2
 
     @property
     def all_distinct(self) -> bool:
@@ -183,9 +184,8 @@ def check_eigenvalue_distinctness(max_size: int = 8) -> DistinctnessReport:
     for i, p in enumerate(shapes):
         by_num.setdefault(_mod2_numerator(p), []).append(i)
     pairs = sorted(pair for same in by_num.values() for pair in combinations(same, 2))
-    n = len(shapes)
     collisions = tuple((shapes[i], shapes[j]) for i, j in pairs)
-    return DistinctnessReport(max_size, n, n * (n - 1) // 2, collisions)
+    return DistinctnessReport(len(shapes), collisions)
 
 
 def eigenvalue_table(max_size: int) -> list[tuple[Partition, RingElem]]:

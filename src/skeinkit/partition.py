@@ -122,18 +122,6 @@ class Partition:
             out.append(Partition(self.parts + (1,)))
         return sorted(out)
 
-    def last_row_shrunk(self) -> "Partition":
-        """Delete one cell from the final row; the canonical expansion anchor.
-
-        This is also the smallest element of cells_removable() in the
-        canonical order.
-        """
-        if not self.parts:
-            raise ValueError("the empty partition has no cells")
-        parts = list(self.parts)
-        parts[-1] -= 1
-        return Partition(tuple(q for q in parts if q > 0))
-
 
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n in canonical (descending-lexicographic) order."""

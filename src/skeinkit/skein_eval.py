@@ -65,26 +65,18 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from dataclasses import dataclass
-from typing import Optional
 
 from .diagram import LinkDiagram, Mesh
 from .ring import LaurentPoly, RingElem, vpow, z_poly
 
 
 class SkeinBudgetError(RuntimeError):
-    """Raised when a diagram exceeds the configured crossing budget or the
-    engine's crossing limit."""
+    """Raised when a diagram exceeds the crossing budget or the engine's
+    crossing limit."""
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation settings: `max_crossings` bounds the input diagram's crossings."""
-
-    max_crossings: int = 24
-
-
-DEFAULT_CONFIG = EvalConfig()
+# default crossing budget of an evaluation
+MAX_CROSSINGS = 24
 
 ORIENTED = "oriented"
 UNORIENTED = "unoriented"
@@ -428,7 +420,7 @@ def _keyed_clusters(cross: dict, partner: list, flavor: str) -> list[tuple[dict,
     and skip the seeds of walked orbits.
 
     The key is a flavor byte followed by the entries, one unsigned
-    16-bit entry each; `_prepare` refuses diagrams of more than
+    16-bit entry each; `check_size` refuses diagrams of more than
     `_KEY_CROSSINGS` crossings, so no entry overflows.
 
     No row holds a crossing sign.  The port entries imply it: an arc joins
@@ -602,41 +594,36 @@ def _skein_sum(values: list, sign: int) -> LaurentPoly:
 # public entry points
 
 
-def _check_size(name: str, crossings: int, cfg: EvalConfig):
+def check_size(name: str, crossings: int, max_crossings: int):
     """Refuse a diagram of more crossings than the engine's limit or the budget."""
     if crossings > _KEY_CROSSINGS:
         raise SkeinBudgetError(
             f"{name}: {crossings} crossings exceed the engine's limit of {_KEY_CROSSINGS}"
         )
-    if crossings > cfg.max_crossings:
+    if crossings > max_crossings:
         raise SkeinBudgetError(
-            f"{name}: {crossings} crossings exceed the budget of {cfg.max_crossings}"
+            f"{name}: {crossings} crossings exceed the budget of {max_crossings}"
         )
 
 
-def _prepare(d: LinkDiagram, config: Optional[EvalConfig]):
-    """Entry checks shared by every evaluation; returns (cross, partner)."""
-    _check_size(d.name, len(d.crossings), config or DEFAULT_CONFIG)
-    return _build_state(d)
-
-
-def _run(d: LinkDiagram, flavor: str, config: Optional[EvalConfig]) -> LaurentPoly:
-    cross, partner = _prepare(d, config)
+def _run(d: LinkDiagram, flavor: str, max_crossings: int) -> LaurentPoly:
+    check_size(d.name, len(d.crossings), max_crossings)
+    cross, partner = _build_state(d)
     value = _evaluate(cross, partner, flavor, cross)
     return _times_circles(value, len(d.free_loops), flavor)
 
 
-def homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
+def homfly(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> RingElem:
     """Framed oriented polynomial; empty diagram 1, crossingless circle delta."""
-    return _to_ring_elem(_run(d, ORIENTED, config))
+    return _to_ring_elem(_run(d, ORIENTED, max_crossings))
 
 
-def kauffman(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
+def kauffman(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> RingElem:
     """Framed unoriented polynomial; same normalization, orientation ignored."""
-    return _to_ring_elem(_run(d, UNORIENTED, config))
+    return _to_ring_elem(_run(d, UNORIENTED, max_crossings))
 
 
-def _adjoint_terms(d: LinkDiagram, config: Optional[EvalConfig]) -> list[tuple[int, int, str]]:
+def adjoint_terms(d: LinkDiagram, max_crossings: int) -> list[tuple[int, int, str]]:
     """Each adjoint term of `d` as (kept-components mask, kept count, name),
     sized before any is built: a crossing whose strands are both kept becomes
     a 2 x 2 grid.  Names follow the surgery chain, e.g. `hopf_plus.drop(1).cable(0,2).rev(1)`."""
@@ -648,24 +635,24 @@ def _adjoint_terms(d: LinkDiagram, config: Optional[EvalConfig]) -> list[tuple[i
         name = d.name + "".join(f".drop({i})" for i in reversed(range(n)) if not mask & (1 << i))
         name += "".join(f".cable({pos},2).rev({pos + 1})" for pos in reversed(range(kept)))
         both = sum(1 for u, o in strands if mask & (1 << u) and mask & (1 << o))
-        _check_size(name, 4 * both, config or DEFAULT_CONFIG)
+        check_size(name, 4 * both, max_crossings)
         terms.append((mask, kept, name))
     return terms
 
 
-def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingElem:
+def adjoint_homfly(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> RingElem:
     """Alternating sum over components of antiparallel double satellites.
 
     Every component is either deleted or replaced by a reversed parallel
     pair (2 copies, second reversed), with sign (-1)^(deleted count).
     The crossing budget applies to each term separately, and every term
-    is sized before any is built (`_adjoint_terms`).  Each term is built
+    is sized before any is built (`adjoint_terms`).  Each term is built
     in one mesh pass.  The terms are summed exactly as polynomials in v
     and z, and the total is converted once.
     """
     n = d.n_components
     total = LaurentPoly.zero()
-    for mask, kept, name in _adjoint_terms(d, config):
+    for mask, kept, name in adjoint_terms(d, max_crossings):
         mesh = Mesh(d)
         for i in reversed(range(n)):
             if not mask & (1 << i):
@@ -673,28 +660,25 @@ def adjoint_homfly(d: LinkDiagram, config: Optional[EvalConfig] = None) -> RingE
         for pos in reversed(range(kept)):
             mesh.cable(pos, 2)
             mesh.reverse_component(pos + 1)
-        term = _run(mesh.to_diagram(name), ORIENTED, config)
+        term = _run(mesh.to_diagram(name), ORIENTED, max_crossings)
         total = total - term if (n - kept) % 2 else total + term
     return _to_ring_elem(total)
 
 
-def skein_relation_probe(
-    d: LinkDiagram,
-    crossing: int,
-    flavor: str = ORIENTED,
-    config: Optional[EvalConfig] = None,
-) -> dict:
+def skein_relation_probe(d: LinkDiagram, crossing: int, flavor: str = ORIENTED) -> dict:
     """Resolve one crossing both ways and check the defining relation.
 
     The state is resolved as given, not simplified first, and each child is
     then simplified from all its crossings, as a whole diagram is: the
     engine branches only on simplified states.  Neither changes a value.
+    A diagram of more than `MAX_CROSSINGS` crossings is refused.
     """
     if not 0 <= crossing < len(d.crossings):
         raise ValueError(f"crossing index {crossing} out of range")
     if flavor not in (ORIENTED, UNORIENTED):
         raise ValueError(f"flavor must be {ORIENTED!r} or {UNORIENTED!r}, got {flavor!r}")
-    cross, partner = _prepare(d, config)
+    check_size(d.name, len(d.crossings), MAX_CROSSINGS)
+    cross, partner = _build_state(d)
     sign = _sign(cross[crossing])
     states = [(_STATE, dict(cross), list(partner), cross, 0)]
     states += _resolve(cross, partner, crossing, sign, flavor)

@@ -15,7 +15,6 @@ them, and it carries no timing, so repeated runs render byte-identically.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .annulus import build_satellite_row, expand_ylambda
 from .corpus import unknot
@@ -28,11 +27,11 @@ from .eigen import (
 )
 from .partition import Partition
 from .ring import RingElem
-from .skein_eval import EvalConfig, _adjoint_terms, _check_size, adjoint_homfly, homfly, kauffman
+from .skein_eval import adjoint_homfly, adjoint_terms, check_size, homfly, kauffman
 
 # largest row of the decorated family: the full antiparallel double of a
 # 4-crossing base with 3 meridians lands on 64 crossings
-VERIFY_CONFIG = EvalConfig(max_crossings=64)
+VERIFY_MAX_CROSSINGS = 64
 
 
 # every check a width-two verify_main report promises, in report order: a
@@ -107,16 +106,15 @@ def _doubled(value: RingElem) -> RingElem:
     return value.to_mod2().doubling_map()
 
 
-def verify_rudolph(d: LinkDiagram, config: Optional[EvalConfig] = None) -> VerificationReport:
+def verify_rudolph(d: LinkDiagram, max_crossings: int = VERIFY_MAX_CROSSINGS) -> VerificationReport:
     """Check the mod-2 bridge between the two polynomial flavors.
 
     The adjoint oriented value (antiparallel doubling of each component,
     by inclusion-exclusion) must equal the unoriented value with both
     variables squared, once coefficients are reduced mod 2.
     """
-    config = config or VERIFY_CONFIG
-    adjoint_side = adjoint_homfly(d, config).to_mod2()
-    doubled_side = _doubled(kauffman(d, config))
+    adjoint_side = adjoint_homfly(d, max_crossings).to_mod2()
+    doubled_side = _doubled(kauffman(d, max_crossings))
     check = CheckRecord(
         "adjoint equals doubled unoriented value",
         adjoint_side == doubled_side,
@@ -181,7 +179,7 @@ def verify_main(
     d: LinkDiagram,
     comp: int,
     shape: Partition,
-    config: Optional[EvalConfig] = None,
+    max_crossings: int = VERIFY_MAX_CROSSINGS,
 ) -> VerificationReport:
     """Check the satellite extension with `shape` on component `comp` (0-based).
 
@@ -195,12 +193,11 @@ def verify_main(
     target solution must reproduce the assembled value, and row r = 3
     must be predicted exactly.
     """
-    config = config or VERIFY_CONFIG
     if not 0 <= comp < d.n_components:
         raise ValueError(f"component index {comp} out of range 0..{d.n_components - 1}")
     assignments = tuple(str(shape) if i == comp else "1" for i in range(d.n_components))
     if shape.size() == 1:
-        return VerificationReport("main", d.name, assignments, verify_rudolph(d, config).checks)
+        return VerificationReport("main", d.name, assignments, verify_rudolph(d, max_crossings).checks)
     if shape.size() != 2:
         raise ValueError(f"verify main takes a one- or two-cell shape, got one of size {shape.size()}")
 
@@ -211,20 +208,20 @@ def verify_main(
     # made: an over-budget run is refused at once, with the message its
     # first refused evaluation would give
     for row in rows:
-        _check_size(row.name, len(row.crossings), config)
+        check_size(row.name, len(row.crossings), max_crossings)
     for row in rows:
-        _adjoint_terms(row, config)
-    _check_size(deleted.name, len(deleted.crossings), config)
-    _adjoint_terms(deleted, config)
-    unoriented = [kauffman(row, config) for row in rows]
-    adjoint = [adjoint_homfly(row, config).to_mod2() for row in rows]
+        adjoint_terms(row, max_crossings)
+    check_size(deleted.name, len(deleted.crossings), max_crossings)
+    adjoint_terms(deleted, max_crossings)
+    unoriented = [kauffman(row, max_crossings) for row in rows]
+    adjoint = [adjoint_homfly(row, max_crossings).to_mod2() for row in rows]
     # characteristic zero on the unoriented side, mod 2 throughout on the
     # adjoint side
     assembled_unoriented, unoriented_outcomes = _assemble_and_solve(
-        plan, unoriented, lambda x: x, kauffman(deleted, config)
+        plan, unoriented, lambda x: x, kauffman(deleted, max_crossings)
     )
     assembled_adjoint, adjoint_outcomes = _assemble_and_solve(
-        plan, adjoint, _doubled, adjoint_homfly(deleted, config).to_mod2()
+        plan, adjoint, _doubled, adjoint_homfly(deleted, max_crossings).to_mod2()
     )
     outcomes = (
         [a == _doubled(u) for a, u in zip(adjoint, unoriented)]
@@ -268,8 +265,8 @@ def eigen_consistency() -> VerificationReport:
     checks = [
         CheckRecord(
             "bare circle values",
-            kauffman(base, VERIFY_CONFIG) == circle_unoriented
-            and homfly(base, VERIFY_CONFIG) == circle_oriented,
+            kauffman(base, VERIFY_MAX_CROSSINGS) == circle_unoriented
+            and homfly(base, VERIFY_MAX_CROSSINGS) == circle_oriented,
             "",
         )
     ]
@@ -281,21 +278,21 @@ def eigen_consistency() -> VerificationReport:
         checks.append(
             CheckRecord(
                 f"unoriented meridian power {r}",
-                kauffman(ring, VERIFY_CONFIG) == circle_unoriented * c1 ** r,
+                kauffman(ring, VERIFY_MAX_CROSSINGS) == circle_unoriented * c1 ** r,
                 f"{len(ring.crossings)} crossings",
             )
         )
         checks.append(
             CheckRecord(
                 f"oriented meridian power {r}, same sense",
-                homfly(ring, VERIFY_CONFIG) == circle_oriented * same_sense ** r,
+                homfly(ring, VERIFY_MAX_CROSSINGS) == circle_oriented * same_sense ** r,
                 "",
             )
         )
         checks.append(
             CheckRecord(
                 f"oriented meridian power {r}, opposite sense",
-                homfly(reversed_ring, VERIFY_CONFIG) == circle_oriented * opposite_sense ** r,
+                homfly(reversed_ring, VERIFY_MAX_CROSSINGS) == circle_oriented * opposite_sense ** r,
                 "",
             )
         )

@@ -363,13 +363,11 @@ def reference_distinctness(max_size: int) -> DistinctnessReport:
     shapes = partitions_up_to(max_size)
     values = [(p, eigen.kauffman_meridian_eigenvalue(p).to_mod2()) for p in shapes]
     collisions = []
-    comparisons = 0
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            comparisons += 1
             if values[i][1] == values[j][1]:
                 collisions.append((values[i][0], values[j][0]))
-    return DistinctnessReport(max_size, len(values), comparisons, tuple(collisions))
+    return DistinctnessReport(len(values), tuple(collisions))
 
 
 # ----------------------------------------------------------------------

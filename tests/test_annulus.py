@@ -205,6 +205,12 @@ class TestExpansionPlans:
         assert len(plan.coefficients) == 3
         assert plan.full_scale() == plan.scale * plan.inner.scale
 
+    def test_default_anchor_shrinks_the_last_row(self):
+        for target in nonempty_shapes(5):
+            if target.size() > 1:
+                *rows, last = target.parts
+                assert expand_ylambda(target).anchor == P(*rows, *([last - 1] if last > 1 else []))
+
     def test_anchor_choice_honored(self):
         plan = expand_ylambda(P(2, 1), P(1, 1))
         assert plan.anchor == P(1, 1)
@@ -256,7 +262,7 @@ class TestRenderingPinned:
         # one for None) and each sibling with its eigenvalue
         lines, values = [], []
         for target, anchor in anchored_targets(6):
-            anchor = target.last_row_shrunk() if anchor is None else anchor
+            anchor = min(target.cells_removable()) if anchor is None else anchor
             c = isolating_polynomial(target, anchor)
             roots = tuple((p, kauffman_meridian_eigenvalue(p)) for p in isolating_siblings(target, anchor))
             lines.append(

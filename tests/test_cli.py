@@ -169,6 +169,7 @@ class TestSkeinCommand:
             (b"[]", "a link description must be a JSON object"),
             (_trefoil_bytes(component_of_edge=[0, 0, 0, 0, 0, 0]),
              "component_of_edge must map edge labels to components"),
+            (_trefoil_bytes(name=["x"]), "name must be a string, got list"),
             (_trefoil_bytes(crossings=[[1, 5, 2], [3, 1, 4, 6], [5, 3, 6, 2]]),
              "each crossing needs exactly 4 edge labels"),
             (_trefoil_edges("01"),
@@ -183,7 +184,7 @@ class TestSkeinCommand:
         ],
         ids=["missing-edge", "edge-thrice", "sign-two", "sign-count", "contradicting-sign",
              "all-over-clasp", "mixed-component", "split-component", "component-range",
-             "not-an-object", "edge-map-list", "three-labels", "padded-key",
+             "not-an-object", "edge-map-list", "list-name", "three-labels", "padded-key",
              "non-planar-2", "non-planar-4"],
     )
     def test_refusal_text(self, tmp_path, content, message):

@@ -35,7 +35,7 @@ from skeinkit.corpus import (
 )
 from skeinkit.diagram import AmbiguousOrientationError, DiagramError, LinkDiagram, Mesh
 from skeinkit.ring import LaurentPoly
-from skeinkit.verify import VERIFY_CONFIG
+from skeinkit.verify import VERIFY_MAX_CROSSINGS
 
 
 class TestConstruction:
@@ -332,7 +332,7 @@ def _surgery_battery(monkeypatch) -> list[LinkDiagram]:
                 d.with_meridians(c, 2).cable(c, 3).delete_component(c),
             ]
 
-    def record(term, flavor, config):
+    def record(term, flavor, max_crossings):
         out.append(term)
         return LaurentPoly.zero()
 
@@ -340,7 +340,7 @@ def _surgery_battery(monkeypatch) -> list[LinkDiagram]:
     for d in adjoint_inputs:
         # the row terms reach 32 crossings, and adjoint_homfly sizes every
         # term against the budget before it builds one
-        skein_eval.adjoint_homfly(d, VERIFY_CONFIG)
+        skein_eval.adjoint_homfly(d, VERIFY_MAX_CROSSINGS)
     return out
 
 

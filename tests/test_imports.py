@@ -1,7 +1,7 @@
 """Source hygiene: every top-level import of a package module or a test
 file is used, every function the package defines is read by the package
 or the bench, and a package module reads a private member only of a class
-it defines.
+it defines and imports no private name from another package module.
 Re-exporting a name from ``__init__.py`` does not count as reading it."""
 
 import ast
@@ -171,11 +171,16 @@ def class_members(tree: ast.Module) -> set[str]:
 
 def foreign_private_reads(source: str) -> list[int]:
     """Lines that read `x._name`, the receiver not `self`, `cls` or
-    `super()`, where no class of the same module defines `_name`."""
+    `super()`, where no class of the same module defines `_name`, and lines
+    that import a `_name` from another package module (`from .m import _name`)."""
     tree = ast.parse(source)
     members = class_members(tree)
     lines = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            lines += [node.lineno for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+            continue
         if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
             continue
         name, receiver = node.attr, node.value
@@ -192,6 +197,8 @@ def foreign_private_reads(source: str) -> list[int]:
 def test_detects_a_foreign_private_read():
     source = (
         "import other\n"
+        "from os import _exit\n"  # not a package module
+        "from .engine import public as _public, _helper\n"  # only the imported name counts
         "class Box:\n"
         "    __slots__ = ('_items',)\n"
         "    _limit = 3\n"
@@ -206,7 +213,7 @@ def test_detects_a_foreign_private_read():
         "    thing._secret = 1\n"  # a write, not a read
         "    return thing._secret, other._helper()\n"
     )
-    assert foreign_private_reads(source) == [14, 14]
+    assert foreign_private_reads(source) == [3, 16, 16]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -178,7 +178,10 @@ class TestNeighbors:
 
     @given(random_partitions.filter(lambda p: not p.is_empty()))
     def test_expansion_anchor_is_canonical_minimum(self, shape):
-        assert shape.last_row_shrunk() == min(shape.cells_removable())
+        # the smallest removable shape, expand_ylambda's default anchor,
+        # deletes a cell from the last row
+        *rows, last = shape.parts
+        assert min(shape.cells_removable()) == Partition(tuple(rows) + ((last - 1,) if last > 1 else ()))
 
     @given(random_partitions)
     def test_neighbor_sizes(self, shape):

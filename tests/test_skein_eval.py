@@ -39,7 +39,7 @@ from skeinkit import skein_eval
 from skeinkit.skein_eval import (
     ORIENTED,
     UNORIENTED,
-    EvalConfig,
+    MAX_CROSSINGS,
     SkeinBudgetError,
     adjoint_homfly,
     clear_caches,
@@ -138,11 +138,10 @@ class TestMeridianAnchors:
         c1 = kauffman_meridian_eigenvalue(Partition((1,)))
         c2 = kauffman_meridian_eigenvalue(Partition((2,)))
         s1 = homfly_meridian_eigenvalue(Partition((1,)), Partition(()))
-        cfg = EvalConfig(max_crossings=64)
         for d in _seeded_braids(10, seed=1):
             beads = [d.with_meridians(0, r) for r in range(4)]
-            kau = [kauffman(b, cfg) for b in beads]
-            hom = [homfly(b, cfg) for b in beads]
+            kau = [kauffman(b, 64) for b in beads]
+            hom = [homfly(b, 64) for b in beads]
             for r in range(3):
                 assert kau[r + 1] == c1 * kau[r], (d.name, r)
                 assert hom[r + 1] == s1 * hom[r], (d.name, r)
@@ -185,18 +184,17 @@ class TestStructure:
 
     def test_budget_enforced(self):
         with pytest.raises(SkeinBudgetError):
-            homfly(trefoil(), EvalConfig(max_crossings=2))
+            homfly(trefoil(), 2)
         with pytest.raises(SkeinBudgetError):
-            kauffman(figure_eight(), EvalConfig(max_crossings=3))
+            kauffman(figure_eight(), 3)
 
     def test_crossing_limit_whatever_the_budget(self):
         # a memo key entry packs a crossing id into 16 bits, so a diagram
         # too large for that is refused before any key is made
         d = braid_closure(2, [1] * 16384)
-        cfg = EvalConfig(max_crossings=20000)
         for run in (homfly, kauffman):
             with pytest.raises(SkeinBudgetError, match="16384 crossings exceed the engine's limit of 16383"):
-                run(d, cfg)
+                run(d, 20000)
 
     def test_clear_caches_empties_the_memo_and_values(self, monkeypatch):
         resolves = _count_resolves(monkeypatch)
@@ -219,17 +217,18 @@ class TestStructure:
         cabled = []
         monkeypatch.setattr(skein_eval.Mesh, "cable", lambda mesh, *args: cabled.append(args))
         with pytest.raises(SkeinBudgetError) as refusal:
-            adjoint_homfly(trefoil(), EvalConfig(max_crossings=11))
+            adjoint_homfly(trefoil(), 11)
         assert str(refusal.value) == "trefoil.cable(0,2).rev(1): 12 crossings exceed the budget of 11"
         assert cabled == []
 
     def test_adjoint_term_sizes_are_the_built_sizes(self, monkeypatch):
         checked, built = [], []
         monkeypatch.setattr(
-            skein_eval, "_check_size", lambda name, crossings, cfg: checked.append((name, crossings))
+            skein_eval, "check_size",
+            lambda name, crossings, max_crossings: checked.append((name, crossings)),
         )
 
-        def record(term, flavor, config):
+        def record(term, flavor, max_crossings):
             built.append((term.name, len(term.crossings)))
             return LaurentPoly.zero()
 
@@ -251,6 +250,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             skein_relation_probe(trefoil(), 5)
 
+    def test_probe_refuses_an_over_budget_diagram(self):
+        # the probe takes no budget: it holds every diagram to MAX_CROSSINGS
+        with pytest.raises(SkeinBudgetError, match="25 crossings exceed the budget of 24$"):
+            skein_relation_probe(braid_closure(2, [1] * 25), 0)
+
     def test_recursion_limit_never_set(self, monkeypatch):
         def refuse(limit):
             raise AssertionError(f"the recursion limit was set to {limit}")
@@ -266,9 +270,8 @@ class TestStructure:
         # recurses three calls a level.  One loop fits in a limit a few
         # dozen frames above this test's own depth, which no run may raise
         d = braid_closure(2, [1] * 100)
-        cfg = EvalConfig(max_crossings=100)
         clear_caches()
-        want = homfly(d, cfg)
+        want = homfly(d, 100)
         clear_caches()
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -277,7 +280,7 @@ class TestStructure:
         set_limit(depth + 40)
         monkeypatch.setattr(sys, "setrecursionlimit", lambda limit: None)
         try:
-            got = homfly(d, cfg)
+            got = homfly(d, 100)
         finally:
             set_limit(old)
             clear_caches()
@@ -316,11 +319,11 @@ class TestValueRepresentation:
         words = _seeded_braids(20)
         clear_caches()
         try:
-            shared = [skein_eval._run(d, flavor, None) for d in words]
+            shared = [skein_eval._run(d, flavor, MAX_CROSSINGS) for d in words]
         finally:
             clear_caches()
         with memo(False):
-            assert [skein_eval._run(d, flavor, None) for d in words] == shared
+            assert [skein_eval._run(d, flavor, MAX_CROSSINGS) for d in words] == shared
 
 
 class TestAdjoint:
@@ -335,21 +338,19 @@ class TestAdjoint:
     )
     def test_mod2_matches_doubled_kauffman(self, make):
         d = make()
-        cfg = EvalConfig(max_crossings=64)
-        adj = adjoint_homfly(d, cfg).to_mod2()
-        dbl = kauffman(d, cfg).to_mod2().doubling_map()
+        adj = adjoint_homfly(d, 64).to_mod2()
+        dbl = kauffman(d, 64).to_mod2().doubling_map()
         assert adj == dbl
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_mod2_satellite_rows(self, r):
         d = unknot().with_meridians(0, r).cable(0, 2)
-        cfg = EvalConfig(max_crossings=64)
-        adj = adjoint_homfly(d, cfg).to_mod2()
-        dbl = kauffman(d, cfg).to_mod2().doubling_map()
+        adj = adjoint_homfly(d, 64).to_mod2()
+        dbl = kauffman(d, 64).to_mod2().doubling_map()
         assert adj == dbl
 
 
-def _wrapper_route_adjoint(d, config):
+def _wrapper_route_adjoint(d, max_crossings):
     """adjoint_homfly the long way: every term built by the public surgery
     wrappers and evaluated by homfly, the terms summed as RingElems."""
     n = d.n_components
@@ -362,7 +363,7 @@ def _wrapper_route_adjoint(d, config):
                 term = term.delete_component(i)
         for pos in reversed(range(len(kept))):
             term = term.cable(pos, 2).reverse_component(pos + 1)
-        value = homfly(term, config)
+        value = homfly(term, max_crossings)
         total = total - value if (n - len(kept)) % 2 else total + value
     return total
 
@@ -387,10 +388,9 @@ class TestAdjointOracle:
     @pytest.mark.parametrize("on", [True, False], ids=["memo-on", "memo-off"])
     @pytest.mark.parametrize("d", _oracle_links(), ids=lambda d: d.name)
     def test_matches_wrapper_route(self, d, on):
-        cfg = EvalConfig(max_crossings=64)
         with memo(on):
-            got = adjoint_homfly(d, cfg)
-            want = _wrapper_route_adjoint(d, cfg)
+            got = adjoint_homfly(d, 64)
+            want = _wrapper_route_adjoint(d, 64)
         assert got == want
         assert got.render() == want.render()
 
@@ -687,7 +687,7 @@ def _evaluate_all(flavor, links):
     clear_caches()
     try:
         for d in links:
-            run(d, EvalConfig(max_crossings=64))
+            run(d, 64)
     finally:
         clear_caches()
 
@@ -1179,15 +1179,15 @@ class TestTwoConstructionRoutes:
     orientation conventions of `cable` against an independent construction.
     """
 
-    config = EvalConfig(max_crossings=64)
+    max_crossings = 64
 
     def check(self, n_strands, word):
         cabled = braid_closure(n_strands, word, "w")
         for comp in reversed(range(cabled.n_components)):
             cabled = cabled.cable(comp, 2)
         closed = braid_closure(2 * n_strands, _two_cabled_word(word), "w2")
-        assert homfly(cabled, self.config) == homfly(closed, self.config)
-        assert kauffman(cabled, self.config) == kauffman(closed, self.config)
+        assert homfly(cabled, self.max_crossings) == homfly(closed, self.max_crossings)
+        assert kauffman(cabled, self.max_crossings) == kauffman(closed, self.max_crossings)
 
     @pytest.mark.parametrize(
         "n_strands, word",
@@ -1309,9 +1309,9 @@ class TestBracketStateSum:
         terms = []
         run = skein_eval._run
 
-        def recording(term, flavor, config):
+        def recording(term, flavor, max_crossings):
             terms.append(term)
-            return run(term, flavor, config)
+            return run(term, flavor, max_crossings)
 
         monkeypatch.setattr(skein_eval, "_run", recording)
         got = adjoint_homfly(d)
@@ -1350,11 +1350,11 @@ def _unit_power(ratio: Fraction, s: int):
     return (ratio > 0, m) if num == den == 1 else None
 
 
-def _check_conway(d, config=None) -> bool:
+def _check_conway(d, max_crossings=MAX_CROSSINGS) -> bool:
     """`homfly(d)` against the Fox minor at t = s^2 for s = 2 and 3: equal up
     to one unit +-s^m, with m odd exactly when the component count is even.
     Returns whether the value is nonzero."""
-    value = homfly(d, config)
+    value = homfly(d, max_crossings)
     units = []
     for s in (2, 3):
         fox, conway = fox_minor(d, s * s), _conway_at(value, s)
@@ -1384,12 +1384,12 @@ def _norm_at_zeta8(poly: LaurentPoly) -> list[int]:
     return out
 
 
-def _check_determinant(d, config=None) -> int:
+def _check_determinant(d, max_crossings=MAX_CROSSINGS) -> int:
     """`kauffman(d)` against the Fox minor at t = -1: at v = -A^-3, s = A the
     value is the bracket <D>, and at A = exp(i pi / 4), where the circle
     factor -A^2 - A^-2 vanishes, |<D> / circle|^2 is det(L)^2.  Returns the
     minor."""
-    value = kauffman(d, config)
+    value = kauffman(d, max_crossings)
     circle = -LaurentPoly.monomial(0, 2) - LaurentPoly.monomial(0, -2)
     bracket_value = _specialise(value.num, -3, 1).exact_div(circle)
     den = _specialise(value.den, -3, 1)
@@ -1433,7 +1433,7 @@ class TestFoxMatrixPoints:
     def test_long_three_strand_words(self, word):
         # the Conway point only: on random 40-letter 3-braids `homfly` takes
         # up to ~0.7 s and `kauffman` up to ~6 s
-        _check_conway(braid_closure(3, word, "w"), EvalConfig(max_crossings=40))
+        _check_conway(braid_closure(3, word, "w"), 40)
 
     def test_torus_links(self):
         # T(2, n) up to 100 crossings, in one memo; every walk of a key ties
@@ -1441,14 +1441,12 @@ class TestFoxMatrixPoints:
         try:
             for n in range(2, 101):
                 d = braid_closure(2, [1] * n)
-                config = EvalConfig(max_crossings=n)
-                assert _check_conway(d, config)
-                assert abs(_check_determinant(d, config)) == n
+                assert _check_conway(d, n)
+                assert abs(_check_determinant(d, n)) == n
         finally:
             clear_caches()
 
     def test_satellite_rows_to_28_crossings(self):
-        config = EvalConfig(max_crossings=28)
         dets = []
         clear_caches()
         try:
@@ -1458,7 +1456,7 @@ class TestFoxMatrixPoints:
                     for r in range(4):
                         row = build_satellite_row(d, comp, r)
                         if len(row.crossings) <= 28:
-                            dets.append(_check_determinant(row, config))
+                            dets.append(_check_determinant(row, 28))
         finally:
             clear_caches()
         assert len(dets) == 36
@@ -1471,7 +1469,7 @@ RECURRENCE_TOPS = {
     "unknot": 5, "unlink2": 4, "hopf_plus": 4, "hopf_minus": 4, "trefoil": 4, "figure_eight": 3,
 }
 # the largest adjoint term: figure_eight with 3 meridians, doubled
-RECURRENCE_CONFIG = EvalConfig(max_crossings=40)
+RECURRENCE_BUDGET = 40
 
 
 class TestMeridianRecurrence:
@@ -1508,12 +1506,12 @@ class TestMeridianRecurrence:
         d = load_corpus(name)
         rows = [build_satellite_row(d, 0, r) for r in range(RECURRENCE_TOPS[name] + 1)]
         two, column, empty, box = (Partition(p) for p in ((2,), (1, 1), (), (1,)))
-        unoriented = [kauffman(row, RECURRENCE_CONFIG) for row in rows]
+        unoriented = [kauffman(row, RECURRENCE_BUDGET) for row in rows]
         roots = [kauffman_meridian_eigenvalue(p) for p in (two, column, empty)]
         assert all(annihilated_windows(unoriented, roots))
         wrong = roots[:2] + [kauffman_meridian_eigenvalue(box)]
         assert not any(annihilated_windows(unoriented, wrong))
-        oriented = [homfly(row, RECURRENCE_CONFIG) for row in rows]
+        oriented = [homfly(row, RECURRENCE_BUDGET) for row in rows]
         forward = [homfly_meridian_eigenvalue(p, empty) for p in (two, column)]
         assert all(annihilated_windows(oriented, forward))
         # the meridians' sense is pinned: the reversed roots fail
@@ -1525,7 +1523,7 @@ class TestMeridianRecurrence:
         # an antiparallel double pierced by antiparallel meridian pairs, less
         # its deleted terms: the roots are a((),()) and a((1),(1))
         d = load_corpus(name)
-        values = [adjoint_homfly(d.with_meridians(0, r), RECURRENCE_CONFIG) for r in range(4)]
+        values = [adjoint_homfly(d.with_meridians(0, r), RECURRENCE_BUDGET) for r in range(4)]
         empty, box = Partition(()), Partition((1,))
         roots = [adjoint_meridian_eigenvalue(empty, empty), adjoint_meridian_eigenvalue(box, box)]
         assert all(annihilated_windows(values, roots))
@@ -1538,7 +1536,7 @@ class TestMeridianRecurrence:
         # shapes ((1),(1)) and ((),()): cable, reverse and meridians checked
         # without the adjoint terms' inclusion-exclusion
         d = load_corpus(name)
-        values = [homfly(build_satellite_row(d, 0, r).reverse_component(1), RECURRENCE_CONFIG)
+        values = [homfly(build_satellite_row(d, 0, r).reverse_component(1), RECURRENCE_BUDGET)
                   for r in range(RECURRENCE_TOPS[name] + 1)]
         empty, box = Partition(()), Partition((1,))
         roots = [homfly_meridian_eigenvalue(box, box), homfly_meridian_eigenvalue(empty, empty)]
@@ -1736,7 +1734,7 @@ class TestKeyBytesPinned:
         run = homfly if flavor == ORIENTED else kauffman
         clear_caches()
         try:
-            run(braid_closure(n_strands, word), EvalConfig(max_crossings=len(word)))
+            run(braid_closure(n_strands, word), len(word))
             got = _memo_keys_sha256()
         finally:
             clear_caches()

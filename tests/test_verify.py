@@ -18,10 +18,10 @@ from skeinkit.diagram import DiagramError
 from skeinkit.eigen import delta_kauffman, kauffman_meridian_eigenvalue
 from skeinkit.partition import Partition
 from skeinkit.ring import RingElem, vpow, z_poly
-from skeinkit.skein_eval import EvalConfig, SkeinBudgetError, adjoint_homfly
+from skeinkit.skein_eval import SkeinBudgetError, adjoint_homfly
 from skeinkit.verify import (
     MAIN_CHECK_LABELS,
-    VERIFY_CONFIG,
+    VERIFY_MAX_CROSSINGS,
     CheckRecord,
     VerificationReport,
     _solve,
@@ -36,7 +36,7 @@ def P(*parts) -> Partition:
     return Partition(tuple(parts))
 
 
-CORPUS_BUDGET = EvalConfig(max_crossings=24)
+CORPUS_BUDGET = 24
 
 
 class TestBaseRelation:
@@ -59,7 +59,7 @@ class TestBaseRelation:
 
     def test_budget_error_propagates(self):
         with pytest.raises(SkeinBudgetError):
-            verify_rudolph(trefoil(), EvalConfig(max_crossings=4))
+            verify_rudolph(trefoil(), 4)
 
 
 class TestReportShape:
@@ -161,7 +161,7 @@ class TestMainUnknot:
         # each row check must match running the base relation on that row
         for r in range(4):
             row = build_satellite_row(unknot(), 0, r)
-            direct = verify_rudolph(row, VERIFY_CONFIG)
+            direct = verify_rudolph(row, VERIFY_MAX_CROSSINGS)
             recorded = unknot_row_two_report.checks[r]
             assert recorded.label == f"row r={r}: adjoint equals doubled unoriented value"
             assert recorded.passed == direct.passed
