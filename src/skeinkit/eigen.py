@@ -42,7 +42,7 @@ def delta_homfly() -> RingElem:
 
 def delta_kauffman() -> RingElem:
     """Framed value of the 0-framed unknot in the unoriented skein."""
-    return delta_homfly() + 1
+    return delta_homfly() + RingElem.one()
 
 
 def _meridian_numerator(forward: Partition, reverse: Partition, unknot: LaurentPoly) -> LaurentPoly:

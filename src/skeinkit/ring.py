@@ -20,6 +20,9 @@ shared denominator forms no denominator product (see ``RingElem``).
 Normalisation tries no division when s^2 - 1 divides the denominator but
 not the numerator, as for a power of z = s - s^-1 over a numerator that z
 does not divide.
+
+Operands meet only their own class: an int, or a LaurentPoly beside a
+RingElem, is a TypeError in +, -, *, / and == (see ``_check_operand``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,15 @@ from typing import Iterable, Mapping, Optional, Union
 
 Exponents = tuple[int, int]
 TermsLike = Union[Mapping[Exponents, int], Iterable[tuple[Exponents, int]], None]
+
+
+def _check_operand(value, other) -> None:
+    """Refuse an operand of another class (TypeError) or characteristic (ValueError)."""
+    if not isinstance(other, type(value)):
+        name = type(value).__name__
+        raise TypeError(f"a {name} operand must be a {name}, not {type(other).__name__}")
+    if other.char != value.char:
+        raise ValueError("characteristic mismatch")
 
 
 class LaurentPoly:
@@ -92,10 +104,6 @@ class LaurentPoly:
         return cls({(0, 0): 1}, char)
 
     @classmethod
-    def constant(cls, value: int, char: int = 0) -> "LaurentPoly":
-        return cls({(0, 0): value}, char)
-
-    @classmethod
     def monomial(cls, dv: int, ds: int, coeff: int = 1, char: int = 0) -> "LaurentPoly":
         return cls({(dv, ds): coeff}, char)
 
@@ -133,25 +141,12 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # ring operations
 
-    def _coerce(self, other) -> Optional["LaurentPoly"]:
-        if isinstance(other, LaurentPoly):
-            if other.char != self.char:
-                raise ValueError("characteristic mismatch")
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.constant(other, self.char)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._merge(other, 1)
-
-    __radd__ = __add__
 
     def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         """self + sign * other in one pass over other's terms (sign is +-1)."""
+        _check_operand(self, other)
         out = dict(self._terms)
         if self.char == 2:  # every coefficient is 1, and -1 = 1
             for key in other._terms:
@@ -175,21 +170,10 @@ class LaurentPoly:
         return LaurentPoly._make({k: -c for k, c in self._terms.items()}, self.char)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._merge(other, -1)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._merge(self, -1)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        _check_operand(self, other)
         out: dict[Exponents, int] = {}
         get = out.get
         for (av, as_), ac in self._terms.items():
@@ -199,8 +183,6 @@ class LaurentPoly:
         if self.char == 2:
             out = {k: c % 2 for k, c in out.items()}
         return LaurentPoly._make({k: c for k, c in out.items() if c}, self.char)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -219,10 +201,8 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other, self.char)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            _check_operand(self, other)  # raises the TypeError
         return self.char == other.char and self._terms == other._terms
 
     def __hash__(self):
@@ -402,32 +382,26 @@ class RingElem:
     Every RingElem is built reduced.  A polynomial over 1 is already
     reduced: the constructor stores a numerator given with no denominator
     as it is, and ``_make`` stores the sum or product of two polynomials
-    over 1.  Every other value goes through the constructor's
-    ``_reduce_fraction``, the one normaliser.  A sum over a shared
-    denominator, a/d +- b/d, is reduced from (a +- b)/d, with no
-    denominator product and no division by d^2; every other sum or product
-    is reduced from the cross-multiplied pair.  A shared denominator with a
-    factor reduction cannot cancel, such as v + 1, stays once in the sum's
-    denominator, where cross-multiplying would square it.  That
-    representative is smaller and has the same value.
+    over 1.  Every other value goes through ``_reduce_fraction``, the one
+    normaliser.  A sum over a shared denominator, a/d +- b/d, is reduced
+    from (a +- b)/d, so a factor that reduction cannot cancel, such as
+    v + 1, stays once in the sum's denominator, where cross-multiplying
+    would square it; every other sum or product is reduced from the
+    cross-multiplied pair.
+
+    Every operand is a RingElem: there is no int or LaurentPoly coercion,
+    no reflected operator, no negation and no negative power.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, int):
-            num = LaurentPoly.constant(num, den.char if isinstance(den, LaurentPoly) else 0)
+    def __init__(self, num: LaurentPoly, den: Optional[LaurentPoly] = None):
         if not isinstance(num, LaurentPoly):
-            raise TypeError("numerator must be a LaurentPoly or int")
+            raise TypeError("numerator must be a LaurentPoly")
         if den is None:
             den = LaurentPoly.one(num.char)  # a polynomial over 1 is reduced
         else:
-            if isinstance(den, int):
-                den = LaurentPoly.constant(den, num.char)
-            if not isinstance(den, LaurentPoly):
-                raise TypeError("denominator must be a LaurentPoly or int")
-            if num.char != den.char:
-                raise ValueError("characteristic mismatch")
+            _check_operand(num, den)
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
             num, den = _reduce_fraction(num, den)
@@ -439,9 +413,8 @@ class RingElem:
 
     @classmethod
     def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "RingElem":
-        # internal fast path for a sum or product of two polynomials over 1:
-        # `num` is that polynomial and `den` is 1, a pair _reduce_fraction
-        # returns unchanged
+        # fast path for a sum or product of two polynomials over 1: `num` is
+        # that polynomial and `den` is 1, a pair _reduce_fraction keeps as is
         self = object.__new__(cls)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -461,24 +434,12 @@ class RingElem:
     def one(cls, char: int = 0) -> "RingElem":
         return cls(LaurentPoly.one(char))
 
-    def _coerce(self, other) -> Optional["RingElem"]:
-        if isinstance(other, RingElem):
-            if other.char != self.char:
-                raise ValueError("characteristic mismatch")
-            return other
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other, self.char)
-        if isinstance(other, LaurentPoly):
-            if other.char != self.char:
-                raise ValueError("characteristic mismatch")
-            return RingElem(other)
-        return None
-
     # ------------------------------------------------------------------
     # field operations
 
     def _sum(self, other: "RingElem", sign: int) -> "RingElem":
         """self + sign * other for sign 1 or -1, by the cheapest case that applies."""
+        _check_operand(self, other)
         a, d1 = self.num, self.den
         b = other.num if sign > 0 else -other.num
         d2 = other.den
@@ -489,70 +450,31 @@ class RingElem:
         return RingElem(a * d2 + b * d1, d1 * d2)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._sum(other, 1)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingElem(-self.num, self.den)
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._sum(other, -1)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        _check_operand(self, other)
         num = self.num * other.num
         if self.den.is_one() and other.den.is_one():
             return RingElem._make(num, self.den)
         return RingElem(num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        _check_operand(self, other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero element")
         return RingElem(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent >= 0:
-            return RingElem(self.num ** exponent, self.den ** exponent)
-        if self.num.is_zero():
-            raise ZeroDivisionError("zero has no negative powers")
-        return RingElem(self.den ** (-exponent), self.num ** (-exponent))
+        # LaurentPoly.__pow__ refuses a negative or non-int exponent
+        return RingElem(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            try:
-                other = self._coerce(other)
-            except ValueError:
-                return False
         if not isinstance(other, RingElem):
-            return NotImplemented
+            _check_operand(self, other)  # raises the TypeError
         if other.char != self.char:
             return False
         if self.den == other.den:

@@ -302,9 +302,9 @@ def reference_homfly_meridian_eigenvalue(forward: Partition, reverse: Partition)
 
 
 def reference_kauffman_meridian_eigenvalue(shape: Partition) -> RingElem:
-    """The unoriented meridian eigenvalue composed the same way, with + 1,
+    """The unoriented meridian eigenvalue composed the same way, plus one,
     kept as the reference for `eigen.kauffman_meridian_eigenvalue`."""
-    return reference_homfly_meridian_eigenvalue(shape, shape) + 1
+    return reference_homfly_meridian_eigenvalue(shape, shape) + RingElem.one()
 
 
 def reference_eval_polynomial(coefficients, value: RingElem) -> RingElem:
@@ -372,6 +372,11 @@ def reference_distinctness(max_size: int) -> DistinctnessReport:
 
 # ----------------------------------------------------------------------
 # fractions
+
+
+def constant(value: int, char: int = 0) -> LaurentPoly:
+    """The constant polynomial `value`: ring operators take no int operand."""
+    return LaurentPoly({(0, 0): value}, char)
 
 
 def reference_reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import coefficient, isolating_siblings
+from oracles import coefficient, constant, isolating_siblings
 from skeinkit.annulus import (
     AnnulusVecK,
     ExpansionPlan,
@@ -83,7 +83,7 @@ class TestAnnulusVecK:
     def test_basis_and_zero(self):
         v = AnnulusVecK.basis(P(2))
         assert list(v.coeffs) == [P(2)]
-        assert coefficient(v, P(2)) == 1
+        assert coefficient(v, P(2)) == RingElem.one()
         assert coefficient(v, P(1)).is_zero()
         assert AnnulusVecK({}).coeffs == {}
 
@@ -97,13 +97,13 @@ class TestAnnulusVecK:
         assert AnnulusVecK({P(3): RingElem.zero()}).coeffs == {}
 
     def test_linear_ops(self):
-        two = RingElem(2)
+        two = RingElem(constant(2))
         assert AnnulusVecK.basis(P(1)).scale(two) == AnnulusVecK({P(1): two})
         v = AnnulusVecK({P(1): two, P(2): RingElem.one()})
         assert coefficient(v, P(1)) == two
-        assert coefficient(v, P(2)) == 1
-        w = v.scale(vpow(1))
-        assert coefficient(w, P(2)) == vpow(1)
+        assert coefficient(v, P(2)) == RingElem.one()
+        w = v.scale(RingElem(vpow(1)))
+        assert coefficient(w, P(2)) == RingElem(vpow(1))
 
     def test_immutable(self):
         v = AnnulusVecK.basis(P(1))
@@ -115,7 +115,7 @@ class TestBranching:
     def test_width_one_branches_three_ways(self):
         out = branch_mul_y1(AnnulusVecK.basis(P(1)))
         assert sorted(out.coeffs) == sorted([P(), P(2), P(1, 1)])
-        assert all(coeff == 1 for coeff in out.coeffs.values())
+        assert all(coeff == RingElem.one() for coeff in out.coeffs.values())
 
     def test_empty_branches_to_width_one(self):
         out = branch_mul_y1(AnnulusVecK.basis(P()))
@@ -126,7 +126,7 @@ class TestBranching:
         assert sorted(out.coeffs) == sorted([P(3, 1), P(2, 2), P(2, 1, 1), P(2), P(1, 1)])
 
     def test_linearity(self):
-        two = RingElem(2)
+        two = RingElem(constant(2))
         combined = branch_mul_y1(AnnulusVecK({P(2): two, P(): RingElem.one()}))
         a, b = branch_mul_y1(AnnulusVecK.basis(P(2))), branch_mul_y1(AnnulusVecK.basis(P()))
         expected = {
@@ -166,8 +166,8 @@ class TestExpansionPlans:
         plan = expand_ylambda(P(1))
         assert plan.is_trivial
         assert plan.coefficients == ()
-        assert plan.scale == 1
-        assert plan.full_scale() == 1
+        assert plan.scale == RingElem.one()
+        assert plan.full_scale() == RingElem.one()
         assert plan.inner is None
         with pytest.raises(ValueError):
             expand_ylambda(P(1), P())
@@ -460,7 +460,7 @@ class TestDiagramSymbolConsistency:
             for r in range(3):
                 replaced[r][j] = values[r]
             solved.append(det3(replaced) / base)
-        assert solved[2] == 1
+        assert solved[2] == RingElem.one()
         prediction = RingElem.zero()
         for j in range(3):
             prediction = prediction + solved[j] * eig[j] ** 3

@@ -289,6 +289,21 @@ class TestEigenCommand:
         assert lines[0].startswith("0: ")
         assert lines[-1].startswith("distinct: yes (4 shapes, 6 comparisons")
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ("-1", "error: --max-size must be nonnegative"),
+            ("31", "error: --max-size must be at most 30, got 31"),
+            ("99999999", "error: --max-size must be at most 30, got 99999999"),
+        ],
+        ids=["negative", "over-cap", "huge"],
+    )
+    def test_table_size_refusal_text(self, size, message):
+        # refused before any shape is listed
+        started = time.perf_counter()
+        assert run(["eigen", "table", "--max-size", size, "--check-distinct"]) == (2, message)
+        assert time.perf_counter() - started < 0.5
+
 
 class TestExpandCommand:
     def test_plan_json_shape(self):

@@ -1,14 +1,20 @@
 """Source hygiene: every top-level import of a package module or a test
 file is used, every function the package defines is read by the package
-or the bench, and a package module reads a private member only of a class
-it defines and imports no private name from another package module.
-Re-exporting a name from ``__init__.py`` does not count as reading it."""
+or the bench and runs under program traffic, and a package module reads a
+private member only of a class it defines and imports no private name from
+another package module.  Re-exporting a name from ``__init__.py`` does not
+count as reading it."""
 
 import ast
 import importlib
+import sys
+from inspect import CO_OPTIMIZED
 from pathlib import Path
+from types import CodeType
 
 import pytest
+
+from skeinkit import cli, skein_eval
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skeinkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -142,6 +148,118 @@ def test_every_function_is_read():
         namespace = vars(importlib.import_module(f"skeinkit.{module[:-3]}"))
         unread += unread_functions((PACKAGE / module).read_text(), namespace, read)
     assert unread == []
+
+
+# ----------------------------------------------------------------------
+# every function runs: program traffic through the CLI calls each function
+# the package defines, dunders included
+
+
+def defined_functions(code: CodeType, prefix: str = "") -> list[tuple[str, CodeType]]:
+    """(dotted name, code object) of every def under a compiled module or
+    body, nested defs included; class bodies, lambdas and comprehensions
+    are not functions.  Code objects compare by first line and body as
+    well as by name, so two methods that share a name are told apart."""
+    found = []
+    for const in code.co_consts:
+        if isinstance(const, CodeType) and not const.co_name.startswith("<"):
+            name = prefix + const.co_name
+            if const.co_flags & CO_OPTIMIZED:  # a def, not a class body
+                found.append((name, const))
+            found += defined_functions(const, name + ".")
+    return found
+
+
+def codes_run(traffic) -> set[CodeType]:
+    """The code objects of every Python function `traffic()` calls."""
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        traffic()
+    finally:
+        sys.setprofile(previous)
+    return ran
+
+
+def test_detects_a_function_that_never_runs():
+    source = (
+        "class Poly:\n"
+        "    def __add__(self, other):\n"
+        "        return self\n"
+        "class Elem:\n"
+        "    def __add__(self, other):\n"  # shares its name with one that runs
+        "        return self\n"
+        "    def __radd__(self, other):\n"
+        "        return self\n"
+        "def helper():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    return [lambda: inner for _ in ()]\n"
+    )
+    code = compile(source, "<control>", "exec")
+    namespace: dict = {}
+    exec(code, namespace)
+    ran = codes_run(lambda: (namespace["Poly"]() + 1, namespace["helper"]()))
+    assert [name for name, c in defined_functions(code) if c not in ran] == [
+        "Elem.__add__", "Elem.__radd__", "helper.inner",
+    ]
+
+
+# what the traffic below leaves uncalled, each with its reason
+NOT_RUN = {
+    **{f"{cls}.__setattr__": "an immutability guard: it runs only on a write, to refuse it"
+       for cls in ("annulus.AnnulusVecK", "diagram.LinkDiagram", "ring.LaurentPoly", "ring.RingElem")},
+    **{f"{cls}.__repr__": "for a reader at a prompt or a failed assertion; output never reprs"
+       for cls in ("annulus.AnnulusVecK", "diagram.LinkDiagram", "partition.Partition",
+                   "ring.LaurentPoly", "ring.RingElem")},
+    **{f"ring.{cls}.__str__": "output calls render() directly" for cls in ("LaurentPoly", "RingElem")},
+    "diagram.LinkDiagram.writhe": "only LinkDiagram.__repr__ reads it",
+    "cli.main": "the console script: it prints what cli.run returns",
+}
+
+
+def test_every_function_runs(tmp_path):
+    # earlier tests may have warmed the engine's memo and the parser
+    skein_eval.clear_caches()
+    cli._parser.cache_clear()
+    link = tmp_path / "trefoil.json"
+
+    def traffic():
+        link.write_text(cli.run(["corpus", "show", "trefoil"])[1])
+        for argv in (
+            ["acceptance", "run"],
+            ["skein", "homfly", str(link), "--max-crossings", "8"],
+            ["skein", "kauffman", "corpus:hopf_plus"],
+            ["skein", "adjoint", "corpus:unknot"],
+            ["eigen", "c", "--partition", "2,1"],
+            ["eigen", "s", "--forward", "1", "--reverse", "1"],
+            ["eigen", "adjoint", "--forward", "1", "--reverse", "0"],
+            ["eigen", "table", "--max-size", "3", "--check-distinct"],
+            ["expand", "--partition", "2,1"],
+            ["verify", "rudolph", "corpus:unknot", "--json"],
+            ["verify", "main", "corpus:unknot", "--component", "1", "--partition", "2"],
+            ["verify", "eigen-consistency"],
+            ["corpus", "list"],
+            ["corpus", "show", "nope"],
+            ["--help"],
+        ):
+            cli.run(argv)
+        skein_eval.clear_caches()  # the bench's reset between runs
+
+    ran = codes_run(traffic)
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "skeinkit" if path.stem == "__init__" else f"skeinkit.{path.stem}"
+        code = importlib.import_module(name).__spec__.loader.get_code(name)
+        defined += [(f"{path.stem}.{fn}", c) for fn, c in defined_functions(code)]
+    assert set(NOT_RUN) <= {fn for fn, _ in defined}
+    assert [fn for fn, c in defined if c not in ran and fn not in NOT_RUN] == []
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_reduce_fraction
+from oracles import constant, reference_reduce_fraction
 from skeinkit import ring
 from skeinkit.ring import (
     LaurentPoly,
@@ -118,7 +118,7 @@ class TestLaurentPoly:
 
     @pytest.mark.parametrize("char", [0, 2])
     def test_powers_equal_repeated_products(self, char):
-        base = vpow(1, char) - spow(2, char) + 1
+        base = vpow(1, char) - spow(2, char) + LaurentPoly.one(char)
         expected = LaurentPoly.one(char)
         for exponent in range(10):
             assert base ** exponent == expected
@@ -147,9 +147,9 @@ class TestLaurentPoly:
 
     def test_division_failure_raises(self):
         with pytest.raises(ValueError):
-            (spow(2) + 1).exact_div(spow(1) - 1)
+            (spow(2) + LaurentPoly.one()).exact_div(spow(1) - LaurentPoly.one())
         with pytest.raises(ValueError):
-            vpow(1).exact_div(LaurentPoly.constant(2))
+            vpow(1).exact_div(constant(2))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -162,7 +162,7 @@ class TestLaurentPoly:
     def test_zero_and_one(self):
         assert LaurentPoly.zero().is_zero()
         assert LaurentPoly.one().is_one()
-        assert LaurentPoly.constant(2, char=2).is_zero()
+        assert constant(2, char=2).is_zero()
 
     def test_scale_exponents(self):
         p = vpow(1) + spow(-2)
@@ -206,13 +206,10 @@ class TestLaurentPoly:
         # and the constructor's own merge; b = a or -a cancels every term
         a = data.draw(polys(char))
         b = data.draw(st.one_of(polys(char), st.just(a), st.just(-a)))
-        k = data.draw(st.integers(-3, 3))
         both = list(a.terms().items())
         assert (a - b).terms() == (a + (-b)).terms()
         assert (a - b).terms() == LaurentPoly(both + [(e, -c) for e, c in b.terms().items()], char).terms()
         assert (a + b).terms() == LaurentPoly(both + list(b.terms().items()), char).terms()
-        assert (k - a).terms() == (LaurentPoly.constant(k, char) + (-a)).terms()
-        assert (a - k).terms() == (a + LaurentPoly.constant(-k, char)).terms()
 
     @given(small_polys, small_polys, sample_points)
     @settings(max_examples=60)
@@ -264,7 +261,7 @@ class TestLaurentPoly:
 
     @given(small_polys)
     def test_mod2_reduction_is_a_ring_map(self, a):
-        b = spow(2) - vpow(1) * 3
+        b = spow(2) - vpow(1) * constant(3)
         assert (a * b).reduce_mod2() == a.reduce_mod2() * b.reduce_mod2()
         assert (a + b).reduce_mod2() == a.reduce_mod2() + b.reduce_mod2()
 
@@ -287,13 +284,12 @@ class TestLaurentPoly:
             lambda: LaurentPoly([((1, 0), Fraction(1, 2))]),
             lambda: LaurentPoly({(0.5, 1): 2}),
             lambda: LaurentPoly({(1, 2.0): 2}),
-            lambda: LaurentPoly.constant(2.9),
             lambda: LaurentPoly.monomial(1, 2, 1.5),
             lambda: LaurentPoly.monomial(1.0, 2),
         ],
         ids=[
             "float-coeff", "integral-float-coeff", "fraction-coeff", "float-v-exponent",
-            "float-s-exponent", "constant", "monomial-coeff", "monomial-exponent",
+            "float-s-exponent", "monomial-coeff", "monomial-exponent",
         ],
     )
     def test_inexact_input_is_refused(self, build):
@@ -309,9 +305,9 @@ class TestRingElem:
         assert elem.num == spow(1) + spow(-1)
 
     def test_unreduced_fraction_kept_exact(self):
-        elem = RingElem(vpow(1), LaurentPoly.constant(2))
-        assert elem.den == LaurentPoly.constant(2)
-        assert elem * 2 == RingElem(vpow(1))
+        elem = RingElem(vpow(1), constant(2))
+        assert elem.den == constant(2)
+        assert elem * RingElem(constant(2)) == RingElem(vpow(1))
 
     def test_cross_multiplication_equality(self):
         z = z_poly()
@@ -368,9 +364,9 @@ class TestRingElem:
 
     def test_division_and_powers(self):
         z = RingElem(z_poly())
-        assert z / z == 1
+        assert z / z == RingElem.one()
         assert z ** 0 == RingElem.one()
-        assert z ** -2 == RingElem(LaurentPoly.one(), z_poly() ** 2)
+        assert z ** 2 == RingElem(z_poly() ** 2)
         with pytest.raises(ZeroDivisionError):
             z / RingElem.zero()
 
@@ -382,9 +378,9 @@ class TestRingElem:
         assert elem.den.max_exponents()[1] - elem.den.min_exponents()[1] == 2
 
     def test_to_mod2(self):
-        assert RingElem(vpow(1) * 2).to_mod2().is_zero()
+        assert RingElem(vpow(1) * constant(2)).to_mod2().is_zero()
         with pytest.raises(ValueError):
-            RingElem(vpow(1), LaurentPoly.constant(2)).to_mod2()
+            RingElem(vpow(1), constant(2)).to_mod2()
         reduced = RingElem(vpow(-1) - vpow(1), z_poly()).to_mod2()
         assert reduced.char == 2
         assert reduced == RingElem(vpow(1, 2) + vpow(-1, 2), z_poly(2))
@@ -428,9 +424,67 @@ class TestRingElem:
         assert str(RingElem(spow(2) - spow(-2), z_poly())) == "s^-1 + s"
 
 
+class TestOperandRule:
+    """Ring values meet only values of their own class and characteristic."""
+
+    OPERATORS = {
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+        "/": lambda a, b: a / b,
+        "==": lambda a, b: a == b,
+        "!=": lambda a, b: a != b,
+    }
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("value", [vpow(1), RingElem(vpow(1), z_poly())], ids=["poly", "elem"])
+    def test_int_operand_is_refused(self, value, op):
+        # a silent int False would make `x != 0` pass on every x
+        apply = self.OPERATORS[op]
+        for a, b in ((value, 0), (0, value), (value, 2), (2, value)):
+            with pytest.raises(TypeError):
+                apply(a, b)
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_poly_operand_to_elem_is_refused(self, op):
+        apply = self.OPERATORS[op]
+        elem, poly = RingElem(vpow(1), z_poly()), vpow(1)
+        for a, b in ((elem, poly), (poly, elem)):
+            with pytest.raises(TypeError):
+                apply(a, b)
+
+    def test_constructor_takes_polynomials_only(self):
+        with pytest.raises(TypeError, match="numerator must be a LaurentPoly"):
+            RingElem(3)
+        with pytest.raises(TypeError, match="a LaurentPoly operand must be a LaurentPoly, not int"):
+            RingElem(vpow(1), 2)
+
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            RingElem(z_poly()) ** -2
+        with pytest.raises(ValueError, match="negative powers"):
+            RingElem(vpow(1), z_poly()) ** -1
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_characteristic_mismatch(self, op):
+        apply = self.OPERATORS[op]
+        for a, b in ((spow(1), spow(1, 2)), (RingElem(spow(1)), RingElem(spow(1, 2)))):
+            with pytest.raises(ValueError, match="characteristic mismatch"):
+                apply(a, b)
+
+    def test_characteristic_mismatch_in_division_and_construction(self):
+        with pytest.raises(ValueError, match="characteristic mismatch"):
+            RingElem(spow(1)) / RingElem(spow(1, 2))
+        with pytest.raises(ValueError, match="characteristic mismatch"):
+            RingElem(spow(1), spow(1, 2))
+        # equality across characteristics is False, not an error
+        assert spow(1) != spow(1, 2) and RingElem(spow(1)) != RingElem(spow(1, 2))
+
+
 def cross_multiplied_sum(a, b, sign):
     """a + sign*b by cross-multiplication, the general formula."""
-    return RingElem(a.num * b.den + sign * (b.num * a.den), a.den * b.den)
+    cross = b.num * a.den
+    return RingElem(a.num * b.den + (cross if sign > 0 else -cross), a.den * b.den)
 
 
 def z_denominators(char):
@@ -536,7 +590,7 @@ class TestFractionFastPaths:
     def test_unit_denominator_sum_skips_reduction(self, counts):
         p = vpow(-1) - spow(2)
         pe = RingElem(p)
-        assert self.counted(counts, lambda: pe + p) == (0, 0)
+        assert self.counted(counts, lambda: pe + RingElem(p)) == (0, 0)
 
     def test_equal_denominator_sum_multiplies_nothing(self, counts):
         den = z_poly() ** 3
@@ -546,7 +600,7 @@ class TestFractionFastPaths:
 
     def test_product_over_unit_denominators(self, counts):
         a = RingElem(vpow(1) + spow(3), z_poly())
-        p, q = RingElem(vpow(-1) - spow(2)), RingElem(spow(1) + 2)
+        p, q = RingElem(vpow(-1) - spow(2)), RingElem(spow(1) + constant(2))
         assert self.counted(counts, lambda: p * q) == (0, 1)
         assert self.counted(counts, lambda: a * a) == (1, 2)
 
@@ -578,7 +632,11 @@ class TestReduceFraction:
 
         monkeypatch.setattr(LaurentPoly, "try_div", counting)
         z = z_poly(char)
-        nums = [vpow(1, char) + spow(3, char), vpow(-1, char) + spow(-2, char) + 1, vpow(2, char) * spow(5, char)]
+        nums = [
+            vpow(1, char) + spow(3, char),
+            vpow(-1, char) + spow(-2, char) + LaurentPoly.one(char),
+            vpow(2, char) * spow(5, char),
+        ]
         for num in nums:
             assert not _divisible_by_s_period(num, 2)
             for k in range(1, 6):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import linking_number, same_diagram_as
+from oracles import constant, linking_number, same_diagram_as
 from skeinkit import cli
 from skeinkit.corpus import (
     corpus_names,
@@ -190,7 +190,7 @@ class TestSolve:
 
     def test_vandermonde_over_distinct_eigenvalues(self):
         rows = self._vandermonde([P(), P(1), P(2), P(1, 1)])
-        x = [RingElem.one(), delta_kauffman(), RingElem(vpow(1)), RingElem(z_poly()) - 3]
+        x = [RingElem.one(), delta_kauffman(), RingElem(vpow(1)), RingElem(z_poly()) - RingElem(constant(3))]
         rhs = [sum((a * b for a, b in zip(row, x)), RingElem.zero()) for row in rows]
         assert _solve(rows, rhs) == x
 
@@ -201,10 +201,8 @@ class TestSolve:
 
     def test_zero_pivot_takes_a_lower_row(self):
         zero, one = RingElem.zero(), RingElem.one()
-        assert _solve([[zero, one], [one, zero]], [RingElem(2), RingElem(5)]) == [
-            RingElem(5),
-            RingElem(2),
-        ]
+        two, five = RingElem(constant(2)), RingElem(constant(5))
+        assert _solve([[zero, one], [one, zero]], [two, five]) == [five, two]
 
 
 class TestMainValidation:
